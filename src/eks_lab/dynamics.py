@@ -45,14 +45,9 @@ from .errors import (
     SingularImplicitSystem,
     SingularMatrix,
 )
-from .model import (
-    GaussianMoments,
-    apply_forward_batch,
-    posterior_moments,
-    precision_matrix,
-)
+from .model import apply_forward_batch, posterior_moments, precision_matrix
 from .noise import NoiseSource, derive_seed
-from .reference import advance_mean, covariance_closed_form
+from .reference import rho_at
 from .spd import general_solve, lambda_min, spd_sqrt
 
 __all__ = [
@@ -288,12 +283,7 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
         seed=derive_seed(cfg.seed, "independent-reference"))
 
     u_ens = initial
-    v_ens = initial if mode == "coupled" else None
-    rho_mean = None
-    rho_cov = None
-    if flow is not None:
-        rho_mean = advance_mean(flow, flow.m0, 0.0, initial.time)
-        rho_cov = covariance_closed_form(flow, initial.time)
+    v_ens = initial if mode in ("mean_field", "coupled") else None
 
     coupling = [] if mode == "coupled" else None
     diag = {key: [] for key in ("step", "time", "coupling_error",
@@ -302,31 +292,27 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
         else None
 
     def record():
+        # returns rho at the recorded system's clock, which the next step
+        # uses, so each time point costs one rho_at
+        system = v_ens if mode == "mean_field" else u_ens
+        rho = None if flow is None else rho_at(flow, system.time)
         if mode == "coupled":
             coupling.append(_coupling_error(u_ens.particles, v_ens.particles))
         if diag is not None:
-            system = u_ens if mode != "mean_field" else v_ens
             stats = empirical_stats(system, problem)
             diag["step"].append(system.step)
             diag["time"].append(system.time)
             diag["coupling_error"].append(
                 coupling[-1] if mode == "coupled" else np.nan)
-            if rho_cov is not None:
-                rho = GaussianMoments(mean=rho_mean, cov=rho_cov)
-                diag["condition"].append(condition_check(problem, rho))
-            else:
-                diag["condition"].append(np.nan)
+            diag["condition"].append(
+                np.nan if rho is None else condition_check(problem, rho))
             diag["trace_cov_uu"].append(float(np.trace(stats.cov_uu)))
             diag["fourth_moment"].append(centered_moment(system, 4))
+        return rho
 
-    if mode == "mean_field":
-        v_ens = initial
-    record()
+    rho = record()
 
     for _ in range(cfg.n_steps):
-        if mode in ("mean_field", "coupled"):
-            rho = GaussianMoments(mean=rho_mean, cov=rho_cov)
-        t_prev = (u_ens if mode != "mean_field" else v_ens).time
         if mode == "eks":
             u_ens = eks_step(u_ens, problem, cfg, noise)
         elif mode == "eks_gradient":
@@ -336,11 +322,7 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
         else:
             u_ens = eks_step(u_ens, problem, cfg, noise)
             v_ens = mean_field_step(v_ens, rho, problem, cfg, v_noise)
-        if flow is not None:
-            t_now = (u_ens if mode != "mean_field" else v_ens).time
-            rho_mean = advance_mean(flow, rho_mean, t_prev, t_now)
-            rho_cov = covariance_closed_form(flow, t_now)
-        record()
+        rho = record()
 
     final = v_ens if mode == "mean_field" else u_ens
     if diag is not None:

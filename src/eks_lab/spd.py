@@ -78,13 +78,10 @@ def spd_sqrt(m, tol=1e-12):
     return 0.5 * (root + root.T)
 
 
-def spd_solve(m, rhs, jitter=0.0):
+def spd_solve(m, rhs):
     """Solve M x = rhs for symmetric positive definite M via Cholesky.
 
-    ``jitter`` (default 0) is added to the diagonal before factoring;
-    nothing in the core dynamics uses it, it exists for exploratory work
-    with borderline matrices.  Raises SingularMatrix if the factorization
-    fails.
+    Raises SingularMatrix if the factorization fails.
     """
     m = symmetrize(m)
     rhs = np.asarray(rhs, dtype=float)
@@ -93,8 +90,6 @@ def spd_solve(m, rhs, jitter=0.0):
             f"rhs leading dimension {rhs.shape[0]} != matrix size {m.shape[0]}")
     if not np.all(np.isfinite(rhs)):
         raise NonFinite("rhs contains non-finite entries")
-    if jitter:
-        m = m + jitter * np.eye(m.shape[0])
     try:
         factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as err:

@@ -69,7 +69,6 @@ STUDY_KINDS = ("sample", "study-j", "study-time", "study-coupling",
 # documented defaults; everything else must be explicit in the config
 DEFAULT_H = 0.01
 DEFAULT_SQRT_TOL = 1e-12
-DEFAULT_DT_ODE = 1e-3
 
 
 class ConfigError(EksError):
@@ -101,7 +100,6 @@ class StudyConfig:
     j_particles: int
     seed: int
     sqrt_tol: float = DEFAULT_SQRT_TOL
-    dt_ode: float = DEFAULT_DT_ODE
     j_values: tuple = ()
     t_checkpoints: tuple = ()
     repeats: int = 1
@@ -171,6 +169,15 @@ def _require(doc, key, kind):
     return doc[key]
 
 
+def _number(cast, value, name):
+    """cast(value) for a scalar config field; failure is a ConfigError."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config field '{name}' must be a number, got "
+                          f"{value!r}") from None
+
+
 def _matrix(doc, key):
     try:
         return np.asarray(doc[key], dtype=float)
@@ -203,9 +210,10 @@ def _parse_problem(spec, base_dir):
                 raise ConfigError(f"nonlinear spec requires '{fld}'")
         nonlinear = make_perpendicular_perturbation(
             _matrix(spec, "a"), _matrix(spec, "gamma"),
-            seed_direction=np.asarray(nl["seed_direction"], dtype=float),
-            frequency=np.asarray(nl["frequency"], dtype=float),
-            amplitude=float(nl["amplitude"]))
+            seed_direction=_matrix(nl, "seed_direction"),
+            frequency=_matrix(nl, "frequency"),
+            amplitude=_number(float, nl["amplitude"],
+                              "problem.nonlinear.amplitude"))
     try:
         return InverseProblem(a=_matrix(spec, "a"),
                               gamma=_matrix(spec, "gamma"),
@@ -270,10 +278,11 @@ def parse_config(doc, base_dir="."):
     sde = doc.get("sde", {})
     if not isinstance(sde, dict):
         raise ConfigError("'sde' must be an object")
-    h = float(sde.get("h", DEFAULT_H))
-    sqrt_tol = float(sde.get("sqrt_tol", DEFAULT_SQRT_TOL))
-    n_steps = int(sde.get("n_steps", 0))
-    j_particles = int(sde.get("j_particles", 0))
+    h = _number(float, sde.get("h", DEFAULT_H), "sde.h")
+    sqrt_tol = _number(float, sde.get("sqrt_tol", DEFAULT_SQRT_TOL),
+                       "sde.sqrt_tol")
+    n_steps = _number(int, sde.get("n_steps", 0), "sde.n_steps")
+    j_particles = _number(int, sde.get("j_particles", 0), "sde.j_particles")
     needs_run = kind in ("sample", "demo-nonlinear", "study-j",
                          "study-coupling")
     if needs_run and n_steps < 0:
@@ -286,14 +295,16 @@ def parse_config(doc, base_dir="."):
     t_checkpoints = ()
     if kind in ("study-j", "study-coupling"):
         j_values = _sorted_sweep(
-            [int(v) for v in _require(sweep, "j_values", kind)], "j_values")
+            [_number(int, v, "sweep.j_values")
+             for v in _require(sweep, "j_values", kind)], "j_values")
         if any(v < 2 for v in j_values):
             raise ConfigError("j_values must all be >= 2")
         if n_steps < 1:
             raise ConfigError(f"{kind} study requires sde.n_steps >= 1")
     if kind == "study-time":
         t_checkpoints = _sorted_sweep(
-            [float(v) for v in _require(sweep, "t_checkpoints", kind)],
+            [_number(float, v, "sweep.t_checkpoints")
+             for v in _require(sweep, "t_checkpoints", kind)],
             "t_checkpoints")
         if t_checkpoints[0] < 0.0:
             raise ConfigError("t_checkpoints must be >= 0")
@@ -306,11 +317,11 @@ def parse_config(doc, base_dir="."):
                     raise ConfigError(
                         f"checkpoint t={t} is not a multiple of h={h}")
 
-    repeats = int(doc.get("repeats", 1))
+    repeats = _number(int, doc.get("repeats", 1), "repeats")
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
 
-    seed = int(doc.get("seed", 0))
+    seed = _number(int, doc.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError("seed must be a non-negative integer")
 
@@ -329,12 +340,11 @@ def parse_config(doc, base_dir="."):
     return StudyConfig(
         kind=kind, problem=problem, rho0=rho0, h=h, n_steps=n_steps,
         j_particles=j_particles, seed=seed, sqrt_tol=sqrt_tol,
-        dt_ode=float(doc.get("dt_ode", DEFAULT_DT_ODE)),
         j_values=j_values, t_checkpoints=t_checkpoints, repeats=repeats,
         share_noise=bool(doc.get("share_noise", True)),
         with_particles=bool(doc.get("with_particles", False)),
         write_ensemble=bool(doc.get("write_ensemble", True)),
-        fit_t_min=float(doc.get("fit_t_min", 1.0)),
+        fit_t_min=_number(float, doc.get("fit_t_min", 1.0), "fit_t_min"),
         bands=dict(bands), echo=doc,
     )
 
@@ -359,7 +369,6 @@ def _config_echo(cfg):
                  "cov": cfg.rho0.cov.tolist()},
         "sde": {"h": cfg.h, "n_steps": cfg.n_steps,
                 "j_particles": cfg.j_particles, "sqrt_tol": cfg.sqrt_tol},
-        "dt_ode": cfg.dt_ode,
         "repeats": cfg.repeats,
         "share_noise": cfg.share_noise,
         "with_particles": cfg.with_particles,
@@ -387,8 +396,7 @@ def _map_cells(fn, specs, threads):
 
 
 def _flow(cfg):
-    return MomentFlow(problem=cfg.problem, m0=cfg.rho0.mean,
-                      c0=cfg.rho0.cov, dt_ode=cfg.dt_ode)
+    return MomentFlow(problem=cfg.problem, m0=cfg.rho0.mean, c0=cfg.rho0.cov)
 
 
 def _moment_errors(ens, problem, target):

@@ -80,8 +80,8 @@ def random_spd(rng, n, floor):
 
 
 def test_criterion_1_moment_flow_closed_form():
-    """Closed-form covariance vs raw RK4 of the moment ODE: max entry
-    difference <= 1e-6 on 20 random SPD initial covariances, L <= 4."""
+    """Closed-form mean and covariance vs raw RK4 of the moment ODEs: max
+    entry difference <= 1e-6 on 20 random SPD initial covariances, L <= 4."""
     with Criterion(1, "moment-flow closed form vs RK4", 10.0):
         rng = np.random.default_rng(101)
         for case in range(20):
@@ -99,6 +99,9 @@ def test_criterion_1_moment_flow_closed_form():
                 closed = covariance_closed_form(flow, t)
                 assert np.max(np.abs(ode.cov - closed)) <= 1e-6, \
                     f"case {case}, t={t}"
+                mean = rho_at(flow, t).mean
+                assert np.max(np.abs(ode.mean - mean)) <= 1e-6, \
+                    f"case {case}, t={t}: mean"
 
 
 def test_criterion_2_long_time_equilibrium():

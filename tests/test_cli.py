@@ -78,6 +78,17 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "does not match subcommand" in capsys.readouterr().err
 
+    def test_malformed_number_exits_two_without_traceback(self, tmp_path,
+                                                          capsys):
+        cfg = write_cfg(tmp_path, sample_doc(sde={"h": "abc",
+                                                  "j_particles": 16}))
+        code = main(["sample", "--config", cfg,
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'sde.h' must be a number" in err
+        assert "Traceback" not in err
+
     def test_invalid_band_value_fails_validation(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, sample_doc(repeats=-2))
         code = main(["sample", "--config", cfg,

@@ -1,6 +1,6 @@
 """Tests for the Gaussian moment flow.
 
-The closed-form covariance and the raw RK4 integration of the moment ODEs
+The closed-form moments and the raw RK4 integration of the moment ODEs
 are two independent routes to the same object; they are checked against
 each other, against hand-computable fixed points, and against the
 commuting-case scalar profile.
@@ -174,6 +174,18 @@ def test_advance_mean_incremental_equals_direct():
     for t0, t1 in ((0.0, 0.5), (0.5, 1.25), (1.25, 2.0)):
         m = advance_mean(flow, m, t0, t1)
     assert np.max(np.abs(m - direct)) <= 1e-10
+
+
+def test_long_horizon_stays_finite():
+    # e^{2t} overflows past t ~ 354; the flow map is written in e^{-2t}
+    flow = random_flow(43)
+    post = posterior_moments(flow.problem)
+    rho = rho_at(flow, 400.0)
+    assert np.all(np.isfinite(rho.mean)) and np.all(np.isfinite(rho.cov))
+    assert np.max(np.abs(rho.mean - post.mean)) <= 1e-12
+    assert np.max(np.abs(rho.cov - post.cov)) <= 1e-12
+    m = advance_mean(flow, rho_at(flow, 399.0).mean, 399.0, 400.0)
+    assert np.all(np.isfinite(m))
 
 
 def test_richardson_step_halving():

@@ -78,7 +78,6 @@ class TestParseConfig:
         cfg = parse_config({"kind": "sample", "sde": {"j_particles": 8}})
         assert cfg.h == 0.01
         assert cfg.sqrt_tol == 1e-12
-        assert cfg.dt_ode == 1e-3
         assert cfg.seed == 0
         assert cfg.repeats == 1
         assert cfg.share_noise is True
@@ -197,6 +196,16 @@ class TestParseConfig:
                                   "gamma0": [[1.0]], "y": [0.0], "u0": [0.0]})
         with pytest.raises(ConfigError, match="'a'"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("over, field", [
+        ({"sde": {"j_particles": 8, "h": "abc"}}, "sde.h"),
+        ({"repeats": "x"}, "repeats"),
+        ({"kind": "study-j", "sde": {"n_steps": 5},
+          "sweep": {"j_values": [8, "a"]}}, "sweep.j_values"),
+    ], ids=["h", "repeats", "j_values"])
+    def test_malformed_number_names_its_field(self, over, field):
+        with pytest.raises(ConfigError, match=f"'{field}' must be a number"):
+            parse_config(sample_doc(**over))
 
     def test_shape_errors_become_config_errors(self):
         doc = sample_doc(problem={"a": [[1.0, 0.0]], "gamma": [[1.0]],
@@ -553,7 +562,6 @@ class TestWriteReport:
         assert isinstance(doc["passed"], bool)
         # resolved defaults are echoed, not left implicit
         assert doc["config"]["sde"]["sqrt_tol"] == 1e-12
-        assert doc["config"]["dt_ode"] == 1e-3
         # cells never carry wall times; those live in the CSV only
         assert all("wall_ms" not in cell for cell in doc["cells"])
 
