@@ -45,7 +45,7 @@ from .errors import (
     SingularImplicitSystem,
     SingularMatrix,
 )
-from .model import apply_forward_batch, posterior_moments, precision_matrix
+from .model import posterior_moments, precision_matrix
 from .noise import NoiseSource, derive_seed
 from .reference import rho_at
 from .spd import general_solve, lambda_min, spd_sqrt
@@ -165,7 +165,8 @@ def eks_step(ens, problem, cfg, noise):
     """One ensemble Kalman sampler step (statistics frozen at step start).
 
     Works for linear and nonlinear forward maps alike: the misfit drift
-    uses cov_ug, which only needs G evaluations.
+    uses cov_ug, which only needs G evaluations.  G is evaluated once per
+    step, inside empirical_stats; the misfit reuses those rows.
     """
     if ens.dim != problem.dim_l:
         raise DimensionMismatch(
@@ -174,8 +175,7 @@ def eks_step(ens, problem, cfg, noise):
         return Ensemble(particles=ens.particles, time=ens.time,
                         step=ens.step + 1)
     stats = empirical_stats(ens, problem)
-    g_all = apply_forward_batch(problem, ens.particles)
-    misfit = g_all - problem.y[None, :]
+    misfit = stats.forward - problem.y[None, :]
     z = np.einsum("jk,km->jm", misfit, problem.gamma_inv)
     drift_rows = np.einsum("jk,lk->jl", z, stats.cov_ug)
     return _implicit_update(ens, problem, cfg, stats, drift_rows, noise)
@@ -192,8 +192,7 @@ def eks_gradient_step(ens, problem, cfg, noise):
         return Ensemble(particles=ens.particles, time=ens.time,
                         step=ens.step + 1)
     stats = empirical_stats(ens, problem)
-    g_all = apply_forward_batch(problem, ens.particles)
-    misfit = g_all - problem.y[None, :]
+    misfit = stats.forward - problem.y[None, :]
     z = np.einsum("jk,km->jm", misfit, problem.gamma_inv)
     pulled = np.einsum("jk,kl->jl", z, problem.a)
     if problem.nonlinear is not None:
@@ -299,14 +298,14 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
         if mode == "coupled":
             coupling.append(_coupling_error(u_ens.particles, v_ens.particles))
         if diag is not None:
-            stats = empirical_stats(system, problem)
             diag["step"].append(system.step)
             diag["time"].append(system.time)
             diag["coupling_error"].append(
                 coupling[-1] if mode == "coupled" else np.nan)
             diag["condition"].append(
                 np.nan if rho is None else condition_check(problem, rho))
-            diag["trace_cov_uu"].append(float(np.trace(stats.cov_uu)))
+            # tr cov_uu is the second centered moment; no L x L pass
+            diag["trace_cov_uu"].append(centered_moment(system, 2))
             diag["fourth_moment"].append(centered_moment(system, 4))
         return rho
 

@@ -4,14 +4,22 @@ Statistics use the 1/J (biased) normalization throughout — the particle
 dynamics and their mean-field constants assume it, and 1/(J-1) would
 change the flow.
 
-Reductions over particles are done by pairwise summation of a canonically
-sorted copy of the summands.  Sorting first makes the result independent
-of particle order (so permuting an ensemble permutes trajectories exactly),
-and the fixed pairwise tree on top makes it bit-stable across runs and
-thread counts.  Centering subtracts the componentwise minimum before any
-arithmetic, so an ensemble whose particles all coincide produces exactly
-zero covariance, not merely a small one — the degenerate-freeze invariant
-of the dynamics depends on that exactness.
+Every reduction over particles runs over the rows in one canonical order:
+the lexicographic order of the raw particle rows u_j (np.lexsort), with
+G(u_j) gathered alongside.  Means and covariances are then fixed-order
+np.einsum contractions over those rows, O(J L^2) for the covariances;
+einsum's scalar loop is deterministic and does not use threads, so the
+result is bit-stable across runs and thread counts.  Two rows tie in the
+key only if they are the same point, so they carry the same G row and the
+order among them cannot change a sum: statistics are bitwise independent
+of particle order, and permuting an ensemble permutes its trajectories
+exactly.  The key must be the raw rows, not the centered ones —
+subtracting the mean can round two distinct points to the same centered
+row while their G rows still differ, and then the tie order would leak
+into cov_ug.  Centering subtracts the componentwise minimum, an exact
+pivot, before any arithmetic, so an ensemble whose particles all
+coincide produces exactly zero covariance, not merely a small one — the
+degenerate-freeze invariant of the dynamics depends on that exactness.
 """
 
 from dataclasses import dataclass
@@ -66,22 +74,33 @@ class Ensemble:
 class EnsembleStats:
     """Empirical mean of u, mean of G(u), and the two covariances
     cov_uu = (1/J) sum (u - mean_u) x (u - mean_u)  and
-    cov_ug = (1/J) sum (u - mean_u) x (G(u) - mean_g)."""
+    cov_ug = (1/J) sum (u - mean_u) x (G(u) - mean_g),
+    plus forward, the rows G(u_j) in particle order, so that a step
+    evaluates the forward map once."""
 
     mean_u: np.ndarray
     mean_g: np.ndarray
     cov_uu: np.ndarray
     cov_ug: np.ndarray
+    forward: np.ndarray
 
 
-def _sorted_sum(arr):
-    # canonical-order pairwise reduction along the particle axis
-    return np.sum(np.sort(arr, axis=0), axis=0)
+def _canonical_order(u):
+    # lexicographic order of the raw rows, first column as primary key.
+    # Without ties in the first column its stable argsort already is that
+    # order; np.lexsort makes L passes and costs about as much as the
+    # whole O(J L^2) contraction at L = 32.
+    order = np.argsort(u[:, 0], kind="stable")
+    first = u[order, 0]
+    if np.all(first[1:] != first[:-1]):
+        return order
+    return np.lexsort(u.T[::-1])
 
 
 def _mean_rows(rows):
+    # rows in canonical order; the pivot is exact, the sum fixed-order
     pivot = rows.min(axis=0)
-    return pivot + _sorted_sum(rows - pivot) / rows.shape[0]
+    return pivot + np.einsum("jl->l", rows - pivot) / rows.shape[0]
 
 
 def empirical_stats(ens, problem):
@@ -96,24 +115,26 @@ def empirical_stats(ens, problem):
     g = apply_forward_batch(problem, u)
     if not np.all(np.isfinite(g)):
         raise NonFinite("forward map produced non-finite values")
-    mean_u = _mean_rows(u)
-    mean_g = _mean_rows(g)
-    cu = u - mean_u
-    cg = g - mean_g
-    cov_uu = _sorted_sum(cu[:, :, None] * cu[:, None, :]) / j
-    cov_ug = _sorted_sum(cu[:, :, None] * cg[:, None, :]) / j
+    order = _canonical_order(u)
+    us, gs = u[order], g[order]
+    mean_u = _mean_rows(us)
+    mean_g = _mean_rows(gs)
+    cu = us - mean_u
+    cg = gs - mean_g
+    cov_uu = np.einsum("jl,jm->lm", cu, cu) / j
+    cov_ug = np.einsum("jl,jm->lm", cu, cg) / j
     return EnsembleStats(mean_u=mean_u, mean_g=mean_g,
-                         cov_uu=cov_uu, cov_ug=cov_ug)
+                         cov_uu=cov_uu, cov_ug=cov_ug, forward=g)
 
 
 def centered_moment(ens, p):
     """(1/J) sum_j |u_j - mean|^p for even p in {2, 4, 6, 8}."""
     if p not in (2, 4, 6, 8):
         raise NonPositive(f"p must be one of 2, 4, 6, 8, got {p}")
-    u = ens.particles
+    u = ens.particles[_canonical_order(ens.particles)]
     cu = u - _mean_rows(u)
     sq = np.einsum("jl,jl->j", cu, cu)
-    return float(_sorted_sum(sq ** (p // 2)) / u.shape[0])
+    return float(np.einsum("j->", sq ** (p // 2)) / u.shape[0])
 
 
 def affine_span_distance(ens, reference):
@@ -123,7 +144,7 @@ def affine_span_distance(ens, reference):
         raise DimensionMismatch(
             f"dimension mismatch: {ens.dim} vs {reference.dim}")
     ref = reference.particles
-    ref_mean = _mean_rows(ref)
+    ref_mean = _mean_rows(ref[_canonical_order(ref)])
     basis = (ref - ref_mean).T
     rhs = (ens.particles - ref_mean).T
     coef, *_ = np.linalg.lstsq(basis, rhs, rcond=None)

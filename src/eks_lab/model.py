@@ -92,25 +92,21 @@ class NonlinearPerturbation:
     range of m; for perturbations built by make_perpendicular_perturbation
     they are gamma^{-1}-orthogonal to the columns of A.
 
-    evaluate_batch / gradient_apply_batch are optional vectorized hooks:
-    evaluate_batch(U) maps (J, L) -> (J, K), gradient_apply_batch(U, Z)
-    maps particles (J, L) and covectors (J, K) to rows grad m(u_j) @ z_j
-    of shape (J, L).  When absent, plain Python loops fill in.
+    evaluate_batch / gradient_apply_batch are the vectorized forms the
+    particle dynamics call: evaluate_batch(U) maps (J, L) -> (J, K),
+    gradient_apply_batch(U, Z) maps particles (J, L) and covectors (J, K)
+    to rows grad m(u_j) @ z_j of shape (J, L).
     """
 
     evaluate: Callable
     gradient: Callable
     amplitude_bound: float
     direction_basis: np.ndarray
-    evaluate_batch: Optional[Callable] = None
-    gradient_apply_batch: Optional[Callable] = None
+    evaluate_batch: Callable
+    gradient_apply_batch: Callable
 
     def eval_batch(self, u_all):
-        if self.evaluate_batch is not None:
-            out = np.asarray(self.evaluate_batch(u_all), dtype=float)
-        else:
-            out = np.stack([np.asarray(self.evaluate(u), dtype=float)
-                            for u in u_all])
+        out = np.asarray(self.evaluate_batch(u_all), dtype=float)
         if not np.all(np.isfinite(out)):
             raise NonFinite("perturbation produced non-finite values")
         peak = float(np.max(np.linalg.norm(out, axis=1))) if out.size else 0.0
@@ -121,11 +117,7 @@ class NonlinearPerturbation:
         return out
 
     def grad_apply_batch(self, u_all, z_all):
-        if self.gradient_apply_batch is not None:
-            out = np.asarray(self.gradient_apply_batch(u_all, z_all), dtype=float)
-        else:
-            out = np.stack([np.asarray(self.gradient(u), dtype=float) @ z
-                            for u, z in zip(u_all, z_all)])
+        out = np.asarray(self.gradient_apply_batch(u_all, z_all), dtype=float)
         if not np.all(np.isfinite(out)):
             raise NonFinite("perturbation gradient produced non-finite values")
         return out

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .dynamics import SdeConfig, run, sample_gaussian
 from .ensemble import empirical_stats, save_csv
-from .errors import EksError, TooLarge
+from .errors import EksError, NonPositive, TooLarge
 from .metrics import fit_slope, gaussian_w2, w2_ensemble_vs_gaussian
 from .model import (
     GaussianMoments,
@@ -178,6 +178,15 @@ def _number(cast, value, name):
                           f"{value!r}") from None
 
 
+def _numbers(cast, values, name):
+    """[cast(v) for v in values] for a list config field; anything that is
+    not a list of numbers is a ConfigError."""
+    if not isinstance(values, list):
+        raise ConfigError(f"config field '{name}' must be a list of "
+                          f"numbers, got {values!r}")
+    return [_number(cast, v, name) for v in values]
+
+
 def _matrix(doc, key):
     try:
         return np.asarray(doc[key], dtype=float)
@@ -279,6 +288,10 @@ def parse_config(doc, base_dir="."):
     if not isinstance(sde, dict):
         raise ConfigError("'sde' must be an object")
     h = _number(float, sde.get("h", DEFAULT_H), "sde.h")
+    try:
+        SdeConfig(h=h, n_steps=0, j_particles=1, seed=0)
+    except NonPositive as err:
+        raise ConfigError(f"config field 'sde.h': {err}") from None
     sqrt_tol = _number(float, sde.get("sqrt_tol", DEFAULT_SQRT_TOL),
                        "sde.sqrt_tol")
     n_steps = _number(int, sde.get("n_steps", 0), "sde.n_steps")
@@ -291,27 +304,31 @@ def parse_config(doc, base_dir="."):
         raise ConfigError(f"{kind} study requires sde.j_particles >= 1")
 
     sweep = doc.get("sweep", {})
+    if not isinstance(sweep, dict):
+        raise ConfigError("'sweep' must be an object")
     j_values = ()
     t_checkpoints = ()
     if kind in ("study-j", "study-coupling"):
         j_values = _sorted_sweep(
-            [_number(int, v, "sweep.j_values")
-             for v in _require(sweep, "j_values", kind)], "j_values")
+            _numbers(int, _require(sweep, "j_values", kind),
+                     "sweep.j_values"), "j_values")
         if any(v < 2 for v in j_values):
             raise ConfigError("j_values must all be >= 2")
         if n_steps < 1:
             raise ConfigError(f"{kind} study requires sde.n_steps >= 1")
     if kind == "study-time":
         t_checkpoints = _sorted_sweep(
-            [_number(float, v, "sweep.t_checkpoints")
-             for v in _require(sweep, "t_checkpoints", kind)],
-            "t_checkpoints")
+            _numbers(float, _require(sweep, "t_checkpoints", kind),
+                     "sweep.t_checkpoints"), "t_checkpoints")
         if t_checkpoints[0] < 0.0:
             raise ConfigError("t_checkpoints must be >= 0")
         if doc.get("with_particles"):
             if j_particles < 2:
                 raise ConfigError(
                     "with_particles requires sde.j_particles >= 2")
+            if h == 0.0:
+                raise ConfigError("with_particles requires config field "
+                                  "'sde.h' > 0")
             for t in t_checkpoints:
                 if abs(round(t / h) * h - t) > 1e-9:
                     raise ConfigError(

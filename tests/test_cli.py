@@ -89,6 +89,29 @@ class TestExitCodes:
         assert "'sde.h' must be a number" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, doc, message", [
+        ("study-j", {"kind": "study-j", "sde": {"n_steps": 5},
+                     "sweep": {"j_values": 5}},
+         "'sweep.j_values' must be a list"),
+        ("study-time", {"kind": "study-time", "with_particles": True,
+                        "sde": {"h": 0, "j_particles": 8},
+                        "sweep": {"t_checkpoints": [0.0, 0.2]}},
+         "'sde.h' > 0"),
+        ("sample", sample_doc(sde={"h": 0.9, "j_particles": 16,
+                                   "n_steps": 5}),
+         "'sde.h': h must lie in [0, 0.5]"),
+    ], ids=["j_values_not_a_list", "particles_with_zero_h", "h_too_large"])
+    def test_malformed_config_exits_two_without_traceback(
+            self, tmp_path, capsys, command, doc, message):
+        cfg = write_cfg(tmp_path, doc)
+        out_dir = tmp_path / "out"
+        code = main([command, "--config", cfg, "--out", str(out_dir)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_invalid_band_value_fails_validation(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, sample_doc(repeats=-2))
         code = main(["sample", "--config", cfg,

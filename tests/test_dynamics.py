@@ -3,6 +3,8 @@ degenerate/identity cases, structural invariants (affine span,
 permutation equivariance, bit-reproducibility), and the coupled run
 driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -569,6 +571,65 @@ def test_run_diagnostics_recorded():
     assert np.all(np.diff(diag["time"]) > 0)
     np.testing.assert_allclose(diag["coupling_error"],
                                res.coupling_error, rtol=0, atol=0)
+
+
+def counted_nonlinear_problem():
+    """A perturbed problem whose evaluate_batch hook counts its calls."""
+    a = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    gamma = np.diag([1.0, 2.0, 0.5])
+    pert = make_perpendicular_perturbation(
+        a, gamma, seed_direction=[0.0, 0.0, 1.0], frequency=[0.7, -0.4],
+        amplitude=2.0)
+    calls = []
+
+    def evaluate_batch(u_all):
+        calls.append(u_all.shape[0])
+        return pert.evaluate_batch(u_all)
+
+    counted = dataclasses.replace(pert, evaluate_batch=evaluate_batch)
+    problem = InverseProblem(a=a, gamma=gamma, gamma0=np.eye(2),
+                             y=[1.0, 1.0, 1.5], u0=[0.0, 0.0],
+                             nonlinear=counted)
+    return problem, calls
+
+
+@pytest.mark.parametrize("step", [eks_step, eks_gradient_step],
+                         ids=["eks", "eks_gradient"])
+def test_kalman_step_evaluates_forward_map_once(step):
+    problem, calls = counted_nonlinear_problem()
+    ens = random_ensemble(30, j=16, l=2)
+    cfg = SdeConfig(h=0.05, n_steps=1, j_particles=16, seed=1)
+    step(ens, problem, cfg, NoiseSource(seed=1))
+    assert calls == [16]
+
+
+@pytest.mark.parametrize("mode", ["eks", "eks_gradient", "coupled"])
+def test_diagnostics_do_not_change_the_trajectory(mode):
+    problem = random_problem(31)
+    moments0 = GaussianMoments(mean=np.ones(3), cov=np.eye(3))
+    flow = flow_for(problem, moments0.mean, moments0.cov)
+    ens = sample_gaussian(moments0, 32, 31)
+    cfg = SdeConfig(h=0.05, n_steps=12, j_particles=32, seed=31)
+    plain = run(ens, problem, cfg, mode, flow=flow)
+    recorded = run(ens, problem, cfg, mode, flow=flow,
+                   record_diagnostics=True)
+    assert np.array_equal(recorded.final.particles, plain.final.particles)
+    if mode == "coupled":
+        assert np.array_equal(recorded.v_final.particles,
+                              plain.v_final.particles)
+
+
+def test_diagnostic_trace_matches_empirical_covariance():
+    problem = random_problem(32)
+    ens = random_ensemble(32, j=24, l=3)
+    cfg = SdeConfig(h=0.05, n_steps=10, j_particles=24, seed=32)
+    res = run(ens, problem, cfg, "eks", record_diagnostics=True)
+    noise = NoiseSource(seed=cfg.seed)
+    for n in range(cfg.n_steps + 1):
+        want = np.trace(empirical_stats(ens, problem).cov_uu)
+        assert res.diagnostics["trace_cov_uu"][n] == pytest.approx(
+            want, rel=1e-12)
+        ens = eks_step(ens, problem, cfg, noise)
 
 
 # ------------------------------------------------------------- utilities

@@ -14,7 +14,11 @@ from eks_lab.ensemble import (
     save_csv,
 )
 from eks_lab.errors import DimensionMismatch, NonFinite, NonPositive
-from eks_lab.model import InverseProblem
+from eks_lab.model import (
+    InverseProblem,
+    apply_forward_batch,
+    make_perpendicular_perturbation,
+)
 
 
 def identity_problem(l):
@@ -72,6 +76,115 @@ def test_stats_permutation_invariant_bitwise(seed):
     assert np.array_equal(base.mean_g, shuffled.mean_g)
     assert np.array_equal(base.cov_uu, shuffled.cov_uu)
     assert np.array_equal(base.cov_ug, shuffled.cov_ug)
+
+
+def random_linear_problem(seed, l, k):
+    rng = np.random.default_rng(seed)
+    return InverseProblem(a=rng.standard_normal((k, l)), gamma=np.eye(k),
+                          gamma0=np.eye(l), y=rng.standard_normal(k),
+                          u0=np.zeros(l))
+
+
+def shipped_nonlinear_problem():
+    # configs/demo_nonlinear.json
+    a = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    gamma = np.diag([1.0, 2.0, 0.5])
+    pert = make_perpendicular_perturbation(
+        a, gamma, seed_direction=[0.0, 0.0, 1.0], frequency=[0.7, -0.4],
+        amplitude=2.0)
+    return InverseProblem(a=a, gamma=gamma, gamma0=np.eye(2),
+                          y=[1.0, 1.0, 1.5], u0=[0.0, 0.0], nonlinear=pert)
+
+
+def with_ties(rng, j, l):
+    """j rows with exact duplicates, rows that tie in the first column only,
+    and rows one ulp apart, so every branch of the row order is used."""
+    base = rng.standard_normal((j // 2, l))
+    rows = np.concatenate([base, base[: j // 4]])
+    rows[: j // 8, 0] = rows[j // 8: j // 4, 0]
+    near = rows[: j - len(rows)].copy()
+    near[:, -1] = np.nextafter(near[:, -1], np.inf)
+    return np.concatenate([rows, near])
+
+
+def assert_stats_equal(a, b):
+    for name in ("mean_u", "mean_g", "cov_uu", "cov_ug"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@pytest.mark.parametrize("problem", [
+    random_linear_problem(21, l=32, k=24), shipped_nonlinear_problem()],
+    ids=["linear_L32", "shipped_nonlinear"])
+def test_stats_permutation_invariant_bitwise_with_ties(problem):
+    rng = np.random.default_rng(20)
+    particles = with_ties(rng, 512, problem.dim_l)
+    assert len(np.unique(particles, axis=0)) < 512
+    base = empirical_stats(Ensemble(particles=particles), problem)
+    for _ in range(5):
+        perm = rng.permutation(512)
+        shuffled = empirical_stats(Ensemble(particles=particles[perm]),
+                                   problem)
+        assert_stats_equal(base, shuffled)
+
+
+def test_stats_order_key_is_the_raw_rows():
+    # sixteen particles within 2e-15 of 0 next to sixteen near 2000:
+    # centering on mean ~ 1000 rounds the small ones to one row, yet the
+    # steep perturbation gives them G rows of both signs, so a key on
+    # centered rows would let their order into mean_g and cov_ug
+    a = np.array([[1.0], [0.0]])
+    pert = make_perpendicular_perturbation(
+        a, np.eye(2), seed_direction=[0.0, 1.0], frequency=[1e15],
+        amplitude=1.0)
+    problem = InverseProblem(a=a, gamma=np.eye(2), gamma0=np.eye(1),
+                             y=[0.0, 0.0], u0=[0.0], nonlinear=pert)
+    rng = np.random.default_rng(29)
+    particles = np.concatenate([2000.0 + rng.standard_normal(16),
+                                np.arange(-8, 8) * 2e-16])[:, None]
+    base = empirical_stats(Ensemble(particles=particles), problem)
+    assert len(np.unique(particles - base.mean_u)) < len(particles)
+    for _ in range(20):
+        perm = rng.permutation(len(particles))
+        shuffled = empirical_stats(Ensemble(particles=particles[perm]),
+                                   problem)
+        assert_stats_equal(base, shuffled)
+
+
+def test_stats_match_independent_reference_wide():
+    rng = np.random.default_rng(23)
+    problem = random_linear_problem(24, l=32, k=24)
+    u = 3.0 + rng.standard_normal((512, 32)) * rng.uniform(0.1, 2.0, 32)
+    stats = empirical_stats(Ensemble(particles=u), problem)
+    g = u @ problem.a.T
+    joint = np.cov(np.hstack([u, g]), rowvar=False, bias=True)
+
+    def rel(got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    assert rel(stats.mean_u, u.mean(axis=0)) <= 1e-13
+    assert rel(stats.mean_g, g.mean(axis=0)) <= 1e-13
+    assert rel(stats.cov_uu, joint[:32, :32]) <= 1e-13
+    assert rel(stats.cov_ug, joint[:32, 32:]) <= 1e-13
+
+
+def test_stats_identical_particles_exactly_zero_wide():
+    row = np.random.default_rng(25).standard_normal(32)
+    ens = Ensemble(particles=np.tile(row, (64, 1)))
+    stats = empirical_stats(ens, random_linear_problem(26, l=32, k=24))
+    assert np.array_equal(stats.cov_uu, np.zeros((32, 32)))
+    assert np.array_equal(stats.cov_ug, np.zeros((32, 24)))
+    assert np.array_equal(stats.mean_u, row)
+
+
+@pytest.mark.parametrize("problem", [
+    random_linear_problem(27, l=2, k=3), shipped_nonlinear_problem()],
+    ids=["linear", "nonlinear"])
+def test_stats_forward_rows_in_particle_order(problem):
+    rng = np.random.default_rng(28)
+    particles = with_ties(rng, 64, 2)
+    stats = empirical_stats(Ensemble(particles=particles), problem)
+    assert np.array_equal(stats.forward,
+                          apply_forward_batch(problem, particles))
 
 
 def test_cov_psd_on_random_ensembles():

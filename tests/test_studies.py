@@ -207,6 +207,43 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"'{field}' must be a number"):
             parse_config(sample_doc(**over))
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"kind": "study-j", "sde": {"n_steps": 5},
+          "sweep": {"j_values": 5}}, "sweep.j_values"),
+        ({"kind": "study-time", "sweep": {"t_checkpoints": 2.0}},
+         "sweep.t_checkpoints"),
+    ], ids=["j_values", "t_checkpoints"])
+    def test_sweep_list_that_is_not_a_list_names_its_field(self, doc,
+                                                             field):
+        with pytest.raises(ConfigError, match=f"'{field}' must be a list"):
+            parse_config(doc)
+
+    def test_sweep_must_be_an_object(self):
+        doc = {"kind": "study-j", "sde": {"n_steps": 5}, "sweep": [8, 16]}
+        with pytest.raises(ConfigError, match="'sweep' must be an object"):
+            parse_config(doc)
+
+    def test_particle_checkpoints_need_positive_h(self):
+        doc = {"kind": "study-time", "with_particles": True,
+               "sde": {"h": 0, "j_particles": 8},
+               "sweep": {"t_checkpoints": [0.0, 0.2]}}
+        with pytest.raises(ConfigError, match="'sde.h' > 0"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("h", [0.9, -0.01, float("nan")],
+                             ids=["above", "below", "nan"])
+    def test_h_outside_its_range_names_its_field(self, h):
+        doc = sample_doc(sde={"j_particles": 16, "n_steps": 5, "h": h})
+        with pytest.raises(ConfigError, match=r"'sde.h': h must lie in \[0, "
+                                              r"0.5\]"):
+            parse_config(doc)
+
+    def test_h_range_ends_are_accepted(self):
+        for h in (0.0, 0.5):
+            cfg = parse_config(sample_doc(
+                sde={"j_particles": 16, "n_steps": 5, "h": h}))
+            assert cfg.h == h
+
     def test_shape_errors_become_config_errors(self):
         doc = sample_doc(problem={"a": [[1.0, 0.0]], "gamma": [[1.0]],
                                   "gamma0": [[1.0]], "y": [0.0],
