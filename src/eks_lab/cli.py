@@ -5,9 +5,10 @@
 
 Subcommands name the study kind (sample, study-j, study-time,
 study-coupling, demo-nonlinear, validate); the config file's own "kind"
-must match.  --seed overrides the config's base seed, --threads sets the
-sweep-cell worker count (env EKS_LAB_THREADS is the fallback).  Outputs
-land in --out: report.json plus the study CSVs.
+must match.  --seed overrides the config's base seed, --threads sets how
+many worker groups a sweep's cells (or a demo's repeats) are split into
+(env EKS_LAB_THREADS is the fallback).  Outputs land in --out:
+report.json plus the study CSVs.
 
 Exit codes: 0 success, 1 a pre-registered acceptance band failed (or a
 validate check did), 2 usage or configuration error.
@@ -44,7 +45,7 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's base seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="concurrent sweep cells "
+                       help="concurrent groups of sweep cells "
                             "(default: env EKS_LAB_THREADS or 1)")
     return parser
 

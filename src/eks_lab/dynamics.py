@@ -29,6 +29,16 @@ so a particle's update depends only on its own row and on statistics that
 are themselves particle-order-invariant; permuting particles (and their
 noise) permutes trajectories bit-for-bit, and reruns on any thread count
 reproduce the same bytes.
+
+run() advances one ensemble, or the cells of a sweep in lockstep: every
+cell takes step k before any cell takes step k + 1.  The cells share one
+clock, so what depends only on that clock is computed once per step for
+all of them: rho(t_k) from the moment flow and the mean-field drive
+(C(t_k) B, u* and sqrt(2 h C(t_k))).  In coupled mode with shared noise
+each cell draws its xi once per step and hands the same array to the
+Kalman and the mean-field update.  Everything else — statistics, implicit
+solve, noise addressing and seeds — stays per cell, so a cell's numbers
+are bitwise those of running it alone.
 """
 
 from dataclasses import dataclass
@@ -54,10 +64,12 @@ __all__ = [
     "SdeConfig",
     "CoupledState",
     "RunResult",
+    "MeanFieldDrive",
     "sample_gaussian",
     "eks_step",
     "eks_gradient_step",
     "mean_field_step",
+    "mean_field_drive",
     "run",
     "condition_check",
 ]
@@ -133,6 +145,17 @@ def sample_gaussian(moments, j_particles, seed):
     return Ensemble(particles=particles, time=0.0, step=0)
 
 
+def _draw(noise, step, j, l):
+    # noise is a NoiseSource (anything with normal_block) or the (J, L)
+    # block already drawn for this step, which two coupled updates share
+    if isinstance(noise, np.ndarray):
+        if noise.shape != (j, l):
+            raise DimensionMismatch(
+                f"noise block has shape {noise.shape}, step needs {(j, l)}")
+        return noise
+    return noise.normal_block(step, j, l)
+
+
 def _implicit_update(ens, problem, cfg, stats, misfit_drift_rows, noise):
     """Shared tail of the two Kalman steps: semi-implicit prior treatment,
     then covariance-shaped noise."""
@@ -153,7 +176,7 @@ def _implicit_update(ens, problem, cfg, stats, misfit_drift_rows, noise):
             f"step {ens.step}: implicit system is singular ({err})") from None
     u_star = np.einsum("jl,ml->jm", rhs, solve_matrix)
     root = spd_sqrt(2.0 * h * stats.cov_uu, cfg.sqrt_tol)
-    xi = noise.normal_block(ens.step, j, l)
+    xi = _draw(noise, ens.step, j, l)
     out = u_star + np.einsum("jl,ml->jm", xi, root)
     if not np.all(np.isfinite(out)):
         raise NonFinite(
@@ -166,7 +189,9 @@ def eks_step(ens, problem, cfg, noise):
 
     Works for linear and nonlinear forward maps alike: the misfit drift
     uses cov_ug, which only needs G evaluations.  G is evaluated once per
-    step, inside empirical_stats; the misfit reuses those rows.
+    step, inside empirical_stats; the misfit reuses those rows.  noise is
+    a NoiseSource or the (J, L) standard-normal block already drawn for
+    this step.
     """
     if ens.dim != problem.dim_l:
         raise DimensionMismatch(
@@ -201,9 +226,35 @@ def eks_gradient_step(ens, problem, cfg, noise):
     return _implicit_update(ens, problem, cfg, stats, drift_rows, noise)
 
 
+@dataclass(frozen=True)
+class MeanFieldDrive:
+    """The clock-only part of a mean-field step at one time t: the drift
+    matrix C(t) B, the posterior mean u*, and the noise root
+    sqrt(2 h C(t)) for one stepsize h.  Every ensemble stepped from time
+    t with that h shares it."""
+
+    pull: np.ndarray
+    u_star: np.ndarray
+    root: np.ndarray
+
+
+def mean_field_drive(rho_moments, problem, cfg):
+    """The MeanFieldDrive of the flow moments rho(t) under cfg's h and
+    sqrt_tol, built once for any number of steps taken from time t."""
+    return MeanFieldDrive(
+        pull=np.einsum("ab,bc->ac", rho_moments.cov,
+                       precision_matrix(problem)),
+        u_star=posterior_moments(problem).mean,
+        root=spd_sqrt(2.0 * cfg.h * rho_moments.cov, cfg.sqrt_tol))
+
+
 def mean_field_step(v_ens, rho_moments, problem, cfg, noise):
     """Euler-Maruyama step of the decoupled mean-field particles, using the
-    Gaussian flow moments at the ensemble's current time."""
+    Gaussian flow moments at the ensemble's current time.
+
+    rho_moments may also be the MeanFieldDrive built from those moments,
+    so that ensembles on one clock share the step's L x L work; noise is
+    a NoiseSource or the (J, L) block already drawn for this step."""
     if problem.nonlinear is not None:
         raise NonlinearUnsupported(
             "the mean-field reference requires a linear forward map")
@@ -215,15 +266,13 @@ def mean_field_step(v_ens, rho_moments, problem, cfg, noise):
     if h == 0.0:
         return Ensemble(particles=v_ens.particles, time=v_ens.time,
                         step=v_ens.step + 1)
+    drive = rho_moments if isinstance(rho_moments, MeanFieldDrive) \
+        else mean_field_drive(rho_moments, problem, cfg)
     v = v_ens.particles
     j, l = v.shape
-    u_star = posterior_moments(problem).mean
-    b = precision_matrix(problem)
-    pull = np.einsum("ab,bc->ac", rho_moments.cov, b)
-    drift_rows = np.einsum("jl,ml->jm", v - u_star[None, :], pull)
-    root = spd_sqrt(2.0 * h * rho_moments.cov, cfg.sqrt_tol)
-    xi = noise.normal_block(v_ens.step, j, l)
-    out = v - h * drift_rows + np.einsum("jl,ml->jm", xi, root)
+    drift_rows = np.einsum("jl,ml->jm", v - drive.u_star[None, :], drive.pull)
+    xi = _draw(noise, v_ens.step, j, l)
+    out = v - h * drift_rows + np.einsum("jl,ml->jm", xi, drive.root)
     if not np.all(np.isfinite(out)):
         raise NonFinite(
             f"step {v_ens.step}: reference particles overflowed")
@@ -245,6 +294,33 @@ def _coupling_error(u, v):
     return float(np.sum(np.sort(sq)) / sq.shape[0])
 
 
+def _check_cells(initials, cfgs, problem, mode, flow):
+    if mode not in RUN_MODES:
+        raise ValueError(f"mode must be one of {RUN_MODES}, got {mode!r}")
+    if mode in ("mean_field", "coupled") and flow is None:
+        raise ValueError(f"mode {mode!r} requires a MomentFlow")
+    if not initials or len(initials) != len(cfgs):
+        raise DimensionMismatch(
+            f"need one config per ensemble, got {len(cfgs)} configs for "
+            f"{len(initials)} ensembles")
+    first_ens, first_cfg = initials[0], cfgs[0]
+    for ens, cfg in zip(initials, cfgs):
+        if ens.dim != problem.dim_l:
+            raise DimensionMismatch(
+                f"ensemble dimension {ens.dim} vs problem dimension "
+                f"{problem.dim_l}")
+        if ens.j_particles != cfg.j_particles:
+            raise DimensionMismatch(
+                f"ensemble has {ens.j_particles} particles, config says "
+                f"{cfg.j_particles}")
+        if (ens.time, ens.step) != (first_ens.time, first_ens.step):
+            raise DimensionMismatch("lockstep cells must share the clock")
+        if (cfg.h, cfg.n_steps, cfg.sqrt_tol) != (
+                first_cfg.h, first_cfg.n_steps, first_cfg.sqrt_tol):
+            raise DimensionMismatch(
+                "lockstep cells must share h, n_steps and sqrt_tol")
+
+
 def run(initial, problem, cfg, mode, flow=None, share_noise=True,
         record_diagnostics=False):
     """Advance an ensemble n_steps times in one of four modes.
@@ -263,72 +339,90 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
     problem must be the linear problem being sampled.  Per-step
     diagnostics (step, time, coupling_error, condition_check, trace of
     cov_uu, centered fourth moment) are recorded when requested.
+
+    initial and cfg may also be equal-length sequences: the ensembles of
+    a sweep's cells on one clock, and one config per cell with a shared
+    h, n_steps and sqrt_tol (J and seed are the cell's own).  The cells
+    then step in lockstep and a list of RunResults comes back, cell i's
+    bitwise equal to run(initial[i], problem, cfg[i], ...).
     """
-    if mode not in RUN_MODES:
-        raise ValueError(f"mode must be one of {RUN_MODES}, got {mode!r}")
-    if initial.dim != problem.dim_l:
-        raise DimensionMismatch(
-            f"ensemble dimension {initial.dim} vs problem dimension "
-            f"{problem.dim_l}")
-    if initial.j_particles != cfg.j_particles:
-        raise DimensionMismatch(
-            f"ensemble has {initial.j_particles} particles, config says "
-            f"{cfg.j_particles}")
-    if mode in ("mean_field", "coupled") and flow is None:
-        raise ValueError(f"mode {mode!r} requires a MomentFlow")
+    single = isinstance(initial, Ensemble)
+    initials = [initial] if single else list(initial)
+    cfgs = [cfg] if single else list(cfg)
+    _check_cells(initials, cfgs, problem, mode, flow)
+    n_cells = len(initials)
+    n_steps = cfgs[0].n_steps
+    reference = mode in ("mean_field", "coupled")
 
-    noise = NoiseSource(seed=cfg.seed)
-    v_noise = noise if share_noise else NoiseSource(
-        seed=derive_seed(cfg.seed, "independent-reference"))
+    noises = [NoiseSource(seed=c.seed) for c in cfgs]
+    v_noises = noises if share_noise else [
+        NoiseSource(seed=derive_seed(c.seed, "independent-reference"))
+        for c in cfgs]
+    us = list(initials)
+    vs = list(initials) if reference else None
+    # the system whose clock the diagnostics read; every cell shares it
+    clock = vs if mode == "mean_field" else us
 
-    u_ens = initial
-    v_ens = initial if mode in ("mean_field", "coupled") else None
+    coupling = [[] for _ in range(n_cells)] if mode == "coupled" else None
+    diags = [{key: [] for key in ("step", "time", "coupling_error",
+                                  "condition", "trace_cov_uu",
+                                  "fourth_moment")}
+             for _ in range(n_cells)] if record_diagnostics else None
 
-    coupling = [] if mode == "coupled" else None
-    diag = {key: [] for key in ("step", "time", "coupling_error",
-                                "condition", "trace_cov_uu",
-                                "fourth_moment")} if record_diagnostics \
-        else None
-
-    def record():
-        # returns rho at the recorded system's clock, which the next step
-        # uses, so each time point costs one rho_at
-        system = v_ens if mode == "mean_field" else u_ens
-        rho = None if flow is None else rho_at(flow, system.time)
-        if mode == "coupled":
-            coupling.append(_coupling_error(u_ens.particles, v_ens.particles))
-        if diag is not None:
+    def record(rho):
+        if coupling is not None:
+            for i in range(n_cells):
+                coupling[i].append(
+                    _coupling_error(us[i].particles, vs[i].particles))
+        if diags is None:
+            return
+        condition = np.nan if rho is None else condition_check(problem, rho)
+        for i, diag in enumerate(diags):
+            system = clock[i]
             diag["step"].append(system.step)
             diag["time"].append(system.time)
             diag["coupling_error"].append(
-                coupling[-1] if mode == "coupled" else np.nan)
-            diag["condition"].append(
-                np.nan if rho is None else condition_check(problem, rho))
+                coupling[i][-1] if coupling is not None else np.nan)
+            diag["condition"].append(condition)
             # tr cov_uu is the second centered moment; no L x L pass
             diag["trace_cov_uu"].append(centered_moment(system, 2))
             diag["fourth_moment"].append(centered_moment(system, 4))
-        return rho
 
-    rho = record()
+    for n in range(n_steps + 1):
+        # rho at the shared clock, once for all cells, where a step or a
+        # diagnostic reads it
+        wanted = (reference and n < n_steps) or diags is not None
+        rho = rho_at(flow, clock[0].time) if flow is not None and wanted \
+            else None
+        record(rho)
+        if n == n_steps:
+            break
+        drive = mean_field_drive(rho, problem, cfgs[0]) if reference \
+            else None
+        for i in range(n_cells):
+            if mode == "eks":
+                us[i] = eks_step(us[i], problem, cfgs[i], noises[i])
+            elif mode == "eks_gradient":
+                us[i] = eks_gradient_step(us[i], problem, cfgs[i], noises[i])
+            elif mode == "mean_field":
+                vs[i] = mean_field_step(vs[i], drive, problem, cfgs[i],
+                                        v_noises[i])
+            else:
+                u_noise, v_noise = noises[i], v_noises[i]
+                if share_noise:
+                    # one draw feeds both systems
+                    u_noise = v_noise = noises[i].normal_block(
+                        us[i].step, *us[i].particles.shape)
+                us[i] = eks_step(us[i], problem, cfgs[i], u_noise)
+                vs[i] = mean_field_step(vs[i], drive, problem, cfgs[i],
+                                        v_noise)
 
-    for _ in range(cfg.n_steps):
-        if mode == "eks":
-            u_ens = eks_step(u_ens, problem, cfg, noise)
-        elif mode == "eks_gradient":
-            u_ens = eks_gradient_step(u_ens, problem, cfg, noise)
-        elif mode == "mean_field":
-            v_ens = mean_field_step(v_ens, rho, problem, cfg, v_noise)
-        else:
-            u_ens = eks_step(u_ens, problem, cfg, noise)
-            v_ens = mean_field_step(v_ens, rho, problem, cfg, v_noise)
-        rho = record()
-
-    final = v_ens if mode == "mean_field" else u_ens
-    if diag is not None:
-        diag = {key: np.asarray(vals) for key, vals in diag.items()}
-    return RunResult(
-        final=final,
-        v_final=v_ens if mode == "coupled" else None,
-        coupling_error=np.asarray(coupling) if coupling is not None else None,
-        diagnostics=diag,
-    )
+    results = [RunResult(
+        final=vs[i] if mode == "mean_field" else us[i],
+        v_final=vs[i] if mode == "coupled" else None,
+        coupling_error=(np.asarray(coupling[i]) if coupling is not None
+                        else None),
+        diagnostics=None if diags is None else {
+            key: np.asarray(vals) for key, vals in diags[i].items()})
+        for i in range(n_cells)]
+    return results[0] if single else results

@@ -33,6 +33,7 @@ __all__ = [
     "Ensemble",
     "EnsembleStats",
     "empirical_stats",
+    "particle_moments",
     "centered_moment",
     "affine_span_distance",
     "save_csv",
@@ -125,6 +126,15 @@ def empirical_stats(ens, problem):
     cov_ug = np.einsum("jl,jm->lm", cu, cg) / j
     return EnsembleStats(mean_u=mean_u, mean_g=mean_g,
                          cov_uu=cov_uu, cov_ug=cov_ug, forward=g)
+
+
+def particle_moments(ens):
+    """(mean_u, cov_uu) of empirical_stats, bit for bit, without
+    evaluating the forward map: same canonical order, pivot and einsum."""
+    us = ens.particles[_canonical_order(ens.particles)]
+    mean_u = _mean_rows(us)
+    cu = us - mean_u
+    return mean_u, np.einsum("jl,jm->lm", cu, cu) / us.shape[0]
 
 
 def centered_moment(ens, p):

@@ -7,8 +7,6 @@ symmetrization at the boundary rather than by a wrapper type, and PSD-ness
 is policed with a relative eigenvalue tolerance.
 """
 
-import warnings
-
 import numpy as np
 import scipy.linalg
 
@@ -118,20 +116,19 @@ def general_solve(a, rhs):
     One factorization is shared across all right-hand-side columns, which
     is the whole point: the implicit half step of the particle dynamics
     solves the same (generally nonsymmetric) matrix against every particle
-    at once.
+    at once.  numpy's gesv factors and solves in one call, without
+    scipy's per-call wrapper cost.
     """
     a = _as_square(a)
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != a.shape[0]:
         raise DimensionMismatch(
             f"rhs leading dimension {rhs.shape[0]} != matrix size {a.shape[0]}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    if not np.all(diag > 0.0):
-        raise SingularMatrix("LU factorization produced a zero pivot")
-    x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    try:
+        x = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("LU factorization produced a zero pivot") \
+            from None
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("solution of the linear system is non-finite")
     return x

@@ -16,7 +16,12 @@ in its output directory:
 
 Every cell derives its own seed from the base seed and its coordinates,
 so cells can run in any order — or concurrently — and still land on
-identical numbers.
+identical numbers.  study-j and study-coupling share one sweep driver:
+it splits the (J, repeat) cells into `threads` groups, and each group
+steps its cells in lockstep through one dynamics.run call in its own
+worker, so the per-step reference work is done once per group rather
+than once per cell.  A sweep cell's wall_ms is its group's run time,
+which the group's cells share, plus its own sampling and measurement.
 """
 
 import json
@@ -31,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import SdeConfig, run, sample_gaussian
-from .ensemble import empirical_stats, save_csv
+from .ensemble import particle_moments, save_csv
 from .errors import EksError, NonPositive, TooLarge
 from .metrics import fit_slope, gaussian_w2, w2_ensemble_vs_gaussian
 from .model import (
@@ -69,6 +74,16 @@ STUDY_KINDS = ("sample", "study-j", "study-time", "study-coupling",
 # documented defaults; everything else must be explicit in the config
 DEFAULT_H = 0.01
 DEFAULT_SQRT_TOL = 1e-12
+
+
+# the bands the drivers grade, by shape: a "max" or "min" band is a
+# number, an "interval" band is [lo, hi] with lo <= hi
+BAND_SHAPES = {
+    "mean_error": "max", "cov_error": "max", "alg2_mean_error": "max",
+    "decay_r_squared": "min", "min_alg1_worse_count": "min",
+    "slope_j": "interval", "slope_coupling": "interval",
+    "decay_slope": "interval",
+}
 
 
 class ConfigError(EksError):
@@ -246,6 +261,24 @@ def _parse_rho0(spec, problem):
         raise ConfigError(f"invalid rho0: {err}") from None
 
 
+def _is_number(x):
+    # finite int or float; the comparison is exact for ints of any size
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) < np.inf)
+
+
+def _check_band_shape(name, band):
+    shape = BAND_SHAPES.get(name)
+    if shape == "interval":
+        if not (isinstance(band, list) and len(band) == 2
+                and all(_is_number(x) for x in band) and band[0] <= band[1]):
+            raise ConfigError(f"band '{name}' must be [lo, hi] with "
+                              f"lo <= hi, got {band!r}")
+    elif shape is not None and not _is_number(band):
+        raise ConfigError(f"band '{name}' must be a number ({shape}), "
+                          f"got {band!r}")
+
+
 def _sorted_sweep(values, name):
     vals = list(values)
     if not vals:
@@ -345,6 +378,8 @@ def parse_config(doc, base_dir="."):
     bands = doc.get("bands", {})
     if not isinstance(bands, dict):
         raise ConfigError("'bands' must be an object")
+    for name, band in bands.items():
+        _check_band_shape(name, band)
 
     if kind == "demo-nonlinear":
         if problem.nonlinear is None:
@@ -416,26 +451,88 @@ def _flow(cfg):
     return MomentFlow(problem=cfg.problem, m0=cfg.rho0.mean, c0=cfg.rho0.cov)
 
 
-def _moment_errors(ens, problem, target):
-    stats = empirical_stats(ens, problem)
-    mean_err = float(np.linalg.norm(stats.mean_u - target.mean))
-    cov_err = float(np.linalg.norm(stats.cov_uu - target.cov, ord="fro"))
-    return stats, mean_err, cov_err
+def _moment_errors(ens, target):
+    mean_u, cov_uu = particle_moments(ens)
+    mean_err = float(np.linalg.norm(mean_u - target.mean))
+    cov_err = float(np.linalg.norm(cov_uu - target.cov, ord="fro"))
+    return mean_err, cov_err
 
 
-def _check_band(flags, bands, name, value, lo_hi=None):
-    """Grade value against a pre-registered band; bands absent from the
-    config simply do not produce a flag."""
+def _check_band(flags, bands, name, value):
+    """Grade value against a pre-registered band of the shape BAND_SHAPES
+    gives it; bands absent from the config do not produce a flag."""
     if name not in bands:
         return
     band = bands[name]
-    if lo_hi == "max":
+    if BAND_SHAPES[name] == "max":
         flags[name] = bool(value <= band)
-    elif lo_hi == "min":
+    elif BAND_SHAPES[name] == "min":
         flags[name] = bool(value >= band)
     else:
         lo, hi = band
         flags[name] = bool(lo <= value <= hi)
+
+
+# per sweep kind: the cell metric, its per-J mean, the slope fit and the
+# band that grades it
+_SWEEPS = {
+    "study-j": ("w2_vs_mean_field", "w2_mean_over_repeats", "w2_vs_j",
+                "slope_j"),
+    "study-coupling": ("sq_coupling_error", "sq_coupling_error_mean",
+                       "coupling_vs_j", "slope_coupling"),
+}
+
+
+def _sweep(cfg, threads, mode, measure, flow=None):
+    """Run every (J, repeat) cell of a study-j or study-coupling sweep and
+    return one StudyCell per cell in (J, repeat) order, followed by the
+    per-J means over repeats, plus the fits and flags of the slope in J.
+
+    The cells are dealt round-robin into `threads` groups; each group
+    steps its cells in lockstep through one run() call, in its own
+    worker.  Each cell's numbers are bitwise those of running it alone,
+    so the grouping cannot change a result.  measure(result, j, cell_seed)
+    gives a cell's value from its RunResult.
+    """
+    kind = cfg.kind
+    metric, mean_metric, fit_name, band_name = _SWEEPS[kind]
+    t_final = cfg.h * cfg.n_steps
+    specs = [(j, rep, derive_seed(cfg.seed, kind, j, rep))
+             for j in cfg.j_values for rep in range(cfg.repeats)]
+
+    def run_group(group):
+        c0 = time.perf_counter()
+        initials = [sample_gaussian(cfg.rho0, j, derive_seed(seed, "init"))
+                    for j, _, seed in group]
+        results = run(initials, cfg.problem,
+                      [cfg.sde(derive_seed(seed, "run"), j_particles=j)
+                       for j, _, seed in group],
+                      mode, flow=flow, share_noise=cfg.share_noise)
+        run_ms = (time.perf_counter() - c0) * 1e3
+        cells = []
+        for (j, rep, seed), res in zip(group, results):
+            c1 = time.perf_counter()
+            value = measure(res, j, seed)
+            cells.append(StudyCell(kind, j, t_final, rep, seed, metric, value,
+                                   run_ms + (time.perf_counter() - c1) * 1e3))
+        return cells
+
+    n_groups = max(1, min(threads, len(specs)))
+    groups = [specs[g::n_groups] for g in range(n_groups)]
+    by_group = _map_cells(run_group, groups, n_groups)
+    cells = [by_group[i % n_groups][i // n_groups] for i in range(len(specs))]
+
+    means = {}
+    for j in cfg.j_values:
+        means[j] = float(np.mean([c.value for c in cells if c.j == j]))
+        cells.append(StudyCell(kind, j, t_final, None, None, mean_metric,
+                               means[j]))
+    fits = {}
+    flags = {}
+    if len(cfg.j_values) >= 3:
+        fits[fit_name] = fit_slope([(j, means[j]) for j in cfg.j_values])
+        _check_band(flags, cfg.bands, band_name, fits[fit_name].slope)
+    return cells, means, fits, flags
 
 
 def run_sample(cfg, out_dir=None, threads=1):
@@ -458,7 +555,7 @@ def run_sample(cfg, out_dir=None, threads=1):
     flags = {}
     if cfg.problem.nonlinear is None:
         target = posterior_moments(cfg.problem)
-        _, mean_err, cov_err = _moment_errors(res.final, cfg.problem, target)
+        mean_err, cov_err = _moment_errors(res.final, target)
         wall = (time.perf_counter() - t0) * 1e3
         cells.append(StudyCell("sample", cfg.j_particles, t_final, 0,
                                cfg.seed, "mean_error_vs_posterior",
@@ -468,8 +565,8 @@ def run_sample(cfg, out_dir=None, threads=1):
                                cov_err, wall))
         summary["posterior_mean"] = target.mean.tolist()
         summary["posterior_cov"] = target.cov.tolist()
-        _check_band(flags, cfg.bands, "mean_error", mean_err, "max")
-        _check_band(flags, cfg.bands, "cov_error", cov_err, "max")
+        _check_band(flags, cfg.bands, "mean_error", mean_err)
+        _check_band(flags, cfg.bands, "cov_error", cov_err)
 
     if out_dir is not None and cfg.write_ensemble:
         save_csv(res.final, Path(out_dir) / "ensemble.csv")
@@ -486,40 +583,14 @@ def run_study_j(cfg, out_dir=None, threads=1):
     """Ensemble-size sweep: distance between the evolved ensemble and the
     mean-field Gaussian at T, averaged over repeats, slope-fitted in J."""
     t0 = time.perf_counter()
-    flow = _flow(cfg)
     t_final = cfg.h * cfg.n_steps
-    target = rho_at(flow, t_final)
+    target = rho_at(_flow(cfg), t_final)
 
-    specs = [(j, rep) for j in cfg.j_values for rep in range(cfg.repeats)]
+    def measure(res, j, cell_seed):
+        return w2_ensemble_vs_gaussian(res.final, target, j,
+                                       derive_seed(cell_seed, "reference"))
 
-    def one(spec):
-        j, rep = spec
-        cell_seed = derive_seed(cfg.seed, "study-j", j, rep)
-        c0 = time.perf_counter()
-        initial = sample_gaussian(cfg.rho0, j, derive_seed(cell_seed, "init"))
-        res = run(initial, cfg.problem,
-                  cfg.sde(derive_seed(cell_seed, "run"), j_particles=j),
-                  "eks")
-        value = w2_ensemble_vs_gaussian(
-            res.final, target, j, derive_seed(cell_seed, "reference"))
-        wall = (time.perf_counter() - c0) * 1e3
-        return StudyCell("study-j", j, t_final, rep, cell_seed,
-                         "w2_vs_mean_field", value, wall)
-
-    cells = _map_cells(one, specs, threads)
-
-    means = {}
-    for j in cfg.j_values:
-        vals = [c.value for c in cells if c.j == j]
-        means[j] = float(np.mean(vals))
-        cells.append(StudyCell("study-j", j, t_final, None, None,
-                               "w2_mean_over_repeats", means[j]))
-    fits = {}
-    flags = {}
-    if len(cfg.j_values) >= 3:
-        fits["w2_vs_j"] = fit_slope([(j, means[j]) for j in cfg.j_values])
-        _check_band(flags, cfg.bands, "slope_j", fits["w2_vs_j"].slope)
-
+    cells, means, fits, flags = _sweep(cfg, threads, "eks", measure)
     report = StudyReport(kind="study-j", base_seed=cfg.seed,
                          config_echo=_config_echo(cfg), cells=cells,
                          fits=fits, flags=flags,
@@ -560,7 +631,7 @@ def run_study_time(cfg, out_dir=None, threads=1):
             "points": [[float(a), float(b)] for a, b in zip(ts, logs)],
         }
         _check_band(flags, cfg.bands, "decay_slope", float(slope))
-        _check_band(flags, cfg.bands, "decay_r_squared", float(r2), "min")
+        _check_band(flags, cfg.bands, "decay_r_squared", float(r2))
 
     if cfg.with_particles:
         cells.extend(_particle_checkpoints(cfg, threads))
@@ -599,8 +670,8 @@ def _particle_checkpoints(cfg, threads):
                       cfg.sde(run_seed, n_steps=n - done), "eks")
             ens = res.final
             done = n
-        stats = empirical_stats(ens, cfg.problem)
-        emp = GaussianMoments(mean=stats.mean_u, cov=stats.cov_uu)
+        mean_u, cov_uu = particle_moments(ens)
+        emp = GaussianMoments(mean=mean_u, cov=cov_uu)
         cells.append(StudyCell(
             "study-time", cfg.j_particles, t, 0, cell_seed,
             "w2_particles_vs_posterior", gaussian_w2(emp, target),
@@ -613,44 +684,16 @@ def run_study_coupling(cfg, out_dir=None, threads=1):
     under shared Brownian increments, slope-fitted in J.  share_noise
     false runs the negative control (independent increments)."""
     t0 = time.perf_counter()
-    flow = _flow(cfg)
-    t_final = cfg.h * cfg.n_steps
 
-    specs = [(j, rep) for j in cfg.j_values for rep in range(cfg.repeats)]
+    def measure(res, j, cell_seed):
+        return float(res.coupling_error[-1])
 
-    def one(spec):
-        j, rep = spec
-        cell_seed = derive_seed(cfg.seed, "study-coupling", j, rep)
-        c0 = time.perf_counter()
-        initial = sample_gaussian(cfg.rho0, j, derive_seed(cell_seed, "init"))
-        res = run(initial, cfg.problem,
-                  cfg.sde(derive_seed(cell_seed, "run"), j_particles=j),
-                  "coupled", flow=flow, share_noise=cfg.share_noise)
-        value = float(res.coupling_error[-1])
-        wall = (time.perf_counter() - c0) * 1e3
-        return StudyCell("study-coupling", j, t_final, rep, cell_seed,
-                         "sq_coupling_error", value, wall)
-
-    cells = _map_cells(one, specs, threads)
-
-    means = {}
-    for j in cfg.j_values:
-        vals = [c.value for c in cells if c.j == j]
-        means[j] = float(np.mean(vals))
-        cells.append(StudyCell("study-coupling", j, t_final, None, None,
-                               "sq_coupling_error_mean", means[j]))
-    fits = {}
-    flags = {}
-    if len(cfg.j_values) >= 3:
-        fits["coupling_vs_j"] = fit_slope(
-            [(j, means[j]) for j in cfg.j_values])
-        _check_band(flags, cfg.bands, "slope_coupling",
-                    fits["coupling_vs_j"].slope)
-
+    cells, means, fits, flags = _sweep(cfg, threads, "coupled", measure,
+                                       flow=_flow(cfg))
     report = StudyReport(kind="study-coupling", base_seed=cfg.seed,
                          config_echo=_config_echo(cfg), cells=cells,
                          fits=fits, flags=flags,
-                         summary={"t_final": t_final,
+                         summary={"t_final": cfg.h * cfg.n_steps,
                                   "share_noise": cfg.share_noise,
                                   "mean_sq_error": {str(j): means[j]
                                                     for j in cfg.j_values}},
@@ -677,8 +720,7 @@ def run_demo_nonlinear(cfg, out_dir=None, threads=1):
         out = {}
         for label, mode in (("alg2", "eks_gradient"), ("alg1", "eks")):
             res = run(initial, cfg.problem, sde, mode)
-            _, mean_err, cov_err = _moment_errors(
-                res.final, cfg.problem, target)
+            mean_err, cov_err = _moment_errors(res.final, target)
             out[label] = (mean_err, cov_err, res.final)
         wall = (time.perf_counter() - c0) * 1e3
         return rep, rep_seed, out, wall
@@ -705,8 +747,8 @@ def run_demo_nonlinear(cfg, out_dir=None, threads=1):
     mean_alg2 = float(np.mean(alg2_errs))
     max_alg2 = float(np.max(alg2_errs))
     flags = {}
-    _check_band(flags, cfg.bands, "alg2_mean_error", max_alg2, "max")
-    _check_band(flags, cfg.bands, "min_alg1_worse_count", wins, "min")
+    _check_band(flags, cfg.bands, "alg2_mean_error", max_alg2)
+    _check_band(flags, cfg.bands, "min_alg1_worse_count", wins)
 
     summary = {
         "t_final": t_final,

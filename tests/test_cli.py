@@ -112,6 +112,25 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command, doc, message", [
+        ("study-j", {"kind": "study-j", "sde": {"n_steps": 5},
+                     "sweep": {"j_values": [8, 16, 32]},
+                     "bands": {"slope_j": 0.5}},
+         "band 'slope_j' must be [lo, hi]"),
+        ("sample", sample_doc(bands={"mean_error": [0, 1]}),
+         "band 'mean_error' must be a number"),
+    ], ids=["interval_given_a_number", "max_given_an_interval"])
+    def test_wrong_shaped_band_exits_two_before_running(
+            self, tmp_path, capsys, command, doc, message):
+        cfg = write_cfg(tmp_path, doc)
+        out_dir = tmp_path / "out"
+        code = main([command, "--config", cfg, "--out", str(out_dir)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_invalid_band_value_fails_validation(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, sample_doc(repeats=-2))
         code = main(["sample", "--config", cfg,

@@ -14,6 +14,7 @@ from eks_lab.dynamics import (
     condition_check,
     eks_gradient_step,
     eks_step,
+    mean_field_drive,
     mean_field_step,
     run,
     sample_gaussian,
@@ -34,7 +35,7 @@ from eks_lab.model import (
     precision_matrix,
 )
 from eks_lab.noise import NoiseSource
-from eks_lab.reference import MomentFlow
+from eks_lab.reference import MomentFlow, rho_at
 
 
 class FixedNoise:
@@ -714,3 +715,114 @@ def test_step_dim_mismatch():
     rho = GaussianMoments(mean=np.zeros(3), cov=np.eye(3))
     with pytest.raises(DimensionMismatch):
         mean_field_step(ens, rho, problem, cfg, NoiseSource(seed=0))
+
+
+# ------------------------------------------------------- lockstep cells
+
+
+def lockstep_cells(h=0.05, n_steps=9):
+    """Three cells of a sweep on one clock: two sizes, distinct seeds."""
+    moments0 = GaussianMoments(mean=[2.0, -2.0], cov=np.eye(2))
+    specs = [(8, 101), (16, 102), (16, 103)]
+    initials = [sample_gaussian(moments0, j, seed) for j, seed in specs]
+    cfgs = [SdeConfig(h=h, n_steps=n_steps, j_particles=j, seed=seed)
+            for j, seed in specs]
+    return moments0, initials, cfgs
+
+
+@pytest.mark.parametrize("mode, share_noise", [
+    ("coupled", True), ("coupled", False), ("eks", True),
+    ("mean_field", True)],
+    ids=["coupled_shared", "coupled_independent", "eks", "mean_field"])
+def test_lockstep_cells_equal_cells_run_alone(mode, share_noise):
+    problem = default_problem()
+    moments0, initials, cfgs = lockstep_cells()
+    flow = flow_for(problem, moments0.mean, moments0.cov)
+    together = run(initials, problem, cfgs, mode, flow=flow,
+                   share_noise=share_noise, record_diagnostics=True)
+    assert len(together) == len(initials)
+    for initial, cfg, res in zip(initials, cfgs, together):
+        alone = run(initial, problem, cfg, mode, flow=flow,
+                    share_noise=share_noise, record_diagnostics=True)
+        assert np.array_equal(res.final.particles, alone.final.particles)
+        assert (res.final.time, res.final.step) == (alone.final.time,
+                                                    alone.final.step)
+        if mode == "coupled":
+            assert np.array_equal(res.v_final.particles,
+                                  alone.v_final.particles)
+            assert np.array_equal(res.coupling_error, alone.coupling_error)
+        for key, values in alone.diagnostics.items():
+            np.testing.assert_array_equal(res.diagnostics[key], values,
+                                          err_msg=key)
+
+
+def test_lockstep_cells_must_share_clock_and_step():
+    problem = default_problem()
+    moments0, initials, cfgs = lockstep_cells()
+    flow = flow_for(problem, moments0.mean, moments0.cov)
+    late = Ensemble(particles=initials[1].particles, time=0.05, step=1)
+    with pytest.raises(DimensionMismatch, match="clock"):
+        run([initials[0], late], problem, cfgs[:2], "coupled", flow=flow)
+    other_h = dataclasses.replace(cfgs[1], h=0.02)
+    with pytest.raises(DimensionMismatch, match="share h"):
+        run(initials[:2], problem, [cfgs[0], other_h], "eks")
+    with pytest.raises(DimensionMismatch, match="one config per ensemble"):
+        run(initials, problem, cfgs[:2], "eks")
+
+
+@pytest.mark.parametrize("share_noise, draws_per_step",
+                         [(True, 1), (False, 2)],
+                         ids=["shared", "independent"])
+def test_coupled_step_draws_noise_once_when_shared(monkeypatch, share_noise,
+                                                    draws_per_step):
+    problem = default_problem()
+    moments0 = GaussianMoments(mean=[2.0, -2.0], cov=np.eye(2))
+    flow = flow_for(problem, moments0.mean, moments0.cov)
+    ens = sample_gaussian(moments0, 16, 9)
+    cfg = SdeConfig(h=0.05, n_steps=7, j_particles=16, seed=9)
+    calls = []
+    draw = NoiseSource.normal_block
+
+    def counted(self, step, n_particles, n_components):
+        calls.append(step)
+        return draw(self, step, n_particles, n_components)
+
+    monkeypatch.setattr(NoiseSource, "normal_block", counted)
+    run(ens, problem, cfg, "coupled", flow=flow, share_noise=share_noise)
+    assert len(calls) == draws_per_step * cfg.n_steps
+
+
+def test_lockstep_run_computes_reference_once_per_step(monkeypatch):
+    from eks_lab import dynamics
+    problem = default_problem()
+    moments0, initials, cfgs = lockstep_cells(n_steps=6)
+    flow = flow_for(problem, moments0.mean, moments0.cov)
+    times = []
+    rho_at = dynamics.rho_at
+
+    def counted(flow, t):
+        times.append(t)
+        return rho_at(flow, t)
+
+    monkeypatch.setattr(dynamics, "rho_at", counted)
+    run(initials, problem, cfgs, "coupled", flow=flow)
+    assert len(times) == cfgs[0].n_steps
+    assert times == sorted(set(times))
+
+
+def test_steps_accept_a_drawn_block_and_a_shared_drive():
+    problem = default_problem()
+    flow = flow_for(problem, [2.0, -2.0], np.eye(2))
+    ens = random_ensemble(40, j=12, l=2, time=0.3, step=6)
+    cfg = SdeConfig(h=0.05, n_steps=1, j_particles=12, seed=40)
+    src = NoiseSource(seed=40)
+    xi = src.normal_block(ens.step, 12, 2)
+    assert np.array_equal(eks_step(ens, problem, cfg, xi).particles,
+                          eks_step(ens, problem, cfg, src).particles)
+    rho = rho_at(flow, ens.time)
+    drive = mean_field_drive(rho, problem, cfg)
+    assert np.array_equal(
+        mean_field_step(ens, drive, problem, cfg, xi).particles,
+        mean_field_step(ens, rho, problem, cfg, src).particles)
+    with pytest.raises(DimensionMismatch, match="noise block"):
+        eks_step(ens, problem, cfg, xi[:-1])

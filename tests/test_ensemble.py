@@ -11,6 +11,7 @@ from eks_lab.ensemble import (
     centered_moment,
     empirical_stats,
     load_csv,
+    particle_moments,
     save_csv,
 )
 from eks_lab.errors import DimensionMismatch, NonFinite, NonPositive
@@ -185,6 +186,23 @@ def test_stats_forward_rows_in_particle_order(problem):
     stats = empirical_stats(Ensemble(particles=particles), problem)
     assert np.array_equal(stats.forward,
                           apply_forward_batch(problem, particles))
+
+
+@pytest.mark.parametrize("problem, j", [
+    (random_linear_problem(29, l=2, k=3), 64),
+    (random_linear_problem(30, l=32, k=24), 512),
+    (shipped_nonlinear_problem(), 64)],
+    ids=["linear_L2", "linear_L32", "nonlinear"])
+def test_particle_moments_equal_stats_bitwise(problem, j):
+    rng = np.random.default_rng(31)
+    for particles in (with_ties(rng, j, problem.dim_l),
+                      rng.standard_normal((j, problem.dim_l)),
+                      np.tile(rng.standard_normal(problem.dim_l), (j, 1))):
+        ens = Ensemble(particles=particles)
+        stats = empirical_stats(ens, problem)
+        mean_u, cov_uu = particle_moments(ens)
+        assert np.array_equal(mean_u, stats.mean_u)
+        assert np.array_equal(cov_uu, stats.cov_uu)
 
 
 def test_cov_psd_on_random_ensembles():

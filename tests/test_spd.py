@@ -148,6 +148,13 @@ def test_general_solve_singular_raises():
         general_solve(a, np.ones(2))
 
 
+def test_general_solve_non_finite_solution_raises():
+    # a tiny but nonzero pivot passes the factorization; x overflows
+    a = np.diag([1e-300, 1.0])
+    with pytest.raises(SingularMatrix, match="non-finite"):
+        general_solve(a, np.array([1e300, 1.0]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
 def test_sqrt_is_psd_and_squares_to_input(seed, n):

@@ -18,6 +18,7 @@ from eks_lab.ensemble import Ensemble, load_csv
 from eks_lab.metrics import gaussian_w2
 from eks_lab.model import GaussianMoments, posterior_moments
 from eks_lab.noise import derive_seed
+from eks_lab.reference import MomentFlow
 from eks_lab.studies import (
     ConfigError,
     load_config,
@@ -159,6 +160,29 @@ class TestParseConfig:
     def test_bands_must_be_object(self):
         with pytest.raises(ConfigError, match="'bands'"):
             parse_config(sample_doc(bands=[1]))
+
+    @pytest.mark.parametrize("bands, name", [
+        ({"mean_error": [0, 1]}, "mean_error"),
+        ({"mean_error": "0.1"}, "mean_error"),
+        ({"cov_error": True}, "cov_error"),
+        ({"decay_r_squared": None}, "decay_r_squared"),
+        ({"slope_j": 0.5}, "slope_j"),
+        ({"slope_coupling": [-1.0]}, "slope_coupling"),
+        ({"decay_slope": [-0.7, -1.3]}, "decay_slope"),
+        ({"slope_j": [-1.0, "x"]}, "slope_j"),
+        ({"slope_j": [-1.0, float("nan")]}, "slope_j"),
+    ], ids=["max_interval", "max_string", "max_bool", "min_null",
+            "interval_number", "interval_short", "interval_reversed",
+            "interval_string", "interval_nan"])
+    def test_wrong_shaped_band_names_the_band(self, bands, name):
+        with pytest.raises(ConfigError, match=f"band '{name}' must be"):
+            parse_config(sample_doc(bands=bands))
+
+    def test_well_shaped_and_unknown_bands_parse(self):
+        bands = {"mean_error": 1, "min_alg1_worse_count": 4,
+                 "slope_j": [-0.7, -0.3], "decay_slope": [-1.0, -1.0],
+                 "not_graded": "anything"}
+        assert parse_config(sample_doc(bands=bands)).bands == bands
 
     def test_demo_requires_nonlinear_section(self):
         doc = demo_doc()
@@ -324,6 +348,22 @@ class TestRunSample:
                                 "cov_error_vs_posterior"}
         assert report.flags == {"mean_error": True, "cov_error": True}
         assert report.passed
+
+    def test_forward_map_evaluated_once_per_step(self, monkeypatch):
+        # the moment errors at the end read particle moments only
+        from eks_lab import ensemble
+        calls = []
+        forward = ensemble.apply_forward_batch
+
+        def counted(problem, u):
+            calls.append(u.shape[0])
+            return forward(problem, u)
+
+        monkeypatch.setattr(ensemble, "apply_forward_batch", counted)
+        cfg = parse_config(sample_doc())
+        report = run_sample(cfg)
+        assert len(calls) == cfg.n_steps
+        assert len(report.cells) == 2
 
     def test_band_failure_flips_flag(self):
         doc = sample_doc(bands={"mean_error": 1e-12})
@@ -501,6 +541,67 @@ class TestStudyCoupling:
         m_shared = shared.summary["mean_sq_error"]["32"]
         m_control = control.summary["mean_sq_error"]["32"]
         assert m_control > m_shared
+
+
+# --------------------------------------------------------- sweep driver
+
+
+def sweep_doc(kind, share=True):
+    doc = {"kind": kind, "seed": 17, "sweep": {"j_values": [8, 16, 32]},
+           "sde": {"h": 0.05, "n_steps": 6}, "repeats": 2}
+    if kind == "study-coupling":
+        doc["share_noise"] = share
+    return doc
+
+
+class TestSweepDriver:
+    @pytest.mark.parametrize("kind, share", [
+        ("study-j", True), ("study-coupling", True),
+        ("study-coupling", False)],
+        ids=["study_j", "coupling_shared", "coupling_independent"])
+    def test_report_bodies_identical_at_threads_1_2_3(self, tmp_path, kind,
+                                                      share):
+        cfg = parse_config(sweep_doc(kind, share))
+        bodies = []
+        for threads in (1, 2, 3):
+            out = tmp_path / f"t{threads}"
+            run_study(cfg, out_dir=out, threads=threads)
+            bodies.append(split_generated(
+                (out / "report.json").read_text())[1])
+        assert bodies[0] == bodies[1] == bodies[2]
+
+    @pytest.mark.parametrize("share", [True, False],
+                             ids=["shared", "independent"])
+    def test_coupling_cells_equal_cells_run_alone(self, share):
+        cfg = parse_config(sweep_doc("study-coupling", share))
+        report = run_study_coupling(cfg, threads=2)
+        flow = MomentFlow(problem=cfg.problem, m0=cfg.rho0.mean,
+                          c0=cfg.rho0.cov)
+        cells = [c for c in report.cells if c.metric == "sq_coupling_error"]
+        assert [(c.j, c.repeat) for c in cells] == [
+            (j, rep) for j in (8, 16, 32) for rep in range(2)]
+        for cell in cells:
+            initial = sample_gaussian(cfg.rho0, cell.j,
+                                      derive_seed(cell.seed, "init"))
+            alone = dynamics.run(
+                initial, cfg.problem,
+                cfg.sde(derive_seed(cell.seed, "run"), j_particles=cell.j),
+                "coupled", flow=flow, share_noise=share)
+            assert cell.value == float(alone.coupling_error[-1])
+
+    def test_coupling_study_computes_reference_once_per_step(
+            self, monkeypatch):
+        calls = []
+        rho_at = dynamics.rho_at
+
+        def counted(flow, t):
+            calls.append(t)
+            return rho_at(flow, t)
+
+        monkeypatch.setattr(dynamics, "rho_at", counted)
+        cfg = parse_config(sweep_doc("study-coupling"))
+        run_study_coupling(cfg, threads=1)
+        assert len(calls) == cfg.n_steps
 
 
 # ------------------------------------------------------- demo-nonlinear
