@@ -8,7 +8,6 @@ measurement tooling used to check the convergence rates.
 __version__ = "0.1.0"
 
 from .dynamics import (
-    CoupledState,
     RunResult,
     SdeConfig,
     condition_check,

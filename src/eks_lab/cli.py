@@ -11,7 +11,8 @@ many worker groups a sweep's cells (or a demo's repeats) are split into
 report.json plus the study CSVs.
 
 Exit codes: 0 success, 1 a pre-registered acceptance band failed (or a
-validate check did), 2 usage or configuration error.
+validate check did), 2 usage or configuration error, 3 a runtime error
+(the dynamics overflowed, a solve failed).
 """
 
 import argparse
@@ -26,18 +27,23 @@ from .studies import STUDY_KINDS, ConfigError, load_config, run_study
 EXIT_OK = 0
 EXIT_BAND_FAILURE = 1
 EXIT_USAGE = 2
+EXIT_RUNTIME = 3
+EXIT_HELP = ("exit codes: 0 success, 1 an acceptance band failed, "
+             "2 usage or config error, 3 runtime error")
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="eks-lab",
         description="Ensemble Kalman sampling studies: run a configured "
-                    "experiment and write report.json + CSVs.")
+                    "experiment and write report.json + CSVs.",
+        epilog=EXIT_HELP)
     parser.add_argument("--version", action="version",
                         version=f"eks-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for kind in STUDY_KINDS:
-        p = sub.add_parser(kind, help=f"run a '{kind}' study")
+        p = sub.add_parser(kind, help=f"run a '{kind}' study",
+                           epilog=EXIT_HELP)
         p.add_argument("--config", required=True,
                        help="JSON study configuration")
         p.add_argument("--out", required=True,
@@ -87,7 +93,7 @@ def main(argv=None):
         report = run_study(cfg, out_dir=args.out, threads=threads)
     except EksError as err:
         print(f"eks-lab: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_BAND_FAILURE
+        return EXIT_RUNTIME
 
     for name, ok in sorted(report.flags.items()):
         print(f"[{'PASS' if ok else 'FAIL'}] {name}")

@@ -16,7 +16,10 @@ Three evolutions share one discretization skeleton:
 * eks_gradient_step — same implicit prior treatment and noise, but the
   misfit drift uses the forward derivative per particle,
   h cov_uu (A^T + grad m(u_j)) gamma^{-1} (G(u_j) - y).  For linear maps
-  the two steps coincide identically (cov_ug = cov_uu A^T).
+  the two steps coincide identically (cov_ug = cov_uu A^T).  Both run one
+  kernel, which reads I_L and gamma0^{-1} u0 from the problem, checks its
+  output for finiteness once, and returns it without re-validating the
+  Ensemble it builds.
 
 * mean_field_step — Euler-Maruyama for the decoupled reference particles
   v_{n+1} = v_n - h C(t) B (v_n - u_star) + sqrt(2 h C(t)) xi, with C(t)
@@ -62,7 +65,6 @@ from .spd import general_solve, lambda_min, spd_sqrt
 
 __all__ = [
     "SdeConfig",
-    "CoupledState",
     "RunResult",
     "MeanFieldDrive",
     "sample_gaussian",
@@ -108,21 +110,6 @@ class SdeConfig:
         return self.h * self.n_steps
 
 
-@dataclass(frozen=True)
-class CoupledState:
-    """The particle system and its mean-field twin, advanced in lockstep."""
-
-    u_ens: Ensemble
-    v_ens: Ensemble
-    shared_noise: bool = True
-
-    def __post_init__(self):
-        if self.u_ens.particles.shape != self.v_ens.particles.shape:
-            raise DimensionMismatch("coupled ensembles must share (J, L)")
-        if self.u_ens.step != self.v_ens.step:
-            raise DimensionMismatch("coupled ensembles must share the clock")
-
-
 @dataclass
 class RunResult:
     """Final ensemble(s) of a run plus whatever the driver recorded."""
@@ -156,21 +143,39 @@ def _draw(noise, step, j, l):
     return noise.normal_block(step, j, l)
 
 
-def _implicit_update(ens, problem, cfg, stats, misfit_drift_rows, noise):
-    """Shared tail of the two Kalman steps: semi-implicit prior treatment,
-    then covariance-shaped noise."""
+def _kalman_step(ens, problem, cfg, noise, gradient):
+    """The one Kalman step both public steps run; gradient picks how the
+    misfit covectors z_j = gamma^{-1} (G(u_j) - y) are pulled back to the
+    drift rows: through cov_ug, or through cov_uu (A^T + grad m(u_j))."""
+    if ens.dim != problem.dim_l:
+        raise DimensionMismatch(
+            f"ensemble dimension {ens.dim} vs problem dimension "
+            f"{problem.dim_l}")
     h = cfg.h
+    if h == 0.0:
+        return Ensemble._unchecked(ens.particles, ens.time, ens.step + 1)
+    stats = empirical_stats(ens, problem)
     u = ens.particles
     j, l = u.shape
-    g0_inv = problem.gamma0_inv
-    system = np.eye(l) + h * np.einsum("ab,bc->ac", stats.cov_uu, g0_inv)
-    prior_pull = h * np.einsum(
-        "ab,b->a", stats.cov_uu, np.einsum("ab,b->a", g0_inv, problem.u0))
-    rhs = u - h * misfit_drift_rows + prior_pull[None, :]
+    z = np.einsum("jk,km->jm", stats.forward - problem.y[None, :],
+                  problem.gamma_inv)
+    if gradient:
+        pulled = np.einsum("jk,kl->jl", z, problem.a)
+        if problem.nonlinear is not None:
+            pulled = pulled + problem.nonlinear.grad_apply_batch(u, z)
+        drift_rows = np.einsum("jl,ml->jm", pulled, stats.cov_uu)
+    else:
+        drift_rows = np.einsum("jk,lk->jl", z, stats.cov_ug)
+    eye = problem._eye_l
+    system = eye + h * np.einsum("ab,bc->ac", stats.cov_uu,
+                                 problem.gamma0_inv)
+    prior_pull = h * np.einsum("ab,b->a", stats.cov_uu,
+                               problem._gamma0_inv_u0)
+    rhs = u - h * drift_rows + prior_pull[None, :]
     try:
         # one factorization per step: the system matrix is particle
         # independent, so its inverse is applied to every row
-        solve_matrix = general_solve(system, np.eye(l))
+        solve_matrix = general_solve(system, eye)
     except SingularMatrix as err:
         raise SingularImplicitSystem(
             f"step {ens.step}: implicit system is singular ({err})") from None
@@ -178,10 +183,10 @@ def _implicit_update(ens, problem, cfg, stats, misfit_drift_rows, noise):
     root = spd_sqrt(2.0 * h * stats.cov_uu, cfg.sqrt_tol)
     xi = _draw(noise, ens.step, j, l)
     out = u_star + np.einsum("jl,ml->jm", xi, root)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFinite(
             f"step {ens.step}: particles overflowed (stepsize too large?)")
-    return Ensemble(particles=out, time=ens.time + h, step=ens.step + 1)
+    return Ensemble._unchecked(out, ens.time + h, ens.step + 1)
 
 
 def eks_step(ens, problem, cfg, noise):
@@ -193,37 +198,14 @@ def eks_step(ens, problem, cfg, noise):
     a NoiseSource or the (J, L) standard-normal block already drawn for
     this step.
     """
-    if ens.dim != problem.dim_l:
-        raise DimensionMismatch(
-            f"ensemble dimension {ens.dim} vs problem dimension {problem.dim_l}")
-    if cfg.h == 0.0:
-        return Ensemble(particles=ens.particles, time=ens.time,
-                        step=ens.step + 1)
-    stats = empirical_stats(ens, problem)
-    misfit = stats.forward - problem.y[None, :]
-    z = np.einsum("jk,km->jm", misfit, problem.gamma_inv)
-    drift_rows = np.einsum("jk,lk->jl", z, stats.cov_ug)
-    return _implicit_update(ens, problem, cfg, stats, drift_rows, noise)
+    return _kalman_step(ens, problem, cfg, noise, gradient=False)
 
 
 def eks_gradient_step(ens, problem, cfg, noise):
     """One step of the gradient-based variant: the misfit drift is
     h cov_uu (A^T + grad m(u_j)) gamma^{-1} (G(u_j) - y) per particle;
     prior treatment and noise are identical to eks_step."""
-    if ens.dim != problem.dim_l:
-        raise DimensionMismatch(
-            f"ensemble dimension {ens.dim} vs problem dimension {problem.dim_l}")
-    if cfg.h == 0.0:
-        return Ensemble(particles=ens.particles, time=ens.time,
-                        step=ens.step + 1)
-    stats = empirical_stats(ens, problem)
-    misfit = stats.forward - problem.y[None, :]
-    z = np.einsum("jk,km->jm", misfit, problem.gamma_inv)
-    pulled = np.einsum("jk,kl->jl", z, problem.a)
-    if problem.nonlinear is not None:
-        pulled = pulled + problem.nonlinear.grad_apply_batch(ens.particles, z)
-    drift_rows = np.einsum("jl,ml->jm", pulled, stats.cov_uu)
-    return _implicit_update(ens, problem, cfg, stats, drift_rows, noise)
+    return _kalman_step(ens, problem, cfg, noise, gradient=True)
 
 
 @dataclass(frozen=True)
@@ -264,8 +246,8 @@ def mean_field_step(v_ens, rho_moments, problem, cfg, noise):
             f"{problem.dim_l}")
     h = cfg.h
     if h == 0.0:
-        return Ensemble(particles=v_ens.particles, time=v_ens.time,
-                        step=v_ens.step + 1)
+        return Ensemble._unchecked(v_ens.particles, v_ens.time,
+                                   v_ens.step + 1)
     drive = rho_moments if isinstance(rho_moments, MeanFieldDrive) \
         else mean_field_drive(rho_moments, problem, cfg)
     v = v_ens.particles
@@ -273,10 +255,10 @@ def mean_field_step(v_ens, rho_moments, problem, cfg, noise):
     drift_rows = np.einsum("jl,ml->jm", v - drive.u_star[None, :], drive.pull)
     xi = _draw(noise, v_ens.step, j, l)
     out = v - h * drift_rows + np.einsum("jl,ml->jm", xi, drive.root)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFinite(
             f"step {v_ens.step}: reference particles overflowed")
-    return Ensemble(particles=out, time=v_ens.time + h, step=v_ens.step + 1)
+    return Ensemble._unchecked(out, v_ens.time + h, v_ens.step + 1)
 
 
 def condition_check(problem, rho_moments):

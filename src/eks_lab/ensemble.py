@@ -6,18 +6,21 @@ change the flow.
 
 Every reduction over particles runs over the rows in one canonical order:
 the lexicographic order of the raw particle rows u_j (np.lexsort), with
-G(u_j) gathered alongside.  Means and covariances are then fixed-order
-np.einsum contractions over those rows, O(J L^2) for the covariances;
-einsum's scalar loop is deterministic and does not use threads, so the
-result is bit-stable across runs and thread counts.  Two rows tie in the
-key only if they are the same point, so they carry the same G row and the
-order among them cannot change a sum: statistics are bitwise independent
-of particle order, and permuting an ensemble permutes its trajectories
-exactly.  The key must be the raw rows, not the centered ones —
-subtracting the mean can round two distinct points to the same centered
-row while their G rows still differ, and then the tie order would leak
-into cov_ug.  Centering subtracts the componentwise minimum, an exact
-pivot, before any arithmetic, so an ensemble whose particles all
+G(u_j) gathered alongside.  When the first column has no ties, that order
+is the unique permutation that sorts the first column, so any argsort of
+it (stable or not, whatever its algorithm) returns exactly that order;
+only a tie sends the order to np.lexsort.  Means and covariances are then
+fixed-order np.einsum contractions over those rows, O(J L^2) for the
+covariances; einsum's scalar loop is deterministic and does not use
+threads, so the result is bit-stable across runs and thread counts.  Two
+rows tie in the key only if they are the same point, so they carry the
+same G row and the order among them cannot change a sum: statistics are
+bitwise independent of particle order, and permuting an ensemble permutes
+its trajectories exactly.  The key must be the raw rows, not the centered
+ones — subtracting the mean can round two distinct points to the same
+centered row while their G rows still differ, and then the tie order
+would leak into cov_ug.  Centering subtracts the componentwise minimum,
+an exact pivot, before any arithmetic, so an ensemble whose particles all
 coincide produces exactly zero covariance, not merely a small one — the
 degenerate-freeze invariant of the dynamics depends on that exactness.
 """
@@ -62,6 +65,14 @@ class Ensemble:
             raise NonPositive(f"step must be >= 0, got {self.step}")
         object.__setattr__(self, "particles", particles)
 
+    @classmethod
+    def _unchecked(cls, particles, time, step):
+        # an ensemble from a dynamics step's own output, which is already
+        # a finite float (J, L) array on a valid clock: skips the checks
+        ens = object.__new__(cls)
+        vars(ens).update(particles=particles, time=time, step=step)
+        return ens
+
     @property
     def j_particles(self):
         return self.particles.shape[0]
@@ -88,19 +99,27 @@ class EnsembleStats:
 
 def _canonical_order(u):
     # lexicographic order of the raw rows, first column as primary key.
-    # Without ties in the first column its stable argsort already is that
-    # order; np.lexsort makes L passes and costs about as much as the
-    # whole O(J L^2) contraction at L = 32.
-    order = np.argsort(u[:, 0], kind="stable")
-    first = u[order, 0]
+    # Without ties in the first column only one permutation sorts it, so
+    # the default (unstable, several times faster) argsort returns exactly
+    # the lexicographic order; np.lexsort makes L passes and costs about as
+    # much as the whole O(J L^2) contraction at L = 32.
+    first = u[:, 0]
+    order = np.argsort(first)
+    first = np.take(first, order)
     if np.all(first[1:] != first[:-1]):
         return order
     return np.lexsort(u.T[::-1])
 
 
 def _mean_rows(rows):
-    # rows in canonical order; the pivot is exact, the sum fixed-order
-    pivot = rows.min(axis=0)
+    # rows in canonical order; the pivot is exact, the sum fixed-order.
+    # A min over axis 0 of a narrow C-ordered array runs an inner loop of
+    # length L per row; below L = 32 reducing a transposed copy along its
+    # rows is faster, and min is exact either way
+    if rows.shape[1] < 32:
+        pivot = np.ascontiguousarray(rows.T).min(axis=1)
+    else:
+        pivot = rows.min(axis=0)
     return pivot + np.einsum("jl->l", rows - pivot) / rows.shape[0]
 
 
@@ -117,7 +136,7 @@ def empirical_stats(ens, problem):
     if not np.all(np.isfinite(g)):
         raise NonFinite("forward map produced non-finite values")
     order = _canonical_order(u)
-    us, gs = u[order], g[order]
+    us, gs = np.take(u, order, axis=0), np.take(g, order, axis=0)
     mean_u = _mean_rows(us)
     mean_g = _mean_rows(gs)
     cu = us - mean_u
@@ -131,7 +150,8 @@ def empirical_stats(ens, problem):
 def particle_moments(ens):
     """(mean_u, cov_uu) of empirical_stats, bit for bit, without
     evaluating the forward map: same canonical order, pivot and einsum."""
-    us = ens.particles[_canonical_order(ens.particles)]
+    u = ens.particles
+    us = np.take(u, _canonical_order(u), axis=0)
     mean_u = _mean_rows(us)
     cu = us - mean_u
     return mean_u, np.einsum("jl,jm->lm", cu, cu) / us.shape[0]
@@ -141,7 +161,7 @@ def centered_moment(ens, p):
     """(1/J) sum_j |u_j - mean|^p for even p in {2, 4, 6, 8}."""
     if p not in (2, 4, 6, 8):
         raise NonPositive(f"p must be one of 2, 4, 6, 8, got {p}")
-    u = ens.particles[_canonical_order(ens.particles)]
+    u = np.take(ens.particles, _canonical_order(ens.particles), axis=0)
     cu = u - _mean_rows(u)
     sq = np.einsum("jl,jl->j", cu, cu)
     return float(np.einsum("j->", sq ** (p // 2)) / u.shape[0])
@@ -154,7 +174,7 @@ def affine_span_distance(ens, reference):
         raise DimensionMismatch(
             f"dimension mismatch: {ens.dim} vs {reference.dim}")
     ref = reference.particles
-    ref_mean = _mean_rows(ref[_canonical_order(ref)])
+    ref_mean = _mean_rows(np.take(ref, _canonical_order(ref), axis=0))
     basis = (ref - ref_mean).T
     rhs = (ens.particles - ref_mean).T
     coef, *_ = np.linalg.lstsq(basis, rhs, rcond=None)

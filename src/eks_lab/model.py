@@ -56,6 +56,11 @@ def _vector(x, n, name):
     return x
 
 
+def _frozen(x):
+    x.setflags(write=False)
+    return x
+
+
 @dataclass(frozen=True)
 class GaussianMoments:
     """Mean vector and covariance matrix of a Gaussian distribution."""
@@ -109,7 +114,9 @@ class NonlinearPerturbation:
         out = np.asarray(self.evaluate_batch(u_all), dtype=float)
         if not np.all(np.isfinite(out)):
             raise NonFinite("perturbation produced non-finite values")
-        peak = float(np.max(np.linalg.norm(out, axis=1))) if out.size else 0.0
+        # sqrt is monotone: one sqrt of the largest squared row norm, not J
+        peak = float(np.sqrt(np.max(np.einsum("jk,jk->j", out, out)))) \
+            if out.size else 0.0
         if peak > self.amplitude_bound * (1.0 + 1e-9) + 1e-12:
             raise EksError(
                 f"perturbation exceeded its stated bound: |m(u)| = {peak:.3e} "
@@ -155,6 +162,8 @@ class InverseProblem:
     _precision: np.ndarray = field(init=False, repr=False, compare=False)
     _linear_mean: np.ndarray = field(init=False, repr=False, compare=False)
     _linear_cov: np.ndarray = field(init=False, repr=False, compare=False)
+    _gamma0_inv_u0: np.ndarray = field(init=False, repr=False, compare=False)
+    _eye_l: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -198,6 +207,10 @@ class InverseProblem:
         object.__setattr__(self, "_precision", b)
         object.__setattr__(self, "_linear_mean", spd_solve(b, r))
         object.__setattr__(self, "_linear_cov", spd_invert(b))
+        # the constants of the Kalman step's semi-implicit prior treatment
+        object.__setattr__(self, "_gamma0_inv_u0", _frozen(
+            np.einsum("ab,b->a", self.gamma0_inv, u0)))
+        object.__setattr__(self, "_eye_l", _frozen(np.eye(l)))
 
     @property
     def dim_k(self):

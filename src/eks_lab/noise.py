@@ -17,9 +17,17 @@ half an ulp, u = ((word >> 11) + 0.5) * 2^-53, which lies strictly inside
 (0, 1), and normals via scipy's ndtri (the Cephes rational approximation
 of the inverse normal CDF; bit-stable wherever the same scipy binaries
 are used).
+
+A source builds one Philox on its first draw and reuses it: every later
+draw resets that generator's counter, which costs a fraction of building
+a new one and gives the same words.  A per-source lock spans the reset
+and the draw, so one source may be shared by any number of threads.  The
+generator is a cache, not part of the value: ==, hash and repr read only
+the seed, and a copy or an unpickled source starts without a generator.
 """
 
 import hashlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +66,12 @@ def derive_seed(base, *parts):
     return x
 
 
-def _normals(raw, n_components):
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+def _normals(words):
+    # one contiguous float buffer, then converted in place
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return ndtri(u, out=u)
 
 
 @dataclass(frozen=True)
@@ -69,13 +80,33 @@ class NoiseSource:
 
     seed: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "_lock", threading.Lock())
+        object.__setattr__(self, "_gen", None)
+
+    def __reduce__(self):
+        return type(self), (self.seed,)
+
     def _blocks_per_particle(self, n_components):
         if n_components < 1:
             raise NonPositive("n_components must be >= 1")
         return (n_components + 3) // 4
 
-    def _key(self):
-        return np.array([int(self.seed) & _MASK64, 0], dtype=np.uint64)
+    def _raw(self, block, step, n_words):
+        # n_words raw words from counter (block, 0, 0, step), bitwise
+        # those of a new Philox started there
+        with self._lock:
+            if self._gen is None:
+                key = np.array([int(self.seed) & _MASK64, 0],
+                               dtype=np.uint64)
+                gen = Philox(key=key, counter=np.zeros(4, dtype=np.uint64))
+                object.__setattr__(self, "_gen", gen)
+                object.__setattr__(self, "_start", gen.state)
+            start = self._start
+            start["state"]["counter"] = np.array([block, 0, 0, step],
+                                                 dtype=np.uint64)
+            self._gen.state = start
+            return self._gen.random_raw(n_words)
 
     def normal_block(self, step, n_particles, n_components):
         """Draws for particles 0..n_particles-1 at one step, shape (J, L).
@@ -89,11 +120,8 @@ class NoiseSource:
         if n_particles < 1:
             raise NonPositive("n_particles must be >= 1")
         bpp = self._blocks_per_particle(n_components)
-        counter = np.array([0, 0, 0, int(step)], dtype=np.uint64)
-        gen = Philox(key=self._key(), counter=counter)
-        raw = gen.random_raw(n_particles * bpp * 4)
-        raw = raw.reshape(n_particles, bpp * 4)[:, :n_components]
-        return _normals(raw, n_components)
+        raw = self._raw(0, int(step), n_particles * bpp * 4)
+        return _normals(raw.reshape(n_particles, bpp * 4)[:, :n_components])
 
     def normal_rows(self, step, particle_indices, n_components):
         """Draws for an arbitrary list of particle indices at one step."""
@@ -105,8 +133,6 @@ class NoiseSource:
             j = int(j)
             if j < 0:
                 raise NonPositive("particle indices must be >= 0")
-            counter = np.array([j * bpp, 0, 0, int(step)], dtype=np.uint64)
-            gen = Philox(key=self._key(), counter=counter)
-            raw = gen.random_raw(bpp * 4)[:n_components]
-            out[row] = _normals(raw, n_components)
+            out[row] = _normals(
+                self._raw(j * bpp, int(step), bpp * 4)[:n_components])
         return out

@@ -193,6 +193,16 @@ def _number(cast, value, name):
                           f"{value!r}") from None
 
 
+def _flag(doc, name, default):
+    """A boolean config field; anything but JSON true or false (a string
+    "false" included) is a ConfigError."""
+    value = doc.get(name, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"config field '{name}' must be true or false, "
+                          f"got {value!r}")
+    return value
+
+
 def _numbers(cast, values, name):
     """[cast(v) for v in values] for a list config field; anything that is
     not a list of numbers is a ConfigError."""
@@ -317,6 +327,10 @@ def parse_config(doc, base_dir="."):
         raise ConfigError(f"rho0 dimension {rho0.dim} does not match "
                           f"problem dimension {problem.dim_l}")
 
+    share_noise = _flag(doc, "share_noise", True)
+    with_particles = _flag(doc, "with_particles", False)
+    write_ensemble = _flag(doc, "write_ensemble", True)
+
     sde = doc.get("sde", {})
     if not isinstance(sde, dict):
         raise ConfigError("'sde' must be an object")
@@ -355,7 +369,7 @@ def parse_config(doc, base_dir="."):
                      "sweep.t_checkpoints"), "t_checkpoints")
         if t_checkpoints[0] < 0.0:
             raise ConfigError("t_checkpoints must be >= 0")
-        if doc.get("with_particles"):
+        if with_particles:
             if j_particles < 2:
                 raise ConfigError(
                     "with_particles requires sde.j_particles >= 2")
@@ -393,9 +407,8 @@ def parse_config(doc, base_dir="."):
         kind=kind, problem=problem, rho0=rho0, h=h, n_steps=n_steps,
         j_particles=j_particles, seed=seed, sqrt_tol=sqrt_tol,
         j_values=j_values, t_checkpoints=t_checkpoints, repeats=repeats,
-        share_noise=bool(doc.get("share_noise", True)),
-        with_particles=bool(doc.get("with_particles", False)),
-        write_ensemble=bool(doc.get("write_ensemble", True)),
+        share_noise=share_noise, with_particles=with_particles,
+        write_ensemble=write_ensemble,
         fit_t_min=_number(float, doc.get("fit_t_min", 1.0), "fit_t_min"),
         bands=dict(bands), echo=doc,
     )

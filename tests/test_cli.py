@@ -16,7 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eks_lab.cli import EXIT_BAND_FAILURE, EXIT_OK, EXIT_USAGE, main
+from eks_lab.cli import (
+    EXIT_BAND_FAILURE,
+    EXIT_OK,
+    EXIT_RUNTIME,
+    EXIT_USAGE,
+    main,
+)
 
 
 def write_cfg(tmp_path, doc, name="study.json"):
@@ -130,6 +136,42 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
         assert not out_dir.exists()
+
+    def test_non_boolean_flag_exits_two_without_traceback(self, tmp_path,
+                                                          capsys):
+        doc = {"kind": "study-coupling", "seed": 4, "share_noise": "false",
+               "sde": {"n_steps": 5, "h": 0.05},
+               "sweep": {"j_values": [8, 16]}}
+        out_dir = tmp_path / "out"
+        code = main(["study-coupling", "--config", write_cfg(tmp_path, doc),
+                     "--out", str(out_dir)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'share_noise' must be true or false, got 'false'" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_runtime_error_exits_three_without_traceback(self, tmp_path,
+                                                         capsys):
+        # a valid problem whose first step throws the particles to ~1e299:
+        # the next forward evaluation overflows
+        doc = sample_doc(problem={"a": [[1e150]], "gamma": [[1.0]],
+                                  "gamma0": [[1.0]], "y": [0.0],
+                                  "u0": [0.0]})
+        code = main(["sample", "--config", write_cfg(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        assert EXIT_RUNTIME not in (EXIT_OK, EXIT_BAND_FAILURE, EXIT_USAGE)
+        captured = capsys.readouterr()
+        assert "eks-lab: NonFinite:" in captured.err
+        assert "Traceback" not in captured.err
+        assert "[PASS]" not in captured.out
+
+    def test_help_lists_exit_codes(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sample", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "2 usage or config error, 3 runtime error" in out
 
     def test_invalid_band_value_fails_validation(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, sample_doc(repeats=-2))

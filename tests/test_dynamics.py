@@ -7,9 +7,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from numpy.random import Philox
+from scipy.special import ndtri
 
 from eks_lab.dynamics import (
-    CoupledState,
     SdeConfig,
     condition_check,
     eks_gradient_step,
@@ -36,6 +37,7 @@ from eks_lab.model import (
 )
 from eks_lab.noise import NoiseSource
 from eks_lab.reference import MomentFlow, rho_at
+from eks_lab.spd import spd_sqrt
 
 
 class FixedNoise:
@@ -117,16 +119,6 @@ def test_sde_config_validation():
         pytest.approx(3.0)
 
 
-def test_coupled_state_validation():
-    u = random_ensemble(0, 4, 2)
-    v = random_ensemble(1, 4, 2)
-    CoupledState(u_ens=u, v_ens=v)
-    with pytest.raises(DimensionMismatch):
-        CoupledState(u_ens=u, v_ens=random_ensemble(1, 5, 2))
-    with pytest.raises(DimensionMismatch):
-        CoupledState(u_ens=u, v_ens=random_ensemble(1, 4, 2, step=3))
-
-
 # ---------------------------------------------------- scalar hand oracle
 
 
@@ -179,6 +171,81 @@ def test_eks_step_matches_direct_transcription():
         expected = u_star + noise.normal_block(0, j, 3) @ root.T
         np.testing.assert_allclose(out.particles, expected,
                                    rtol=1e-11, atol=1e-11)
+
+
+def straight_line_step(ens, problem, cfg, seed, gradient):
+    """The Kalman step written out in one piece, operation for operation
+    as it stood before eks_step and eks_gradient_step shared a kernel:
+    stable sort and fancy-index gather, axis-0 pivot, a fresh Philox for
+    the noise, and I_L and gamma0^{-1} u0 rebuilt in place."""
+    u = ens.particles
+    j, l = u.shape
+    h = cfg.h
+    g = np.einsum("jl,kl->jk", u, problem.a)
+    if problem.nonlinear is not None:
+        g = g + problem.nonlinear.evaluate_batch(u)
+    order = np.argsort(u[:, 0], kind="stable")
+    first = u[order, 0]
+    if not np.all(first[1:] != first[:-1]):
+        order = np.lexsort(u.T[::-1])
+    us, gs = u[order], g[order]
+    pivot_u, pivot_g = us.min(axis=0), gs.min(axis=0)
+    cu = us - (pivot_u + np.einsum("jl->l", us - pivot_u) / j)
+    cg = gs - (pivot_g + np.einsum("jl->l", gs - pivot_g) / j)
+    cov_uu = np.einsum("jl,jm->lm", cu, cu) / j
+    cov_ug = np.einsum("jl,jm->lm", cu, cg) / j
+    z = np.einsum("jk,km->jm", g - problem.y[None, :], problem.gamma_inv)
+    if gradient:
+        pulled = np.einsum("jk,kl->jl", z, problem.a)
+        if problem.nonlinear is not None:
+            pulled = pulled + problem.nonlinear.grad_apply_batch(u, z)
+        drift_rows = np.einsum("jl,ml->jm", pulled, cov_uu)
+    else:
+        drift_rows = np.einsum("jk,lk->jl", z, cov_ug)
+    g0_inv = problem.gamma0_inv
+    system = np.eye(l) + h * np.einsum("ab,bc->ac", cov_uu, g0_inv)
+    prior_pull = h * np.einsum(
+        "ab,b->a", cov_uu, np.einsum("ab,b->a", g0_inv, problem.u0))
+    rhs = u - h * drift_rows + prior_pull[None, :]
+    u_star = np.einsum("jl,ml->jm", rhs, np.linalg.solve(system, np.eye(l)))
+    bpp = (l + 3) // 4
+    gen = Philox(key=np.array([seed, 0], dtype=np.uint64),
+                 counter=np.array([0, 0, 0, ens.step], dtype=np.uint64))
+    raw = gen.random_raw(j * bpp * 4).reshape(j, bpp * 4)[:, :l]
+    xi = ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+    root = spd_sqrt(2.0 * h * cov_uu, cfg.sqrt_tol)
+    return u_star + np.einsum("jl,ml->jm", xi, root)
+
+
+@pytest.mark.parametrize("l", [2, 8, 32])
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+def test_kalman_steps_bitwise_equal_straight_line_copy(l, ties):
+    k = l + 1
+    rng = np.random.default_rng(l)
+    a = rng.normal(size=(k, l))
+    gamma = np.diag(rng.uniform(0.5, 2.0, k))
+    pert = make_perpendicular_perturbation(
+        a, gamma, seed_direction=rng.normal(size=k),
+        frequency=0.3 * rng.normal(size=l), amplitude=0.5)
+    q0 = rng.normal(size=(l, l))
+    problem = InverseProblem(a=a, gamma=gamma,
+                             gamma0=q0 @ q0.T / l + np.eye(l),
+                             y=rng.normal(size=k), u0=rng.normal(size=l),
+                             nonlinear=pert)
+    j = 300
+    particles = 0.3 * rng.normal(size=(j, l))
+    if ties:
+        particles[100:150] = particles[:50]
+        particles[150:200, 0] = particles[50:100, 0]
+    seed = 90 + l
+    cfg = SdeConfig(h=0.02, n_steps=3, j_particles=j, seed=seed)
+    for step, gradient in ((eks_step, False), (eks_gradient_step, True)):
+        # one source across three steps: its generator is reused
+        ens, noise = Ensemble(particles=particles, step=2), NoiseSource(seed)
+        for _ in range(3):
+            expected = straight_line_step(ens, problem, cfg, seed, gradient)
+            ens = step(ens, problem, cfg, noise)
+            assert np.array_equal(ens.particles, expected)
 
 
 def scipy_sqrtm(m):

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from eks_lab.ensemble import (
     Ensemble,
+    _canonical_order,
+    _mean_rows,
     affine_span_distance,
     centered_moment,
     empirical_stats,
@@ -126,6 +128,51 @@ def test_stats_permutation_invariant_bitwise_with_ties(problem):
         shuffled = empirical_stats(Ensemble(particles=particles[perm]),
                                    problem)
         assert_stats_equal(base, shuffled)
+
+
+@st.composite
+def rows_with_ties(draw):
+    """Rows drawn from a small pool of values (-0.0 and 0.0 included), so
+    that first columns tie and whole rows repeat; or, half the time, a
+    tie-free first column over rows that still repeat in the others."""
+    l = draw(st.integers(1, 5))
+    j = draw(st.integers(1, 120))
+    pool = draw(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5))
+    pool += [-0.0, 0.0]
+    rows = np.array(draw(st.lists(
+        st.lists(st.sampled_from(pool), min_size=l, max_size=l),
+        min_size=j, max_size=j)), dtype=float)
+    if draw(st.booleans()):
+        rows[:, 0] = draw(st.lists(st.floats(-1e6, 1e6), min_size=j,
+                                   max_size=j, unique=True))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=rows_with_ties())
+def test_canonical_order_is_the_lexicographic_order(u):
+    assert np.array_equal(_canonical_order(u), np.lexsort(u.T[::-1]))
+
+
+@pytest.mark.parametrize("j, l", [(4000, 2), (1024, 8), (512, 32)])
+def test_canonical_order_without_ties_at_size(j, l):
+    # numpy's default sort orders equal keys its own way, so the tied
+    # copy must go through the tie check to np.lexsort; study-sized J
+    u = np.random.default_rng(j + l).standard_normal((j, l))
+    assert np.array_equal(_canonical_order(u), np.lexsort(u.T[::-1]))
+    tied = u.copy()
+    tied[1::7, 0] = tied[::7, 0][: len(tied[1::7])]
+    assert np.array_equal(_canonical_order(tied), np.lexsort(tied.T[::-1]))
+
+
+@pytest.mark.parametrize("l", [1, 2, 8, 31, 32, 50])
+def test_mean_rows_pivot_is_the_columnwise_minimum(l):
+    rows = np.random.default_rng(l).standard_normal((300, l))
+    expected = rows.min(axis=0) + np.einsum(
+        "jl->l", rows - rows.min(axis=0)) / 300
+    assert np.array_equal(_mean_rows(rows), expected)
+    same = np.tile(rows[:1], (300, 1))
+    assert np.array_equal(_mean_rows(same), rows[0])
 
 
 def test_stats_order_key_is_the_raw_rows():

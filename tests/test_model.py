@@ -12,6 +12,7 @@ import pytest
 from eks_lab.errors import (
     DegenerateDirection,
     DimensionMismatch,
+    EksError,
     NonFinite,
     NonlinearUnsupported,
     NonPositive,
@@ -21,6 +22,7 @@ from eks_lab.errors import (
 from eks_lab.model import (
     GaussianMoments,
     InverseProblem,
+    NonlinearPerturbation,
     apply_forward,
     apply_forward_batch,
     grad_phi_r,
@@ -263,6 +265,32 @@ def test_perturbation_batch_hooks_match_loops():
     rows = pert.grad_apply_batch(u_all, z_all)
     loop = np.stack([pert.gradient(u) @ z for u, z in zip(u_all, z_all)])
     assert np.max(np.abs(rows - loop)) <= 1e-14
+
+
+@pytest.mark.parametrize("excess, inside", [(0.5e-9, True),
+                                             (2e-9, False)])
+def test_perturbation_bound_check_edges(excess, inside):
+    # the check allows a relative slack of 1e-9 over amplitude_bound; the
+    # largest row sits just inside or just outside it, among smaller rows
+    direction = np.array([0.6, 0.0, 0.8])
+    scales = np.array([0.5, 1.9, 2.0 * (1.0 + excess), 1.0])
+
+    def evaluate_batch(u_all):
+        return scales[:, None] * direction[None, :]
+
+    pert = NonlinearPerturbation(
+        evaluate=None, gradient=None, amplitude_bound=2.0,
+        direction_basis=direction[:, None], evaluate_batch=evaluate_batch,
+        gradient_apply_batch=None)
+    u_all = np.zeros((4, 2))
+    if inside:
+        assert np.array_equal(pert.eval_batch(u_all),
+                              evaluate_batch(u_all))
+    else:
+        with pytest.raises(EksError, match=r"perturbation exceeded its "
+                           r"stated bound: \|m\(u\)\| = 2\.000e\+00 > "
+                           r"2\.000e\+00$"):
+            pert.eval_batch(u_all)
 
 
 def test_perturbation_degenerate_seed_raises():

@@ -1,7 +1,17 @@
 """Tests for the addressable noise source."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+from numpy.random import Philox
+from scipy.special import ndtri
 
 from eks_lab.errors import NonPositive
 from eks_lab.noise import NoiseSource, derive_seed
@@ -77,3 +87,88 @@ def test_derive_seed_stable_and_distinct():
     }
     assert s1 not in others
     assert len(others) == 4
+
+
+def fresh_block(seed, step, n_particles, n_components):
+    """The documented layout, drawn from a Philox built for this call."""
+    bpp = (n_components + 3) // 4
+    gen = Philox(key=np.array([seed, 0], dtype=np.uint64),
+                 counter=np.array([0, 0, 0, step], dtype=np.uint64))
+    raw = gen.random_raw(n_particles * bpp * 4)
+    raw = raw.reshape(n_particles, bpp * 4)[:, :n_components]
+    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5)
+                 * 2.0**-53)
+
+
+def test_reused_source_in_shuffled_order_matches_fresh_draws():
+    rng = np.random.default_rng(8)
+    cases = [(step, j, l) for step in (0, 1, 2, 17, 2**40)
+             for j in (1, 5, 64) for l in (1, 2, 3, 4, 5, 8, 32)]
+    cases = [cases[i] for i in rng.permutation(len(cases))]
+    seed = 2**63 + 12345
+    src = NoiseSource(seed=seed)
+    for step, j, l in cases:
+        block = src.normal_block(step, j, l)
+        assert np.array_equal(block, fresh_block(seed, step, j, l))
+        assert np.array_equal(
+            block, NoiseSource(seed=seed).normal_block(step, j, l))
+        assert np.array_equal(block, src.normal_rows(step, range(j), l))
+        assert np.array_equal(block[::-1],
+                              src.normal_rows(step, range(j)[::-1], l))
+
+
+def test_source_shared_by_more_threads_than_cores():
+    cores = len(os.sched_getaffinity(0)) if hasattr(
+        os, "sched_getaffinity") else (os.cpu_count() or 1)
+    n_threads = min(cores, 30) + 2
+    src = NoiseSource(seed=404)
+    cases = [(step, 1 + step % 7, 1 + step % 6) for step in range(24)]
+    expected = [NoiseSource(seed=404).normal_block(*case) for case in cases]
+    wrong = []
+    deadline = time.monotonic() + 3.0
+
+    def worker(offset):
+        for _ in range(50):
+            for k in range(len(cases)):
+                i = (k + offset) % len(cases)
+                if not np.array_equal(src.normal_block(*cases[i]),
+                                      expected[i]):
+                    wrong.append(cases[i])
+            if time.monotonic() > deadline:
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not wrong
+
+
+def test_source_value_semantics_with_cached_generator():
+    src = NoiseSource(seed=7)
+    first = src.normal_block(3, 4, 2)
+    twin = NoiseSource(seed=7)
+    assert src == twin and hash(src) == hash(twin)
+    assert len({src, twin}) == 1
+    assert repr(src) == "NoiseSource(seed=7)"
+    assert src != NoiseSource(seed=8)
+    assert dataclasses.replace(src, seed=8) == NoiseSource(seed=8)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        src.seed = 8
+    for other in (copy.copy(src), copy.deepcopy(src),
+                  pickle.loads(pickle.dumps(src))):
+        assert other == src and hash(other) == hash(src)
+        # the copy draws on its own: a draw from it does not move the
+        # original, and both keep reproducing the same words
+        assert np.array_equal(other.normal_block(9, 4, 2),
+                              src.normal_block(9, 4, 2))
+        assert np.array_equal(src.normal_block(3, 4, 2), first)
+        assert np.array_equal(other.normal_block(3, 4, 2), first)

@@ -275,6 +275,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="invalid problem"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("field", ["share_noise", "with_particles",
+                                       "write_ensemble"])
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [],
+                                       {}], ids=repr)
+    def test_flag_must_be_a_json_boolean(self, field, value):
+        with pytest.raises(ConfigError,
+                           match=f"'{field}' must be true or false"):
+            parse_config(sample_doc(**{field: value}))
+
+    def test_string_false_does_not_share_noise(self):
+        # bool("false") is True: the negative control would run with
+        # shared noise if the string were accepted
+        doc = sweep_doc("study-coupling", share="false")
+        with pytest.raises(ConfigError, match="'share_noise'"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_flags_accept_json_booleans(self, value):
+        cfg = parse_config(sample_doc(share_noise=value,
+                                      write_ensemble=value))
+        assert cfg.share_noise is value
+        assert cfg.write_ensemble is value
+
 
 class TestLoadConfig:
     def test_bad_json_reports_line_and_column(self, tmp_path):
