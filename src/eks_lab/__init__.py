@@ -29,6 +29,7 @@ from .ensemble import (
 from .errors import (
     DegenerateDirection,
     DimensionMismatch,
+    Diverged,
     EksError,
     NonFinite,
     NonPositive,

@@ -27,11 +27,17 @@ Three evolutions share one discretization skeleton:
   coordinates as eks_step couples the two systems through shared Brownian
   increments.
 
-Every per-particle operation is an einsum over frozen step-level matrices,
-so a particle's update depends only on its own row and on statistics that
-are themselves particle-order-invariant; permuting particles (and their
-noise) permutes trajectories bit-for-bit, and reruns on any thread count
-reproduce the same bytes.
+The steps work component-major: they take the contiguous (L, J)
+transpose of the particles (free for a step's own output) and of the
+noise block, and every per-particle operation is an einsum that applies a
+frozen L x L or L x K step-level matrix to contiguous length-J rows
+("ml,lj->mj"), summing over the short axis in a fixed order for each
+particle.  A particle's update therefore depends only on its own column
+and on statistics that are themselves particle-order-invariant; permuting
+particles (and their noise) permutes trajectories bit-for-bit, the input's
+memory layout does not matter, and reruns on any thread count reproduce
+the same bytes.  Each step returns Ensemble.particles as the (J, L) view
+of its (L, J) result, so the next step's transpose costs nothing.
 
 run() advances one ensemble, or the cells of a sweep in lockstep: every
 cell takes step k before any cell takes step k + 1.  The cells share one
@@ -52,6 +58,7 @@ import numpy as np
 from .ensemble import Ensemble, centered_moment, empirical_stats
 from .errors import (
     DimensionMismatch,
+    Diverged,
     NonFinite,
     NonlinearUnsupported,
     NonPositive,
@@ -134,19 +141,21 @@ def sample_gaussian(moments, j_particles, seed):
 
 def _draw(noise, step, j, l):
     # noise is a NoiseSource (anything with normal_block) or the (J, L)
-    # block already drawn for this step, which two coupled updates share
+    # block already drawn for this step, which two coupled updates share;
+    # either way it comes back as its contiguous (L, J) transpose
     if isinstance(noise, np.ndarray):
         if noise.shape != (j, l):
             raise DimensionMismatch(
                 f"noise block has shape {noise.shape}, step needs {(j, l)}")
-        return noise
-    return noise.normal_block(step, j, l)
+    else:
+        noise = noise.normal_block(step, j, l)
+    return np.ascontiguousarray(noise.T)
 
 
 def _kalman_step(ens, problem, cfg, noise, gradient):
     """The one Kalman step both public steps run; gradient picks how the
     misfit covectors z_j = gamma^{-1} (G(u_j) - y) are pulled back to the
-    drift rows: through cov_ug, or through cov_uu (A^T + grad m(u_j))."""
+    drift: through cov_ug, or through cov_uu (A^T + grad m(u_j))."""
     if ens.dim != problem.dim_l:
         raise DimensionMismatch(
             f"ensemble dimension {ens.dim} vs problem dimension "
@@ -155,38 +164,45 @@ def _kalman_step(ens, problem, cfg, noise, gradient):
     if h == 0.0:
         return Ensemble._unchecked(ens.particles, ens.time, ens.step + 1)
     stats = empirical_stats(ens, problem)
-    u = ens.particles
-    j, l = u.shape
-    z = np.einsum("jk,km->jm", stats.forward - problem.y[None, :],
-                  problem.gamma_inv)
+    j, l = ens.particles.shape
+    u = np.ascontiguousarray(ens.particles.T)
+    g = np.ascontiguousarray(stats.forward.T)
+    z = np.einsum("km,kj->mj", problem.gamma_inv, g - problem.y[:, None])
     if gradient:
-        pulled = np.einsum("jk,kl->jl", z, problem.a)
+        pulled = np.einsum("kl,kj->lj", problem.a, z)
         if problem.nonlinear is not None:
-            pulled = pulled + problem.nonlinear.grad_apply_batch(u, z)
-        drift_rows = np.einsum("jl,ml->jm", pulled, stats.cov_uu)
+            pulled += problem.nonlinear.grad_apply_batch(u.T, z.T).T
+        drift = np.einsum("ml,lj->mj", stats.cov_uu, pulled)
     else:
-        drift_rows = np.einsum("jk,lk->jl", z, stats.cov_ug)
+        drift = np.einsum("lk,kj->lj", stats.cov_ug, z)
     eye = problem._eye_l
     system = eye + h * np.einsum("ab,bc->ac", stats.cov_uu,
                                  problem.gamma0_inv)
     prior_pull = h * np.einsum("ab,b->a", stats.cov_uu,
                                problem._gamma0_inv_u0)
-    rhs = u - h * drift_rows + prior_pull[None, :]
+    rhs = u - h * drift + prior_pull[:, None]
     try:
         # one factorization per step: the system matrix is particle
-        # independent, so its inverse is applied to every row
+        # independent, so its inverse is applied to every particle
         solve_matrix = general_solve(system, eye)
     except SingularMatrix as err:
+        # I + h cov_uu gamma0^{-1} is never singular in exact arithmetic;
+        # it turns numerically singular only once the second term swamps
+        # the identity, i.e. once the ensemble has diverged
+        growth = float(np.max(np.abs(system - eye)))
+        if growth >= 1.0 / np.finfo(float).eps:
+            raise Diverged(
+                f"step {ens.step}: ensemble diverged, h max|cov_uu "
+                f"gamma0^-1| = {growth:.3e} (stepsize too large?)") from None
         raise SingularImplicitSystem(
             f"step {ens.step}: implicit system is singular ({err})") from None
-    u_star = np.einsum("jl,ml->jm", rhs, solve_matrix)
+    out = np.einsum("ml,lj->mj", solve_matrix, rhs)
     root = spd_sqrt(2.0 * h * stats.cov_uu, cfg.sqrt_tol)
-    xi = _draw(noise, ens.step, j, l)
-    out = u_star + np.einsum("jl,ml->jm", xi, root)
+    out += np.einsum("ml,lj->mj", root, _draw(noise, ens.step, j, l))
     if not np.isfinite(out).all():
         raise NonFinite(
             f"step {ens.step}: particles overflowed (stepsize too large?)")
-    return Ensemble._unchecked(out, ens.time + h, ens.step + 1)
+    return Ensemble._unchecked(out.T, ens.time + h, ens.step + 1)
 
 
 def eks_step(ens, problem, cfg, noise):
@@ -250,15 +266,15 @@ def mean_field_step(v_ens, rho_moments, problem, cfg, noise):
                                    v_ens.step + 1)
     drive = rho_moments if isinstance(rho_moments, MeanFieldDrive) \
         else mean_field_drive(rho_moments, problem, cfg)
-    v = v_ens.particles
-    j, l = v.shape
-    drift_rows = np.einsum("jl,ml->jm", v - drive.u_star[None, :], drive.pull)
-    xi = _draw(noise, v_ens.step, j, l)
-    out = v - h * drift_rows + np.einsum("jl,ml->jm", xi, drive.root)
+    j, l = v_ens.particles.shape
+    v = np.ascontiguousarray(v_ens.particles.T)
+    drift = np.einsum("ml,lj->mj", drive.pull, v - drive.u_star[:, None])
+    out = v - h * drift
+    out += np.einsum("ml,lj->mj", drive.root, _draw(noise, v_ens.step, j, l))
     if not np.isfinite(out).all():
         raise NonFinite(
             f"step {v_ens.step}: reference particles overflowed")
-    return Ensemble._unchecked(out, v_ens.time + h, v_ens.step + 1)
+    return Ensemble._unchecked(out.T, v_ens.time + h, v_ens.step + 1)
 
 
 def condition_check(problem, rho_moments):

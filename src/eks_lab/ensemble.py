@@ -4,25 +4,29 @@ Statistics use the 1/J (biased) normalization throughout — the particle
 dynamics and their mean-field constants assume it, and 1/(J-1) would
 change the flow.
 
-Every reduction over particles runs over the rows in one canonical order:
-the lexicographic order of the raw particle rows u_j (np.lexsort), with
-G(u_j) gathered alongside.  When the first column has no ties, that order
-is the unique permutation that sorts the first column, so any argsort of
-it (stable or not, whatever its algorithm) returns exactly that order;
-only a tie sends the order to np.lexsort.  Means and covariances are then
-fixed-order np.einsum contractions over those rows, O(J L^2) for the
-covariances; einsum's scalar loop is deterministic and does not use
-threads, so the result is bit-stable across runs and thread counts.  Two
-rows tie in the key only if they are the same point, so they carry the
-same G row and the order among them cannot change a sum: statistics are
-bitwise independent of particle order, and permuting an ensemble permutes
-its trajectories exactly.  The key must be the raw rows, not the centered
-ones — subtracting the mean can round two distinct points to the same
-centered row while their G rows still differ, and then the tie order
-would leak into cov_ug.  Centering subtracts the componentwise minimum,
-an exact pivot, before any arithmetic, so an ensemble whose particles all
-coincide produces exactly zero covariance, not merely a small one — the
-degenerate-freeze invariant of the dynamics depends on that exactness.
+Every reduction over particles runs over the particles in one canonical
+order: the lexicographic order of the raw particle rows u_j (np.lexsort),
+with G(u_j) gathered alongside.  When the first column has no ties, that
+order is the unique permutation that sorts the first column, so any
+argsort of it (stable or not, whatever its algorithm) returns exactly that
+order; only a tie sends the order to np.lexsort.  The gather writes the
+component-major (L, J) transposes of u and G in that order, C-contiguous
+whatever the input's layout; means and covariances are fixed-order
+np.einsum contractions along those length-J rows, O(J L^2) for the
+covariances.  einsum's loops are built for the baseline instruction set
+(their grouping depends on J and the binaries, not on run-time CPU
+features) and use no threads, so the result is bit-stable across runs and
+thread counts.  Two particles tie in the key only if they are the same
+point, so they carry the same G row and the order among them cannot change
+a sum: statistics are bitwise independent of particle order, and permuting
+an ensemble permutes its trajectories exactly.  The key must be the raw
+rows, not the centered ones — subtracting the mean can round two distinct
+points to the same centered row while their G rows still differ, and then
+the tie order would leak into cov_ug.  Centering subtracts the
+componentwise minimum, an exact pivot, before any arithmetic, so an
+ensemble whose particles all coincide produces exactly zero covariance,
+not merely a small one — the degenerate-freeze invariant of the dynamics
+depends on that exactness.
 """
 
 from dataclasses import dataclass
@@ -112,15 +116,10 @@ def _canonical_order(u):
 
 
 def _mean_rows(rows):
-    # rows in canonical order; the pivot is exact, the sum fixed-order.
-    # A min over axis 0 of a narrow C-ordered array runs an inner loop of
-    # length L per row; below L = 32 reducing a transposed copy along its
-    # rows is faster, and min is exact either way
-    if rows.shape[1] < 32:
-        pivot = np.ascontiguousarray(rows.T).min(axis=1)
-    else:
-        pivot = rows.min(axis=0)
-    return pivot + np.einsum("jl->l", rows - pivot) / rows.shape[0]
+    # rows (L, J), particles in canonical order along axis 1; the pivot
+    # is exact, the sum fixed-order along each contiguous row
+    pivot = rows.min(axis=1)
+    return pivot + np.einsum("lj->l", rows - pivot[:, None]) / rows.shape[1]
 
 
 def empirical_stats(ens, problem):
@@ -136,13 +135,13 @@ def empirical_stats(ens, problem):
     if not np.all(np.isfinite(g)):
         raise NonFinite("forward map produced non-finite values")
     order = _canonical_order(u)
-    us, gs = np.take(u, order, axis=0), np.take(g, order, axis=0)
+    us, gs = np.take(u.T, order, axis=1), np.take(g.T, order, axis=1)
     mean_u = _mean_rows(us)
     mean_g = _mean_rows(gs)
-    cu = us - mean_u
-    cg = gs - mean_g
-    cov_uu = np.einsum("jl,jm->lm", cu, cu) / j
-    cov_ug = np.einsum("jl,jm->lm", cu, cg) / j
+    cu = us - mean_u[:, None]
+    cg = gs - mean_g[:, None]
+    cov_uu = np.einsum("lj,mj->lm", cu, cu) / j
+    cov_ug = np.einsum("lj,mj->lm", cu, cg) / j
     return EnsembleStats(mean_u=mean_u, mean_g=mean_g,
                          cov_uu=cov_uu, cov_ug=cov_ug, forward=g)
 
@@ -151,20 +150,20 @@ def particle_moments(ens):
     """(mean_u, cov_uu) of empirical_stats, bit for bit, without
     evaluating the forward map: same canonical order, pivot and einsum."""
     u = ens.particles
-    us = np.take(u, _canonical_order(u), axis=0)
+    us = np.take(u.T, _canonical_order(u), axis=1)
     mean_u = _mean_rows(us)
-    cu = us - mean_u
-    return mean_u, np.einsum("jl,jm->lm", cu, cu) / us.shape[0]
+    cu = us - mean_u[:, None]
+    return mean_u, np.einsum("lj,mj->lm", cu, cu) / us.shape[1]
 
 
 def centered_moment(ens, p):
     """(1/J) sum_j |u_j - mean|^p for even p in {2, 4, 6, 8}."""
     if p not in (2, 4, 6, 8):
         raise NonPositive(f"p must be one of 2, 4, 6, 8, got {p}")
-    u = np.take(ens.particles, _canonical_order(ens.particles), axis=0)
-    cu = u - _mean_rows(u)
-    sq = np.einsum("jl,jl->j", cu, cu)
-    return float(np.einsum("j->", sq ** (p // 2)) / u.shape[0])
+    us = np.take(ens.particles.T, _canonical_order(ens.particles), axis=1)
+    cu = us - _mean_rows(us)[:, None]
+    sq = np.einsum("lj,lj->j", cu, cu)
+    return float(np.einsum("j->", sq ** (p // 2)) / us.shape[1])
 
 
 def affine_span_distance(ens, reference):
@@ -174,9 +173,9 @@ def affine_span_distance(ens, reference):
         raise DimensionMismatch(
             f"dimension mismatch: {ens.dim} vs {reference.dim}")
     ref = reference.particles
-    ref_mean = _mean_rows(np.take(ref, _canonical_order(ref), axis=0))
-    basis = (ref - ref_mean).T
-    rhs = (ens.particles - ref_mean).T
+    ref_mean = _mean_rows(np.take(ref.T, _canonical_order(ref), axis=1))
+    basis = ref.T - ref_mean[:, None]
+    rhs = ens.particles.T - ref_mean[:, None]
     coef, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
     residual = rhs - basis @ coef
     dists = np.sqrt(np.einsum("lj,lj->j", residual, residual))

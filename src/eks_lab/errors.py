@@ -36,6 +36,12 @@ class SingularImplicitSystem(EksError):
     records the step index."""
 
 
+class Diverged(EksError):
+    """The ensemble spread grew until a step's arithmetic broke down,
+    typically because the stepsize is too large; the message records the
+    step index."""
+
+
 class DegenerateDirection(EksError):
     """A requested direction collapses to (numerically) zero, e.g. a
     perturbation direction that lies entirely inside the forward map's

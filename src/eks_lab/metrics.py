@@ -151,10 +151,16 @@ def fit_slope(points):
         raise NonPositive("all x and y values must be finite and positive")
     lx = np.log(pts[:, 0])
     ly = np.log(pts[:, 1])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    fitted = slope * lx + intercept
-    ss_res = float(np.sum((ly - fitted) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
+    slope, intercept, r2 = _line_fit(lx, ly)
+    return SlopeFit(slope=slope, intercept=intercept, r_squared=r2,
+                    points=np.column_stack([lx, ly]))
+
+
+def _line_fit(x, y):
+    """Least-squares line y = slope * x + intercept and its R^2, clamped
+    to [0, 1] and 1 for constant y; the one fit behind every rate."""
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return SlopeFit(slope=float(slope), intercept=float(intercept),
-                    r_squared=r2, points=np.column_stack([lx, ly]))
+    return float(slope), float(intercept), r2

@@ -239,16 +239,19 @@ def apply_forward(problem, u):
 
 
 def apply_forward_batch(problem, u_all):
-    """Evaluate the forward map on all rows of u_all, shape (J, L) -> (J, K)."""
+    """Evaluate the forward map on all rows of u_all, shape (J, L) -> (J, K),
+    returned as the transpose of a C-contiguous (K, J) array."""
     u_all = np.asarray(u_all, dtype=float)
     if u_all.ndim != 2 or u_all.shape[1] != problem.dim_l:
         raise DimensionMismatch(
             f"batch must have shape (J, {problem.dim_l}), got {u_all.shape}")
-    # einsum instead of @: its fixed-order scalar loop gives every row the
-    # same rounding regardless of row position or thread count
-    out = np.einsum("jl,kl->jk", u_all, problem.a)
+    # A applied to the contiguous (L, J) transpose sums over l in one
+    # fixed order for every particle, whatever its position, the input's
+    # layout or the thread count
+    u_t = np.ascontiguousarray(u_all.T)
+    out = np.einsum("kl,lj->kj", problem.a, u_t).T
     if problem.nonlinear is not None:
-        out = out + problem.nonlinear.eval_batch(u_all)
+        out += problem.nonlinear.eval_batch(u_t.T)
     return out
 
 

@@ -5,7 +5,8 @@ A study is described by one JSON document (see load_config) and produces
 in its output directory:
 
   report.json   deterministic summary — config echo, per-cell values with
-                their exact seeds, slope fits, pass/fail flags.  The only
+                their exact seeds, slope fits, pass/fail flags, and the
+                Python, numpy, scipy and machine it ran on.  The only
                 line that varies between identical runs is the single
                 "generated" header entry (timestamp and total wall time).
   <kind>.csv    flat per-cell rows: study, J, t, repeat, seed,
@@ -25,6 +26,7 @@ which the group's cells share, plus its own sampling and measurement.
 """
 
 import json
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -33,12 +35,18 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .dynamics import SdeConfig, run, sample_gaussian
 from .ensemble import particle_moments, save_csv
 from .errors import EksError, NonPositive, TooLarge
-from .metrics import fit_slope, gaussian_w2, w2_ensemble_vs_gaussian
+from .metrics import (
+    _line_fit,
+    fit_slope,
+    gaussian_w2,
+    w2_ensemble_vs_gaussian,
+)
 from .model import (
     GaussianMoments,
     InverseProblem,
@@ -633,18 +641,13 @@ def run_study_time(cfg, out_dir=None, threads=1):
         # here is semilog, not the log-log of fit_slope
         ts = np.array([p[0] for p in fit_pts])
         logs = np.log([p[1] for p in fit_pts])
-        slope, intercept = np.polyfit(ts, logs, 1)
-        pred = slope * ts + intercept
-        ss_res = float(np.sum((logs - pred) ** 2))
-        ss_tot = float(np.sum((logs - np.mean(logs)) ** 2))
-        r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+        slope, intercept, r2 = _line_fit(ts, logs)
         fits["log_w2_vs_t"] = {
-            "slope": float(slope), "intercept": float(intercept),
-            "r_squared": float(r2),
+            "slope": slope, "intercept": intercept, "r_squared": r2,
             "points": [[float(a), float(b)] for a, b in zip(ts, logs)],
         }
-        _check_band(flags, cfg.bands, "decay_slope", float(slope))
-        _check_band(flags, cfg.bands, "decay_r_squared", float(r2))
+        _check_band(flags, cfg.bands, "decay_slope", slope)
+        _check_band(flags, cfg.bands, "decay_r_squared", r2)
 
     if cfg.with_particles:
         cells.extend(_particle_checkpoints(cfg, threads))
@@ -1015,6 +1018,12 @@ def write_report(report, out_dir):
         # here and nowhere else in this file
         "generated": f"{stamp} wall_ms={report.wall_ms_total:.1f}",
         "package": f"eks-lab {__version__}",
+        # noise and sums are bit-stable only on the same binaries, so the
+        # report names them; fixed per environment, reruns stay equal
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__,
+                        "scipy": scipy.__version__,
+                        "machine": platform.machine()},
         "study": report.kind,
         "base_seed": report.base_seed,
         "passed": report.passed,

@@ -167,6 +167,25 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert "[PASS]" not in captured.out
 
+    def test_diverging_ensemble_exits_three_naming_divergence(self, tmp_path,
+                                                               capsys):
+        # five particles in L = 8 under a strong misfit: the spread grows
+        # until the implicit system is numerically singular
+        rng = np.random.default_rng(0)
+        a = 3 * rng.normal(size=(10, 8))
+        doc = sample_doc(
+            sde={"j_particles": 5, "n_steps": 20, "h": 0.05},
+            problem={"a": a.tolist(), "gamma": (0.1 * np.eye(10)).tolist(),
+                     "gamma0": np.eye(8).tolist(),
+                     "y": rng.normal(size=10).tolist(), "u0": [0.0] * 8})
+        code = main(["sample", "--config", write_cfg(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "eks-lab: Diverged: step" in err
+        assert "(stepsize too large?)" in err
+        assert "Traceback" not in err
+
     def test_help_lists_exit_codes(self, capsys):
         with pytest.raises(SystemExit):
             main(["sample", "--help"])

@@ -20,9 +20,16 @@ from eks_lab.dynamics import (
     run,
     sample_gaussian,
 )
-from eks_lab.ensemble import Ensemble, affine_span_distance, empirical_stats
+from eks_lab.ensemble import (
+    Ensemble,
+    affine_span_distance,
+    centered_moment,
+    empirical_stats,
+    particle_moments,
+)
 from eks_lab.errors import (
     DimensionMismatch,
+    Diverged,
     NonFinite,
     NonPositive,
     SingularImplicitSystem,
@@ -173,11 +180,62 @@ def test_eks_step_matches_direct_transcription():
                                    rtol=1e-11, atol=1e-11)
 
 
+def philox_normals(seed, step, j, l):
+    # the addressed noise block, built from a fresh Philox
+    bpp = (l + 3) // 4
+    gen = Philox(key=np.array([seed, 0], dtype=np.uint64),
+                 counter=np.array([0, 0, 0, step], dtype=np.uint64))
+    raw = gen.random_raw(j * bpp * 4).reshape(j, bpp * 4)[:, :l]
+    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+
+
 def straight_line_step(ens, problem, cfg, seed, gradient):
-    """The Kalman step written out in one piece, operation for operation
-    as it stood before eks_step and eks_gradient_step shared a kernel:
-    stable sort and fancy-index gather, axis-0 pivot, a fresh Philox for
-    the noise, and I_L and gamma0^{-1} u0 rebuilt in place."""
+    """The Kalman step written out in one piece, operation for operation,
+    on the contiguous component-major (L, J) transpose: stable sort and
+    gather along axis 1, row-wise pivot, a fresh Philox for the noise,
+    and I_L and gamma0^{-1} u0 rebuilt in place."""
+    u = np.ascontiguousarray(ens.particles.T)
+    l, j = u.shape
+    h = cfg.h
+    g = np.einsum("kl,lj->kj", problem.a, u)
+    if problem.nonlinear is not None:
+        g = g + problem.nonlinear.evaluate_batch(u.T).T
+    order = np.argsort(u[0], kind="stable")
+    first = u[0, order]
+    if not np.all(first[1:] != first[:-1]):
+        order = np.lexsort(u[::-1])
+    # a fancy index u[:, order] would come back column-major, and the
+    # row sums below would then run in another order
+    us, gs = np.take(u, order, axis=1), np.take(g, order, axis=1)
+    pivot_u, pivot_g = us.min(axis=1), gs.min(axis=1)
+    mean_u = pivot_u + np.einsum("lj->l", us - pivot_u[:, None]) / j
+    mean_g = pivot_g + np.einsum("lj->l", gs - pivot_g[:, None]) / j
+    cu, cg = us - mean_u[:, None], gs - mean_g[:, None]
+    cov_uu = np.einsum("lj,mj->lm", cu, cu) / j
+    cov_ug = np.einsum("lj,mj->lm", cu, cg) / j
+    z = np.einsum("km,kj->mj", problem.gamma_inv, g - problem.y[:, None])
+    if gradient:
+        pulled = np.einsum("kl,kj->lj", problem.a, z)
+        if problem.nonlinear is not None:
+            pulled = pulled + problem.nonlinear.grad_apply_batch(u.T, z.T).T
+        drift = np.einsum("ml,lj->mj", cov_uu, pulled)
+    else:
+        drift = np.einsum("lk,kj->lj", cov_ug, z)
+    g0_inv = problem.gamma0_inv
+    system = np.eye(l) + h * np.einsum("ab,bc->ac", cov_uu, g0_inv)
+    prior_pull = h * np.einsum(
+        "ab,b->a", cov_uu, np.einsum("ab,b->a", g0_inv, problem.u0))
+    rhs = u - h * drift + prior_pull[:, None]
+    u_star = np.einsum("ml,lj->mj", np.linalg.solve(system, np.eye(l)), rhs)
+    xi = np.ascontiguousarray(philox_normals(seed, ens.step, j, l).T)
+    root = spd_sqrt(2.0 * h * cov_uu, cfg.sqrt_tol)
+    return (u_star + np.einsum("ml,lj->mj", root, xi)).T
+
+
+def row_major_step(ens, problem, cfg, seed, gradient):
+    """The same step in the particle-major (J, L) arithmetic it replaced,
+    where every contraction ran over a short inner axis of length L; it
+    agrees with the component-major step to rounding."""
     u = ens.particles
     j, l = u.shape
     h = cfg.h
@@ -208,11 +266,7 @@ def straight_line_step(ens, problem, cfg, seed, gradient):
         "ab,b->a", cov_uu, np.einsum("ab,b->a", g0_inv, problem.u0))
     rhs = u - h * drift_rows + prior_pull[None, :]
     u_star = np.einsum("jl,ml->jm", rhs, np.linalg.solve(system, np.eye(l)))
-    bpp = (l + 3) // 4
-    gen = Philox(key=np.array([seed, 0], dtype=np.uint64),
-                 counter=np.array([0, 0, 0, ens.step], dtype=np.uint64))
-    raw = gen.random_raw(j * bpp * 4).reshape(j, bpp * 4)[:, :l]
-    xi = ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+    xi = philox_normals(seed, ens.step, j, l)
     root = spd_sqrt(2.0 * h * cov_uu, cfg.sqrt_tol)
     return u_star + np.einsum("jl,ml->jm", xi, root)
 
@@ -244,8 +298,11 @@ def test_kalman_steps_bitwise_equal_straight_line_copy(l, ties):
         ens, noise = Ensemble(particles=particles, step=2), NoiseSource(seed)
         for _ in range(3):
             expected = straight_line_step(ens, problem, cfg, seed, gradient)
+            row_major = row_major_step(ens, problem, cfg, seed, gradient)
             ens = step(ens, problem, cfg, noise)
             assert np.array_equal(ens.particles, expected)
+            np.testing.assert_allclose(ens.particles, row_major,
+                                       rtol=0, atol=1e-14)
 
 
 def scipy_sqrtm(m):
@@ -478,6 +535,109 @@ def test_permutation_equivariance_over_trajectory():
         base = eks_step(base, problem, cfg, noise)
         permuted = eks_step(permuted, problem, cfg, wrapped)
     assert np.array_equal(permuted.particles, base.particles[perm])
+
+
+def nonlinear_problem(seed, l=3, k=4):
+    linear = random_problem(seed, l, k)
+    rng = np.random.default_rng(seed + 1)
+    pert = make_perpendicular_perturbation(
+        linear.a, linear.gamma, seed_direction=rng.normal(size=k),
+        frequency=0.4 * rng.normal(size=l), amplitude=0.3)
+    return dataclasses.replace(linear, nonlinear=pert)
+
+
+def all_steppers(problem):
+    # the three steps under one signature; the mean-field step runs on
+    # the linear part of the problem, with made-up flow moments
+    linear = dataclasses.replace(problem, nonlinear=None)
+    l = problem.dim_l
+    rho = GaussianMoments(mean=np.linspace(-1.0, 1.0, l),
+                          cov=0.5 * np.eye(l) + 0.1)
+    return (
+        lambda ens, cfg, noise: eks_step(ens, problem, cfg, noise),
+        lambda ens, cfg, noise: eks_gradient_step(ens, problem, cfg, noise),
+        lambda ens, cfg, noise: mean_field_step(ens, rho, linear, cfg, noise),
+    )
+
+
+@pytest.mark.parametrize("j", [7, 63, 1023])
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+def test_permutation_equivariance_at_odd_j(j, ties):
+    # odd J leaves a remainder after any vector width, so a particle in
+    # the remainder and one in the body must get the same arithmetic
+    problem = nonlinear_problem(5)
+    rng = np.random.default_rng(j)
+    particles = rng.normal(size=(j, 3))
+    if ties:
+        particles[1::3, 0] = particles[::3, 0][: len(particles[1::3])]
+        particles[-1] = particles[0]
+    perm = rng.permutation(j)
+    cfg = SdeConfig(h=0.05, n_steps=2, j_particles=j, seed=j)
+    for stepper in all_steppers(problem):
+        base = Ensemble(particles=particles)
+        permuted = Ensemble(particles=particles[perm])
+        noise = NoiseSource(seed=cfg.seed)
+        wrapped = PermutedNoise(NoiseSource(seed=cfg.seed), perm)
+        # the second step starts from a step's own component-major output
+        for _ in range(cfg.n_steps):
+            base = stepper(base, cfg, noise)
+            permuted = stepper(permuted, cfg, wrapped)
+            assert np.array_equal(permuted.particles, base.particles[perm])
+
+
+def offset_copy(a):
+    # a C-ordered copy of a that starts one float past a 64-byte boundary
+    buf = np.empty(a.size + 16)
+    start = (-buf.ctypes.data % 64) // 8 + 1
+    out = buf[start:start + a.size].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def layouts(particles):
+    """The same particles as C-ordered, F-ordered, offset C-ordered and
+    offset component-major arrays."""
+    return {
+        "C": np.ascontiguousarray(particles),
+        "F": np.asfortranarray(particles),
+        "offset": offset_copy(particles),
+        "offset-component-major": offset_copy(particles.T).T,
+    }
+
+
+@pytest.mark.parametrize("l", [3, 8])
+def test_stats_and_steps_independent_of_memory_layout(l):
+    problem = nonlinear_problem(11, l=l, k=l + 1)
+    particles = np.random.default_rng(l).normal(size=(63, l))
+    cfg = SdeConfig(h=0.05, n_steps=1, j_particles=63, seed=4)
+    expected = None
+    for name, array in layouts(particles).items():
+        assert np.array_equal(array, particles)
+        ens = Ensemble(particles=array, step=3)
+        stats = empirical_stats(ens, problem)
+        got = [stats.mean_u, stats.mean_g, stats.cov_uu, stats.cov_ug,
+               stats.forward, *particle_moments(ens),
+               np.array([centered_moment(ens, 2), centered_moment(ens, 4)])]
+        got += [stepper(ens, cfg, NoiseSource(seed=cfg.seed)).particles
+                for stepper in all_steppers(problem)]
+        if expected is None:
+            expected = got
+        for value, reference in zip(got, expected):
+            assert np.array_equal(value, reference), name
+
+
+def test_steps_independent_of_noise_block_layout():
+    problem = nonlinear_problem(12)
+    ens = random_ensemble(3, j=63, l=3, step=2)
+    cfg = SdeConfig(h=0.05, n_steps=1, j_particles=63, seed=8)
+    xi = NoiseSource(seed=cfg.seed).normal_block(ens.step, 63, 3)
+    for stepper in all_steppers(problem):
+        outs = [stepper(ens, cfg, block).particles
+                for block in layouts(xi).values()]
+        assert np.array_equal(outs[0], stepper(ens, cfg, NoiseSource(
+            seed=cfg.seed)).particles)
+        for out in outs[1:]:
+            assert np.array_equal(out, outs[0])
 
 
 def test_bit_identical_reruns():
@@ -769,6 +929,24 @@ def test_singular_implicit_system_reports_step(monkeypatch):
     cfg = SdeConfig(h=0.1, n_steps=1, j_particles=4, seed=0)
     with pytest.raises(SingularImplicitSystem, match="step 17"):
         eks_step(ens, problem, cfg, NoiseSource(seed=0))
+
+
+def test_diverging_ensemble_is_reported_as_divergence():
+    # J = 5 < L = 8 and a strong misfit: the spread grows by orders of
+    # magnitude per step until h cov_uu gamma0^{-1} swamps the identity
+    # and the implicit system turns numerically singular
+    rng = np.random.default_rng(0)
+    a = 3 * rng.normal(size=(10, 8))
+    problem = InverseProblem(a=a, gamma=0.1 * np.eye(10), gamma0=np.eye(8),
+                             y=rng.normal(size=10), u0=np.zeros(8))
+    ens = Ensemble(particles=rng.normal(size=(5, 8)))
+    cfg = SdeConfig(h=0.05, n_steps=10, j_particles=5, seed=0)
+    noise = NoiseSource(0)
+    with pytest.raises(Diverged, match=r"step \d+: ensemble diverged.*"
+                       r"stepsize too large\?"):
+        for _ in range(cfg.n_steps):
+            ens = eks_step(ens, problem, cfg, noise)
+    assert 1 <= ens.step < cfg.n_steps
 
 
 def test_step_dim_mismatch():

@@ -167,12 +167,13 @@ def test_canonical_order_without_ties_at_size(j, l):
 
 @pytest.mark.parametrize("l", [1, 2, 8, 31, 32, 50])
 def test_mean_rows_pivot_is_the_columnwise_minimum(l):
-    rows = np.random.default_rng(l).standard_normal((300, l))
-    expected = rows.min(axis=0) + np.einsum(
-        "jl->l", rows - rows.min(axis=0)) / 300
+    # component-major rows: one row of 300 particles per component
+    rows = np.random.default_rng(l).standard_normal((300, l)).T.copy()
+    pivot = rows.min(axis=1)
+    expected = pivot + np.einsum("lj->l", rows - pivot[:, None]) / 300
     assert np.array_equal(_mean_rows(rows), expected)
-    same = np.tile(rows[:1], (300, 1))
-    assert np.array_equal(_mean_rows(same), rows[0])
+    same = np.tile(rows[:, :1], (1, 300))
+    assert np.array_equal(_mean_rows(same), rows[:, 0])
 
 
 def test_stats_order_key_is_the_raw_rows():

@@ -8,9 +8,11 @@ report.json.
 """
 
 import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 from eks_lab import dynamics, studies
 from eks_lab.dynamics import sample_gaussian
@@ -725,6 +727,13 @@ class TestWriteReport:
         assert doc["config"]["sde"]["sqrt_tol"] == 1e-12
         # cells never carry wall times; those live in the CSV only
         assert all("wall_ms" not in cell for cell in doc["cells"])
+
+    def test_report_names_its_environment(self, tmp_path):
+        write_report(run_sample(parse_config(sample_doc())), tmp_path)
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "machine": platform.machine()}
 
     def test_fit_serialization(self, tmp_path):
         doc = {"kind": "study-j", "seed": 2,
