@@ -16,13 +16,13 @@ validate check did), 2 usage or configuration error, 3 a runtime error
 """
 
 import argparse
-import dataclasses
 import os
 import sys
 
 from . import __version__
 from .errors import EksError
-from .studies import STUDY_KINDS, ConfigError, load_config, run_study
+from .studies import (STUDY_KINDS, ConfigError, load_config, parse_config,
+                      run_study)
 
 EXIT_OK = 0
 EXIT_BAND_FAILURE = 1
@@ -82,9 +82,10 @@ def main(argv=None):
                 f"config kind {cfg.kind!r} does not match subcommand "
                 f"{args.command!r}")
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be non-negative")
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+            try:
+                cfg = parse_config(dict(cfg.echo, seed=args.seed))
+            except ConfigError as err:
+                raise ConfigError(f"--seed: {err}") from None
     except ConfigError as err:
         print(f"eks-lab: config error: {err}", file=sys.stderr)
         return EXIT_USAGE

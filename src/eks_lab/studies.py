@@ -1,8 +1,9 @@
 """Study drivers: configure a problem from JSON, run parameter sweeps,
 write machine-readable reports.
 
-A study is described by one JSON document (see load_config) and produces
-in its output directory:
+A study is described by one JSON document, which parse_config walks
+against one table (CONFIG: each key's type, default, range and kinds)
+before any compute runs, and produces in its output directory:
 
   report.json   deterministic summary — config echo, per-cell values with
                 their exact seeds, slope fits, pass/fail flags, and the
@@ -25,8 +26,10 @@ than once per cell.  A sweep cell's wall_ms is its group's run time,
 which the group's cells share, plus its own sampling and measurement.
 """
 
+import difflib
 import json
 import platform
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -40,7 +43,7 @@ import scipy
 from . import __version__
 from .dynamics import SdeConfig, run, sample_gaussian
 from .ensemble import particle_moments, save_csv
-from .errors import EksError, NonPositive, TooLarge
+from .errors import EksError
 from .metrics import (
     _line_fit,
     fit_slope,
@@ -78,20 +81,17 @@ __all__ = [
 
 STUDY_KINDS = ("sample", "study-j", "study-time", "study-coupling",
                "demo-nonlinear", "validate")
+SWEEP_KINDS = ("study-j", "study-coupling")
 
-# documented defaults; everything else must be explicit in the config
-DEFAULT_H = 0.01
 DEFAULT_SQRT_TOL = 1e-12
 
-
-# the bands the drivers grade, by shape: a "max" or "min" band is a
-# number, an "interval" band is [lo, hi] with lo <= hi
-BAND_SHAPES = {
-    "mean_error": "max", "cov_error": "max", "alg2_mean_error": "max",
-    "decay_r_squared": "min", "min_alg1_worse_count": "min",
-    "slope_j": "interval", "slope_coupling": "interval",
-    "decay_slope": "interval",
-}
+# the anisotropic off-center 2-D linear problem used throughout the
+# acceptance studies, and the start its studies take by default
+DEFAULT_PROBLEM = {"a": [[1.0, 0.0], [0.0, 2.0]],
+                   "gamma": [[1.0, 0.0], [0.0, 1.0]],
+                   "gamma0": [[1.0, 0.0], [0.0, 1.0]],
+                   "y": [1.0, 1.0], "u0": [0.0, 0.0]}
+DEFAULT_RHO0 = {"mean": [2.0, -2.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
 
 
 class ConfigError(EksError):
@@ -102,13 +102,11 @@ class ConfigError(EksError):
 def default_problem():
     """The anisotropic off-center 2-D linear problem used throughout the
     acceptance studies."""
-    return InverseProblem(a=[[1.0, 0.0], [0.0, 2.0]],
-                          gamma=np.eye(2), gamma0=np.eye(2),
-                          y=[1.0, 1.0], u0=[0.0, 0.0])
+    return InverseProblem(**DEFAULT_PROBLEM)
 
 
 def default_rho0():
-    return GaussianMoments(mean=[2.0, -2.0], cov=np.eye(2))
+    return GaussianMoments(**DEFAULT_RHO0)
 
 
 @dataclass(frozen=True)
@@ -183,277 +181,288 @@ class StudyReport:
         return all(self.flags.values())
 
 
-# --------------------------------------------------------------- parsing
+# ---------------------------------------------------------------- schema
 
 
-def _require(doc, key, kind):
-    if key not in doc:
-        raise ConfigError(f"{kind} study requires config field '{key}'")
-    return doc[key]
+@dataclass(frozen=True)
+class Field:
+    """One config key: its type, its default (None: optional; ...: the
+    kinds that read it must give it), its numbers' range and its kinds.
+
+    A type is int or float (a finite JSON number; an int rejects 2.7), a
+    tuple of the allowed values, [int] or [float] (a non-empty, strictly
+    increasing sweep), np.ndarray (nested lists of numbers), a band shape
+    ("max", "min" or "interval") or a dict of Fields (a section; a label
+    names its keys from the section, not from the config root)."""
+
+    type: object
+    default: object = None
+    range: str = "(-inf, inf)"
+    kinds: tuple = STUDY_KINDS
+    label: Optional[str] = None
 
 
-def _number(cast, value, name):
-    """cast(value) for a scalar config field; failure is a ConfigError."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config field '{name}' must be a number, got "
-                          f"{value!r}") from None
+def _default_rho0(resolved):
+    """The acceptance studies' start on a 2-D problem centered at the
+    origin, the prior otherwise."""
+    problem = resolved["problem"]
+    if len(problem["u0"]) == 2 and np.allclose(problem["u0"], 0.0):
+        return DEFAULT_RHO0
+    return {"mean": problem["u0"], "cov": problem["gamma0"]}
 
 
-def _flag(doc, name, default):
-    """A boolean config field; anything but JSON true or false (a string
-    "false" included) is a ConfigError."""
-    value = doc.get(name, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"config field '{name}' must be true or false, "
-                          f"got {value!r}")
-    return value
+_ARRAY = Field(np.ndarray, ...)
 
+# a problem document: the config's inline "problem", or a problem file
+PROBLEM = {
+    "a": _ARRAY, "gamma": _ARRAY, "gamma0": _ARRAY, "y": _ARRAY, "u0": _ARRAY,
+    "nonlinear": Field({"seed_direction": _ARRAY, "frequency": _ARRAY,
+                        "amplitude": Field(float, ..., "[0, inf)")}),
+}
 
-def _numbers(cast, values, name):
-    """[cast(v) for v in values] for a list config field; anything that is
-    not a list of numbers is a ConfigError."""
-    if not isinstance(values, list):
-        raise ConfigError(f"config field '{name}' must be a list of "
-                          f"numbers, got {values!r}")
-    return [_number(cast, v, name) for v in values]
+# every band, by the shape its value must have and the one kind that
+# grades it: a "max" or "min" band is a number, an "interval" band is
+# [lo, hi] with lo <= hi
+BANDS = {
+    "mean_error": Field("max", kinds=("sample",)),
+    "cov_error": Field("max", kinds=("sample",)),
+    "slope_j": Field("interval", kinds=("study-j",)),
+    "decay_slope": Field("interval", kinds=("study-time",)),
+    "decay_r_squared": Field("min", kinds=("study-time",)),
+    "slope_coupling": Field("interval", kinds=("study-coupling",)),
+    "alg2_mean_error": Field("max", kinds=("demo-nonlinear",)),
+    "min_alg1_worse_count": Field("min", kinds=("demo-nonlinear",)),
+}
 
-
-def _matrix(doc, key):
-    try:
-        return np.asarray(doc[key], dtype=float)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"problem field '{key}' is missing or not "
-                          f"numeric: {err}") from None
-
-
-def _parse_problem(spec, base_dir):
-    if spec == "default" or spec is None:
-        return default_problem()
-    if not isinstance(spec, dict):
-        raise ConfigError("'problem' must be \"default\", an object, or "
-                          "an object with a 'path'")
-    if "path" in spec:
-        path = Path(base_dir) / spec["path"]
-        try:
-            spec = json.loads(path.read_text())
-        except OSError as err:
-            raise ConfigError(f"cannot read problem file: {err}") from None
-        except json.JSONDecodeError as err:
-            raise ConfigError(
-                f"problem file {path}: invalid JSON at line {err.lineno}, "
-                f"column {err.colno}: {err.msg}") from None
-    nonlinear = None
-    if spec.get("nonlinear") is not None:
-        nl = spec["nonlinear"]
-        for fld in ("seed_direction", "frequency", "amplitude"):
-            if fld not in nl:
-                raise ConfigError(f"nonlinear spec requires '{fld}'")
-        nonlinear = make_perpendicular_perturbation(
-            _matrix(spec, "a"), _matrix(spec, "gamma"),
-            seed_direction=_matrix(nl, "seed_direction"),
-            frequency=_matrix(nl, "frequency"),
-            amplitude=_number(float, nl["amplitude"],
-                              "problem.nonlinear.amplitude"))
-    try:
-        return InverseProblem(a=_matrix(spec, "a"),
-                              gamma=_matrix(spec, "gamma"),
-                              gamma0=_matrix(spec, "gamma0"),
-                              y=_matrix(spec, "y"),
-                              u0=_matrix(spec, "u0"),
-                              nonlinear=nonlinear)
-    except EksError as err:
-        raise ConfigError(f"invalid problem: {err}") from None
-
-
-def _parse_rho0(spec, problem):
-    if spec is None:
-        if problem.dim_l == 2 and np.allclose(problem.u0, 0.0):
-            return default_rho0()
-        return GaussianMoments(mean=problem.u0, cov=problem.gamma0)
-    try:
-        return GaussianMoments(mean=np.asarray(spec["mean"], dtype=float),
-                               cov=np.asarray(spec["cov"], dtype=float))
-    except (KeyError, TypeError, ValueError, EksError) as err:
-        raise ConfigError(f"invalid rho0: {err}") from None
+# The whole config, in the order of the echo in report.json.  The echo is
+# the config resolved against this table, so parse and echo cannot drift
+# apart.
+CONFIG = {
+    "kind": Field(STUDY_KINDS, ...),
+    "seed": Field(int, 0, "[0, 18446744073709551616)"),
+    "problem": Field(PROBLEM, DEFAULT_PROBLEM, label="problem field"),
+    "rho0": Field({"mean": _ARRAY, "cov": _ARRAY}, _default_rho0),
+    "sde": Field({
+        "h": Field(float, 0.01, "[0, 0.5]"),            # SdeConfig's range
+        "n_steps": Field(int, 0, "[0, inf)"),
+        "j_particles": Field(int, 0, "[0, inf)"),
+        "sqrt_tol": Field(float, DEFAULT_SQRT_TOL, "(0, inf)"),
+    }, {}),
+    "repeats": Field(int, 1, "[1, inf)"),
+    "share_noise": Field((True, False), True),
+    "with_particles": Field((True, False), False),
+    "write_ensemble": Field((True, False), True),
+    "fit_t_min": Field(float, 1.0),
+    "bands": Field(BANDS, {}, label="band"),
+    "sweep": Field({
+        "j_values": Field([int], ..., "[2, inf)", SWEEP_KINDS),
+        "t_checkpoints": Field([float], ..., "[0, inf)",
+                               ("study-time",)),
+    }, {}, kinds=SWEEP_KINDS + ("study-time",)),
+}
 
 
 def _is_number(x):
-    # finite int or float; the comparison is exact for ints of any size
+    # an int or float a float can hold; NaN passes here and fails every
+    # range, so a NaN h is reported against h's range
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and abs(x) < np.inf)
+            and not abs(x) > sys.float_info.max)
 
 
-def _check_band_shape(name, band):
-    shape = BAND_SHAPES.get(name)
-    if shape == "interval":
-        if not (isinstance(band, list) and len(band) == 2
-                and all(_is_number(x) for x in band) and band[0] <= band[1]):
-            raise ConfigError(f"band '{name}' must be [lo, hi] with "
-                              f"lo <= hi, got {band!r}")
-    elif shape is not None and not _is_number(band):
-        raise ConfigError(f"band '{name}' must be a number ({shape}), "
-                          f"got {band!r}")
+def _number(cast, value, rng, label, name):
+    if not _is_number(value):
+        raise ConfigError(f"{label} '{name}' must be a number, got {value!r}")
+    if cast is int and not isinstance(value, int):
+        raise ConfigError(f"{label} '{name}' must be an integer, got "
+                          f"{value!r}")
+    lo, hi = rng[1:-1].split(", ")
+    if not ((float(lo) <= value if rng[0] == "[" else float(lo) < value)
+            and (value <= float(hi) if rng[-1] == "]" else value < float(hi))):
+        bound = (f"be {'>=' if rng[0] == '[' else '>'} {lo}"
+                 if hi == "inf" and lo != "-inf" else f"lie in {rng}")
+        raise ConfigError(f"{label} '{name}': {name.rsplit('.', 1)[-1]} "
+                          f"must {bound}, got {value!r}")
+    return cast(value)
 
 
-def _sorted_sweep(values, name):
-    vals = list(values)
-    if not vals:
-        raise ConfigError(f"sweep list '{name}' must be non-empty")
-    if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise ConfigError(f"sweep list '{name}' must be strictly increasing")
-    return tuple(vals)
+def _leaves(x):
+    return [y for v in x for y in _leaves(v)] if isinstance(x, list) else [x]
+
+
+def _check(field, value, kind, label, name):
+    """value checked against field, in the form the echo holds it."""
+    expected = field.type
+    if isinstance(expected, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{label} '{name}' must be an object, got "
+                              f"{value!r}")
+        return _walk(expected, value, kind, field.label or label,
+                     "" if field.label else name + ".")
+    if isinstance(expected, tuple):
+        if not (type(value) is type(expected[0]) and value in expected):
+            allowed = " or ".join(json.dumps(v) for v in expected)
+            raise ConfigError(f"{label} '{name}' must be {allowed}, got "
+                              f"{value!r}")
+        return value
+    if isinstance(expected, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{label} '{name}' must be a list of numbers, "
+                              f"got {value!r}")
+        items = [_number(expected[0], v, field.range, label, name)
+                 for v in value]
+        if not items:
+            raise ConfigError(f"{label} '{name}' must be non-empty")
+        if any(b <= a for a, b in zip(items, items[1:])):
+            raise ConfigError(f"{label} '{name}' must be strictly increasing")
+        return items
+    if expected is np.ndarray:
+        try:
+            if isinstance(value, list) and all(map(_is_number,
+                                                   _leaves(value))):
+                return np.asarray(value, dtype=float).tolist()
+        except ValueError:                  # ragged nesting
+            pass
+        raise ConfigError(f"{label} '{name}' must be a list (or nested "
+                          f"lists) of numbers, got {value!r}")
+    if expected == "interval":
+        if not (isinstance(value, list) and len(value) == 2
+                and all(map(_is_number, value)) and value[0] <= value[1]):
+            raise ConfigError(f"{label} '{name}' must be [lo, hi] with "
+                              f"lo <= hi, got {value!r}")
+        return value
+    # a band keeps the number type it is written in: a count stays an int
+    return _number(type(value) if expected in ("max", "min") else expected,
+                   value, field.range, label, name)
+
+
+def _walk(schema, doc, kind, label, prefix):
+    """doc resolved against a section of the table for a study of this
+    kind, in the table's order: unknown keys rejected, values checked,
+    defaults filled in.  A key the kind does not read must be absent."""
+    for key in doc:
+        if key not in schema:
+            near = difflib.get_close_matches(str(key), list(schema), n=1)
+            hint = f": did you mean '{prefix}{near[0]}'?" if near else ""
+            raise ConfigError(f"unknown {label} '{prefix}{key}'{hint}")
+    out = {}
+    for key, field in schema.items():
+        name = prefix + key
+        if key in doc:
+            value = doc[key]
+        elif kind not in field.kinds or field.default is None:
+            continue
+        elif field.default is Ellipsis:
+            raise ConfigError(f"{label} '{name}' is required")
+        else:
+            value = (field.default(out) if callable(field.default)
+                     else field.default)
+        out[key] = _check(field, value, kind, label, name)
+        if kind not in field.kinds:
+            raise ConfigError(f"{label} '{name}' does not apply to {kind} "
+                              f"studies")
+    return out
+
+
+def _read_json(path, what):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{what} {path}: invalid JSON at line {err.lineno}"
+                          f", column {err.colno}: {err.msg}") from None
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read {what}: {err}") from None
+
+
+def _problem_document(spec, base_dir):
+    """The inline problem a config's "problem" stands for: "default", an
+    inline problem, or {"path": ...} relative to the config."""
+    if spec == "default":
+        return DEFAULT_PROBLEM
+    if not (isinstance(spec, dict) and "path" in spec):
+        return spec
+    if not isinstance(spec["path"], str) or len(spec) > 1:
+        raise ConfigError("config field 'problem.path' must be a string "
+                          f"and the problem's only key, got {spec!r}")
+    return _read_json(Path(base_dir) / spec["path"], "problem file")
+
+
+def _build(cast, doc, what):
+    try:
+        return cast(**doc)
+    except EksError as err:
+        raise ConfigError(f"invalid {what}: {err}") from None
+
+
+def _inverse_problem(nonlinear=None, **matrices):
+    if nonlinear is not None:
+        nonlinear = make_perpendicular_perturbation(
+            matrices["a"], matrices["gamma"], **nonlinear)
+    return InverseProblem(nonlinear=nonlinear, **matrices)
 
 
 def load_config(path):
     """Read and validate a study config from a JSON file."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as err:
-        raise ConfigError(f"cannot read config: {err}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: invalid JSON at line {err.lineno}, "
-                          f"column {err.colno}: {err.msg}") from None
-    return parse_config(doc, base_dir=path.parent)
+    return parse_config(_read_json(path, "config"),
+                        base_dir=Path(path).parent)
 
 
 def parse_config(doc, base_dir="."):
-    """Validate a config document and resolve defaults into a StudyConfig."""
+    """Validate a config document against CONFIG and resolve defaults into
+    a StudyConfig whose echo is the resolved document."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    kind = doc.get("kind")
-    if kind not in STUDY_KINDS:
-        raise ConfigError(f"'kind' must be one of {STUDY_KINDS}, "
-                          f"got {kind!r}")
-    problem = _parse_problem(doc.get("problem"), base_dir)
-    rho0 = _parse_rho0(doc.get("rho0"), problem)
-    if rho0.dim != problem.dim_l:
-        raise ConfigError(f"rho0 dimension {rho0.dim} does not match "
-                          f"problem dimension {problem.dim_l}")
+    kind = _check(CONFIG["kind"], doc.get("kind"), None, "config field",
+                  "kind")
+    if "problem" in doc:
+        doc = dict(doc, problem=_problem_document(doc["problem"], base_dir))
+    echo = _walk(CONFIG, doc, kind, "config field", "")
+    top = {k: v for k, v in echo.items()
+           if k not in ("problem", "rho0", "sde", "sweep")}
+    cfg = StudyConfig(
+        problem=_build(_inverse_problem, echo["problem"], "problem"),
+        rho0=_build(GaussianMoments, echo["rho0"], "rho0"),
+        echo=echo, **top, **echo["sde"],
+        **{k: tuple(v) for k, v in echo.get("sweep", {}).items()})
 
-    share_noise = _flag(doc, "share_noise", True)
-    with_particles = _flag(doc, "with_particles", False)
-    write_ensemble = _flag(doc, "write_ensemble", True)
-
-    sde = doc.get("sde", {})
-    if not isinstance(sde, dict):
-        raise ConfigError("'sde' must be an object")
-    h = _number(float, sde.get("h", DEFAULT_H), "sde.h")
-    try:
-        SdeConfig(h=h, n_steps=0, j_particles=1, seed=0)
-    except NonPositive as err:
-        raise ConfigError(f"config field 'sde.h': {err}") from None
-    sqrt_tol = _number(float, sde.get("sqrt_tol", DEFAULT_SQRT_TOL),
-                       "sde.sqrt_tol")
-    n_steps = _number(int, sde.get("n_steps", 0), "sde.n_steps")
-    j_particles = _number(int, sde.get("j_particles", 0), "sde.j_particles")
-    needs_run = kind in ("sample", "demo-nonlinear", "study-j",
-                         "study-coupling")
-    if needs_run and n_steps < 0:
-        raise ConfigError("sde.n_steps must be >= 0")
-    if kind in ("sample", "demo-nonlinear") and j_particles < 1:
+    if cfg.rho0.dim != cfg.problem.dim_l:
+        raise ConfigError(f"rho0 dimension {cfg.rho0.dim} does not match "
+                          f"problem dimension {cfg.problem.dim_l}")
+    if kind in SWEEP_KINDS and cfg.n_steps < 1:
+        raise ConfigError(f"{kind} study requires sde.n_steps >= 1")
+    if kind in ("sample", "demo-nonlinear") and cfg.j_particles < 1:
         raise ConfigError(f"{kind} study requires sde.j_particles >= 1")
-
-    sweep = doc.get("sweep", {})
-    if not isinstance(sweep, dict):
-        raise ConfigError("'sweep' must be an object")
-    j_values = ()
-    t_checkpoints = ()
-    if kind in ("study-j", "study-coupling"):
-        j_values = _sorted_sweep(
-            _numbers(int, _require(sweep, "j_values", kind),
-                     "sweep.j_values"), "j_values")
-        if any(v < 2 for v in j_values):
-            raise ConfigError("j_values must all be >= 2")
-        if n_steps < 1:
-            raise ConfigError(f"{kind} study requires sde.n_steps >= 1")
-    if kind == "study-time":
-        t_checkpoints = _sorted_sweep(
-            _numbers(float, _require(sweep, "t_checkpoints", kind),
-                     "sweep.t_checkpoints"), "t_checkpoints")
-        if t_checkpoints[0] < 0.0:
-            raise ConfigError("t_checkpoints must be >= 0")
-        if with_particles:
-            if j_particles < 2:
+    if kind == "study-time" and cfg.with_particles:
+        if cfg.j_particles < 2:
+            raise ConfigError("with_particles requires sde.j_particles >= 2")
+        if cfg.h == 0.0:
+            raise ConfigError("with_particles requires config field "
+                              "'sde.h' > 0")
+        for t in cfg.t_checkpoints:
+            if not abs(np.round(t / cfg.h) * cfg.h - t) <= 1e-9:
                 raise ConfigError(
-                    "with_particles requires sde.j_particles >= 2")
-            if h == 0.0:
-                raise ConfigError("with_particles requires config field "
-                                  "'sde.h' > 0")
-            for t in t_checkpoints:
-                if abs(round(t / h) * h - t) > 1e-9:
-                    raise ConfigError(
-                        f"checkpoint t={t} is not a multiple of h={h}")
-
-    repeats = _number(int, doc.get("repeats", 1), "repeats")
-    if repeats < 1:
-        raise ConfigError("repeats must be >= 1")
-
-    seed = _number(int, doc.get("seed", 0), "seed")
-    if seed < 0:
-        raise ConfigError("seed must be a non-negative integer")
-
-    bands = doc.get("bands", {})
-    if not isinstance(bands, dict):
-        raise ConfigError("'bands' must be an object")
-    for name, band in bands.items():
-        _check_band_shape(name, band)
-
+                    f"checkpoint t={t} is not a multiple of h={cfg.h}")
     if kind == "demo-nonlinear":
-        if problem.nonlinear is None:
+        if cfg.problem.nonlinear is None:
             raise ConfigError("demo-nonlinear requires a problem with a "
                               "'nonlinear' section")
-        if problem.dim_l > 2:
+        if cfg.problem.dim_l > 2:
             raise ConfigError("demo-nonlinear requires L <= 2 (quadrature "
                               "oracle limit)")
 
-    return StudyConfig(
-        kind=kind, problem=problem, rho0=rho0, h=h, n_steps=n_steps,
-        j_particles=j_particles, seed=seed, sqrt_tol=sqrt_tol,
-        j_values=j_values, t_checkpoints=t_checkpoints, repeats=repeats,
-        share_noise=share_noise, with_particles=with_particles,
-        write_ensemble=write_ensemble,
-        fit_t_min=_number(float, doc.get("fit_t_min", 1.0), "fit_t_min"),
-        bands=dict(bands), echo=doc,
-    )
-
-
-def _config_echo(cfg):
-    """Fully-resolved config (defaults materialized) for the report."""
-    problem = {
-        "a": cfg.problem.a.tolist(),
-        "gamma": cfg.problem.gamma.tolist(),
-        "gamma0": cfg.problem.gamma0.tolist(),
-        "y": cfg.problem.y.tolist(),
-        "u0": cfg.problem.u0.tolist(),
-    }
-    raw_nl = cfg.echo.get("problem")
-    if isinstance(raw_nl, dict) and raw_nl.get("nonlinear") is not None:
-        problem["nonlinear"] = raw_nl["nonlinear"]
-    out = {
-        "kind": cfg.kind,
-        "seed": cfg.seed,
-        "problem": problem,
-        "rho0": {"mean": cfg.rho0.mean.tolist(),
-                 "cov": cfg.rho0.cov.tolist()},
-        "sde": {"h": cfg.h, "n_steps": cfg.n_steps,
-                "j_particles": cfg.j_particles, "sqrt_tol": cfg.sqrt_tol},
-        "repeats": cfg.repeats,
-        "share_noise": cfg.share_noise,
-        "with_particles": cfg.with_particles,
-        "write_ensemble": cfg.write_ensemble,
-        "fit_t_min": cfg.fit_t_min,
-        "bands": cfg.bands,
-    }
-    if cfg.j_values:
-        out["sweep"] = {"j_values": list(cfg.j_values)}
-    if cfg.t_checkpoints:
-        out.setdefault("sweep", {})["t_checkpoints"] = list(cfg.t_checkpoints)
-    return out
+    # A band its study can never grade would pass vacuously: every band of
+    # a sweep or study-time grades a fit, which needs three points (at
+    # t >= fit_t_min for study-time), and a sample study's bands need the
+    # closed-form posterior of a linear problem.
+    band = next(iter(cfg.bands), None)
+    points = (len(cfg.j_values) if kind in SWEEP_KINDS
+              else sum(t >= cfg.fit_t_min for t in cfg.t_checkpoints))
+    if band and kind in SWEEP_KINDS + ("study-time",) and points < 3:
+        raise ConfigError(f"band '{band}' can never be graded: its fit "
+                          f"needs 3 points, the sweep gives {points}")
+    if band and kind == "sample" and cfg.problem.nonlinear is not None:
+        raise ConfigError(f"band '{band}' can never be graded: a nonlinear "
+                          "problem has no closed-form posterior")
+    return cfg
 
 
 # ------------------------------------------------------------ execution
@@ -480,17 +489,12 @@ def _moment_errors(ens, target):
 
 
 def _check_band(flags, bands, name, value):
-    """Grade value against a pre-registered band of the shape BAND_SHAPES
+    """Grade value against a pre-registered band of the shape BANDS
     gives it; bands absent from the config do not produce a flag."""
-    if name not in bands:
-        return
-    band = bands[name]
-    if BAND_SHAPES[name] == "max":
-        flags[name] = bool(value <= band)
-    elif BAND_SHAPES[name] == "min":
-        flags[name] = bool(value >= band)
-    else:
-        lo, hi = band
+    if name in bands:
+        band = bands[name]
+        lo, hi = {"max": (-np.inf, band),
+                  "min": (band, np.inf)}.get(BANDS[name].type, band)
         flags[name] = bool(lo <= value <= hi)
 
 
@@ -594,7 +598,7 @@ def run_sample(cfg, out_dir=None, threads=1):
         _write_diagnostics(res.diagnostics, Path(out_dir) / "diagnostics.csv")
 
     report = StudyReport(kind="sample", base_seed=cfg.seed,
-                         config_echo=_config_echo(cfg), cells=cells,
+                         config_echo=cfg.echo, cells=cells,
                          flags=flags, summary=summary,
                          wall_ms_total=(time.perf_counter() - t0) * 1e3)
     return report
@@ -613,7 +617,7 @@ def run_study_j(cfg, out_dir=None, threads=1):
 
     cells, means, fits, flags = _sweep(cfg, threads, "eks", measure)
     report = StudyReport(kind="study-j", base_seed=cfg.seed,
-                         config_echo=_config_echo(cfg), cells=cells,
+                         config_echo=cfg.echo, cells=cells,
                          fits=fits, flags=flags,
                          summary={"t_final": t_final,
                                   "mean_w2": {str(j): means[j]
@@ -653,7 +657,7 @@ def run_study_time(cfg, out_dir=None, threads=1):
         cells.extend(_particle_checkpoints(cfg, threads))
 
     report = StudyReport(kind="study-time", base_seed=cfg.seed,
-                         config_echo=_config_echo(cfg), cells=cells,
+                         config_echo=cfg.echo, cells=cells,
                          fits=fits, flags=flags,
                          summary={"curve": [[t, w2] for t, w2 in curve]},
                          wall_ms_total=(time.perf_counter() - t0) * 1e3)
@@ -662,16 +666,9 @@ def run_study_time(cfg, out_dir=None, threads=1):
 
 def _particle_checkpoints(cfg, threads):
     """Evolve one EKS ensemble, reading off gaussian_w2(empirical moments,
-    posterior) at every checkpoint (checkpoints must sit on the step grid)."""
-    if cfg.j_particles < 2:
-        raise ConfigError("with_particles requires sde.j_particles >= 2")
-    steps = []
-    for t in cfg.t_checkpoints:
-        n = int(round(t / cfg.h))
-        if abs(n * cfg.h - t) > 1e-9:
-            raise ConfigError(
-                f"checkpoint t={t} is not a multiple of h={cfg.h}")
-        steps.append(n)
+    posterior) at every checkpoint (parse_config put them on the step
+    grid)."""
+    steps = [int(round(t / cfg.h)) for t in cfg.t_checkpoints]
     target = posterior_moments(cfg.problem)
     cell_seed = derive_seed(cfg.seed, "time-particles")
     ens = sample_gaussian(cfg.rho0, cfg.j_particles,
@@ -707,7 +704,7 @@ def run_study_coupling(cfg, out_dir=None, threads=1):
     cells, means, fits, flags = _sweep(cfg, threads, "coupled", measure,
                                        flow=_flow(cfg))
     report = StudyReport(kind="study-coupling", base_seed=cfg.seed,
-                         config_echo=_config_echo(cfg), cells=cells,
+                         config_echo=cfg.echo, cells=cells,
                          fits=fits, flags=flags,
                          summary={"t_final": cfg.h * cfg.n_steps,
                                   "share_noise": cfg.share_noise,
@@ -722,8 +719,6 @@ def run_demo_nonlinear(cfg, out_dir=None, threads=1):
     step against a quadrature oracle of the true posterior, and the
     plain Kalman step on the same seeds to expose its bias."""
     t0 = time.perf_counter()
-    if cfg.problem.dim_l > 2:
-        raise TooLarge("the quadrature oracle supports L <= 2 only")
     target = quadrature_moments(cfg.problem)
     t_final = cfg.h * cfg.n_steps
 
@@ -781,7 +776,7 @@ def run_demo_nonlinear(cfg, out_dir=None, threads=1):
             save_csv(final, Path(out_dir) / f"ensemble_{label}.csv")
 
     report = StudyReport(kind="demo-nonlinear", base_seed=cfg.seed,
-                         config_echo=_config_echo(cfg), cells=cells,
+                         config_echo=cfg.echo, cells=cells,
                          flags=flags, summary=summary,
                          wall_ms_total=(time.perf_counter() - t0) * 1e3)
     return report
@@ -968,7 +963,7 @@ def run_validate(cfg, out_dir=None, threads=1):
         if detail is not None:
             failures[name] = detail
     report = StudyReport(
-        kind="validate", base_seed=cfg.seed, config_echo=_config_echo(cfg),
+        kind="validate", base_seed=cfg.seed, config_echo=cfg.echo,
         cells=cells,
         flags={"all_checks_passed": not failures},
         summary={"failures": failures, "n_checks": len(cells)},

@@ -137,6 +137,41 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        (sample_doc(problem={"path": 5}), "'problem.path'"),
+        (sample_doc(problem={"a": [[1.0, 0.0], [0.0, 2.0]],
+                             "gamma": [[1.0, 0.0], [0.0, 1.0]],
+                             "gamma0": [[1.0, 0.0], [0.0, 1.0]],
+                             "y": [1.0, 1.0], "u0": [0.0, 0.0],
+                             "nonlinear": 5}),
+         "problem field 'nonlinear' must be an object"),
+        (sample_doc(sde={"j_particles": 16, "sqrt_tol": -5}),
+         "'sde.sqrt_tol'"),
+        (sample_doc(seed=2 ** 70), "'seed'"),
+        (sample_doc(repeat=3), "'repeat': did you mean 'repeats'?"),
+        (sample_doc(problem={"a": [[1.0, 0.0], [0.0, 2.0]],
+                             "gamma": [[1.0, 0.0], [0.0, 1.0]],
+                             "gamma0": [[1.0, 0.0], [0.0, 1.0]],
+                             "y": [1.0, 1.0], "u0": [0.0, 0.0],
+                             "nonlinear": {"seed_direction": [1.0, 0.0],
+                                           "frequency": [1.0, 0.0],
+                                           "amplitude": 1.0}}),
+         "invalid problem: seed_direction lies inside the range of A"),
+    ], ids=["problem_path_not_a_string", "nonlinear_not_an_object",
+            "negative_sqrt_tol", "seed_beyond_64_bits", "misspelled_key",
+            "degenerate_perturbation"])
+    def test_malformed_value_exits_two_before_running(self, tmp_path, capsys,
+                                                      doc, message):
+        out_dir = tmp_path / "out"
+        code = main(["sample", "--config", write_cfg(tmp_path, doc),
+                     "--out", str(out_dir)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_non_boolean_flag_exits_two_without_traceback(self, tmp_path,
                                                           capsys):
         doc = {"kind": "study-coupling", "seed": 4, "share_noise": "false",
@@ -244,6 +279,22 @@ class TestSeedOverride:
                      "--out", str(tmp_path / "out"), "--seed", "-4"])
         assert code == EXIT_USAGE
         assert "--seed" in capsys.readouterr().err
+
+    def test_seed_beyond_64_bits_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, sample_doc())
+        code = main(["sample", "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--seed", str(2 ** 64)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--seed" in err and "'seed'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_override_shows_in_the_echo(self, tmp_path):
+        cfg = write_cfg(tmp_path, sample_doc(seed=99))
+        main(["sample", "--config", cfg, "--out", str(tmp_path / "out"),
+              "--seed", str(2 ** 64 - 1)])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["base_seed"] == report["config"]["seed"] == 2 ** 64 - 1
 
 
 class TestThreads:

@@ -9,6 +9,7 @@ report.json.
 
 import json
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,14 @@ def demo_doc(amplitude=2.0, **over):
         "repeats": 2,
     }
     doc.update(over)
+    return doc
+
+
+def sweep_doc(kind, share=True):
+    doc = {"kind": kind, "seed": 17, "sweep": {"j_values": [8, 16, 32]},
+           "sde": {"h": 0.05, "n_steps": 6}, "repeats": 2}
+    if kind == "study-coupling":
+        doc["share_noise"] = share
     return doc
 
 
@@ -180,11 +189,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"band '{name}' must be"):
             parse_config(sample_doc(bands=bands))
 
-    def test_well_shaped_and_unknown_bands_parse(self):
-        bands = {"mean_error": 1, "min_alg1_worse_count": 4,
-                 "slope_j": [-0.7, -0.3], "decay_slope": [-1.0, -1.0],
-                 "not_graded": "anything"}
-        assert parse_config(sample_doc(bands=bands)).bands == bands
+    @pytest.mark.parametrize("doc, bands", [
+        (sample_doc(), {"mean_error": 1, "cov_error": 0.5}),
+        (sweep_doc("study-j"), {"slope_j": [-0.7, -0.3]}),
+        (sweep_doc("study-coupling"), {"slope_coupling": [-1, -1]}),
+        ({"kind": "study-time", "sweep": {"t_checkpoints": [1.0, 2.0, 3.0]}},
+         {"decay_slope": [-1.0, -1.0], "decay_r_squared": 0.9}),
+        (demo_doc(), {"alg2_mean_error": 0.2, "min_alg1_worse_count": 4}),
+    ], ids=["sample", "study_j", "study_coupling", "study_time", "demo"])
+    def test_each_kinds_own_bands_parse(self, doc, bands):
+        cfg = parse_config(dict(doc, bands=bands))
+        assert cfg.bands == bands
+        assert cfg.echo["bands"] == bands
+
+    @pytest.mark.parametrize("bands, message", [
+        ({"slope_j": [-0.7, -0.3]},
+         "band 'slope_j' does not apply to sample studies"),
+        ({"min_alg1_worse_count": 4},
+         "band 'min_alg1_worse_count' does not apply to sample"),
+        ({"not_graded": 1.0}, "unknown band 'not_graded'"),
+        ({"mean_eror": 1.0},
+         "unknown band 'mean_eror': did you mean 'mean_error'?"),
+    ], ids=["foreign_interval", "foreign_min", "unknown", "near_miss"])
+    def test_foreign_or_unknown_band_is_rejected(self, bands, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(sample_doc(bands=bands))
 
     def test_demo_requires_nonlinear_section(self):
         doc = demo_doc()
@@ -300,6 +329,111 @@ class TestParseConfig:
         assert cfg.share_noise is value
         assert cfg.write_ensemble is value
 
+    @pytest.mark.parametrize("doc, message", [
+        (sample_doc(repeat=3),
+         "unknown config field 'repeat': did you mean 'repeats'?"),
+        (sample_doc(sde={"nsteps": 5, "j_particles": 16}),
+         "unknown config field 'sde.nsteps': did you mean 'sde.n_steps'?"),
+        (sample_doc(dt_ode=0.01), "unknown config field 'dt_ode'"),
+        (sample_doc(rho0={"mean": [0, 0], "cov": [[1, 0], [0, 1]],
+                          "covariance": 1}),
+         "unknown config field 'rho0.covariance'"),
+        (dict(demo_doc(), problem=dict(
+            {k: v for k, v in demo_doc()["problem"].items()
+             if k != "nonlinear"},
+            nonlinar=demo_doc()["problem"]["nonlinear"])),
+         "unknown problem field 'nonlinar': did you mean 'nonlinear'?"),
+        (dict(demo_doc(), problem=dict(demo_doc()["problem"], nonlinear={
+            "seed_direction": [0.0, 0.0, 1.0], "frequency": [0.7, -0.4],
+            "amplitude": 2.0, "amplitud": 2.0})),
+         "unknown problem field 'nonlinear.amplitud'"),
+        ({"kind": "study-j", "sde": {"n_steps": 5},
+          "sweep": {"j_values": [8, 16, 32]}, "bands": {"slope_J": [0, 1]}},
+         "unknown band 'slope_J': did you mean 'slope_j'?"),
+        ({"kind": "study-j", "sde": {"n_steps": 5},
+          "sweep": {"j_values": [8, 16, 32], "t_checkpoints": [1.0]}},
+         "'sweep.t_checkpoints' does not apply to study-j studies"),
+        (sample_doc(sweep={"j_values": [8, 16, 32]}),
+         "'sweep.j_values' does not apply to sample studies"),
+    ], ids=["top", "sde", "dt_ode", "rho0", "problem", "nonlinear", "band",
+            "sweep_key_of_another_kind", "sweep_of_a_sampler"])
+    def test_unknown_keys_are_rejected_with_their_path(self, doc, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("over, message", [
+        ({"repeats": 2.7}, "'repeats' must be an integer, got 2.7"),
+        ({"repeats": "12"}, "'repeats' must be a number, got '12'"),
+        ({"repeats": True}, "'repeats' must be a number, got True"),
+        ({"seed": 2 ** 64}, "'seed': seed must lie in [0, "),
+        ({"seed": 2 ** 70}, "'seed': seed must lie in [0, "),
+        ({"seed": 1.0}, "'seed' must be an integer"),
+        ({"sde": {"j_particles": 16, "sqrt_tol": -5}},
+         "'sde.sqrt_tol': sqrt_tol must be > 0, got -5"),
+        ({"sde": {"j_particles": 16, "sqrt_tol": float("inf")}},
+         "'sde.sqrt_tol' must be a number, got inf"),
+        ({"sde": {"j_particles": 16.0}}, "'sde.j_particles' must be an "
+                                         "integer"),
+        ({"fit_t_min": float("nan")}, "'fit_t_min'"),
+        ({"problem": {"path": 5}}, "'problem.path' must be a string"),
+        ({"problem": dict(studies.DEFAULT_PROBLEM, nonlinear=5)},
+         "problem field 'nonlinear' must be an object, got 5"),
+        ({"problem": dict(studies.DEFAULT_PROBLEM, a=[[1.0, True]])},
+         "problem field 'a' must be a list"),
+    ], ids=["int_given_float", "int_given_string", "int_given_bool",
+            "seed_2_64", "seed_2_70", "seed_float", "sqrt_tol_negative",
+            "sqrt_tol_infinite", "j_particles_float", "fit_t_min_nan",
+            "problem_path_not_a_string", "nonlinear_not_an_object",
+            "matrix_with_a_boolean"])
+    def test_values_outside_their_type_or_range(self, over, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(sample_doc(**over))
+
+    def test_largest_seed_is_accepted(self):
+        assert parse_config(sample_doc(seed=2 ** 64 - 1)).seed == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("kind", ["study-j", "study-coupling"])
+    def test_slope_band_needs_three_sizes(self, kind):
+        band = "slope_j" if kind == "study-j" else "slope_coupling"
+        doc = dict(sweep_doc(kind), bands={band: [-5.0, 5.0]})
+        doc["sweep"] = {"j_values": [8, 16]}
+        with pytest.raises(ConfigError, match=f"band '{band}' can never be "
+                                              "graded: its fit needs 3"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("fit_t_min", [2.5, 10.0])
+    @pytest.mark.parametrize("band", ["decay_slope", "decay_r_squared"])
+    def test_decay_band_needs_three_checkpoints_past_fit_t_min(
+            self, band, fit_t_min):
+        doc = {"kind": "study-time", "fit_t_min": fit_t_min,
+               "sweep": {"t_checkpoints": [0.0, 1.0, 2.0, 3.0]},
+               "bands": {band: [-2.0, 0.0] if band == "decay_slope"
+                         else 0.9}}
+        with pytest.raises(ConfigError, match=f"band '{band}' can never be "
+                                              "graded"):
+            parse_config(doc)
+        doc["fit_t_min"] = 1.0
+        assert parse_config(doc).bands == doc["bands"]
+
+    def test_moment_bands_need_a_linear_problem(self):
+        doc = dict(demo_doc(), kind="sample", repeats=1,
+                   bands={"mean_error": 1.0})
+        with pytest.raises(ConfigError, match="band 'mean_error' can never "
+                                              "be graded"):
+            parse_config(doc)
+
+    def test_echo_is_the_resolved_config_in_table_order(self):
+        cfg = parse_config(sample_doc(bands={"cov_error": 2}))
+        assert list(cfg.echo) == ["kind", "seed", "problem", "rho0", "sde",
+                                  "repeats", "share_noise", "with_particles",
+                                  "write_ensemble", "fit_t_min", "bands"]
+        assert cfg.echo["sde"] == {"h": 0.05, "n_steps": 5,
+                                   "j_particles": 16, "sqrt_tol": 1e-12}
+        assert cfg.echo["problem"] == studies.DEFAULT_PROBLEM
+        assert cfg.echo["rho0"] == studies.DEFAULT_RHO0
+        # a band is echoed in the number type it was written in
+        assert json.dumps(cfg.echo["bands"]) == '{"cov_error": 2}'
+
 
 class TestLoadConfig:
     def test_bad_json_reports_line_and_column(self, tmp_path):
@@ -327,6 +461,25 @@ class TestLoadConfig:
         cfg_path.write_text(json.dumps(
             sample_doc(problem={"path": "nowhere.json"})))
         with pytest.raises(ConfigError, match="problem file"):
+            load_config(cfg_path)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_literals_are_rejected(self, tmp_path, literal):
+        # json.loads accepts these; a NaN fit_t_min used to leave a failing
+        # decay band ungraded
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(
+            '{"kind": "study-time", "fit_t_min": %s, "sweep": '
+            '{"t_checkpoints": [0.0, 1.0, 2.0, 3.0]}, '
+            '"bands": {"decay_slope": [5.0, 6.0]}}' % literal)
+        with pytest.raises(ConfigError, match="'fit_t_min'"):
+            load_config(cfg_path)
+
+    def test_infinite_sqrt_tol_literal_is_rejected(self, tmp_path):
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text('{"kind": "sample", "sde": {"j_particles": 8, '
+                            '"sqrt_tol": Infinity}}')
+        with pytest.raises(ConfigError, match="'sde.sqrt_tol'"):
             load_config(cfg_path)
 
 
@@ -569,14 +722,6 @@ class TestStudyCoupling:
 
 
 # --------------------------------------------------------- sweep driver
-
-
-def sweep_doc(kind, share=True):
-    doc = {"kind": kind, "seed": 17, "sweep": {"j_values": [8, 16, 32]},
-           "sde": {"h": 0.05, "n_steps": 6}, "repeats": 2}
-    if kind == "study-coupling":
-        doc["share_noise"] = share
-    return doc
 
 
 class TestSweepDriver:
