@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two report.json files number by number.
 
-    python3 scripts/report_diff.py A/report.json B/report.json
+    python3 scripts/report_diff.py [--exact] A/report.json B/report.json
 
 The "generated" entry (timestamp and wall time) is ignored.  Every
 structural difference is listed: a key on one side only, lists of
@@ -13,7 +13,9 @@ path where the absolute one occurs.  A last line gives the maxima over
 all numeric leaves.
 
 Exit status: 0 when the structure matches (numbers may differ), 1 when
-it does not, 2 on a usage error.
+it does not, 2 on a usage error.  With --exact, any numeric leaf that
+differs also exits 1, so the script checks two reports for bitwise
+equality of their bodies.
 """
 
 import json
@@ -84,8 +86,10 @@ def compare(a, b):
 
 
 def main(argv):
+    exact = "--exact" in argv
+    argv = [arg for arg in argv if arg != "--exact"]
     if len(argv) != 2:
-        print("usage: report_diff.py A/report.json B/report.json",
+        print("usage: report_diff.py [--exact] A/report.json B/report.json",
               file=sys.stderr)
         return 2
     docs = []
@@ -111,7 +115,7 @@ def main(argv):
     n = sum(r[3] for r in rows.values())
     print(f"{'all':<{width}}  {total_abs:10.3g}  {total_rel:10.3g}  "
           f"{n:5d}  structural differences: {len(structural)}")
-    return 1 if structural else 0
+    return 1 if structural or (exact and total_abs != 0.0) else 0
 
 
 if __name__ == "__main__":

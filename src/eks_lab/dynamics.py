@@ -43,13 +43,19 @@ run() advances one ensemble, or the cells of a sweep in lockstep: every
 cell takes step k before any cell takes step k + 1.  The cells share one
 clock, so what depends only on that clock is computed once per step for
 all of them: rho(t_k) from the moment flow and the mean-field drive
-(C(t_k) B, u* and sqrt(2 h C(t_k))).  In coupled mode with shared noise
-each cell draws its xi once per step and hands the same array to the
-Kalman and the mean-field update.  Everything else — statistics, implicit
-solve, noise addressing and seeds — stays per cell, so a cell's numbers
-are bitwise those of running it alone.
+(C(t_k) B, u* and sqrt(2 h C(t_k))).  Cells may mix the two Kalman
+steps, so the gradient and the plain sampler can run side by side from
+one ensemble.  Noise comes from a draw table kept per step and keyed by
+(seed, J): since a block is a pure function of (seed, step, J, L), each
+distinct key is drawn once and handed to every update that reads it —
+the Kalman and the mean-field update of a shared-noise coupled cell, or
+two cells on the same seed.  The block is stored component-major, so no
+consumer copies it.  Everything else — statistics, implicit solve and
+seeds — stays per cell, so a cell's numbers are bitwise those of running
+it alone.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -84,6 +90,7 @@ __all__ = [
 ]
 
 RUN_MODES = ("eks", "eks_gradient", "mean_field", "coupled")
+KALMAN_MODES = ("eks", "eks_gradient")
 
 
 @dataclass(frozen=True)
@@ -141,8 +148,9 @@ def sample_gaussian(moments, j_particles, seed):
 
 def _draw(noise, step, j, l):
     # noise is a NoiseSource (anything with normal_block) or the (J, L)
-    # block already drawn for this step, which two coupled updates share;
-    # either way it comes back as its contiguous (L, J) transpose
+    # block already drawn for this step, which run()'s draw table hands
+    # to every update on the same seed; either way it comes back as its
+    # contiguous (L, J) transpose, free for a table block
     if isinstance(noise, np.ndarray):
         if noise.shape != (j, l):
             raise DimensionMismatch(
@@ -171,7 +179,7 @@ def _kalman_step(ens, problem, cfg, noise, gradient):
     if gradient:
         pulled = np.einsum("kl,kj->lj", problem.a, z)
         if problem.nonlinear is not None:
-            pulled += problem.nonlinear.grad_apply_batch(u.T, z.T).T
+            pulled += problem.nonlinear.grad_apply_batch(u, z)
         drift = np.einsum("ml,lj->mj", stats.cov_uu, pulled)
     else:
         drift = np.einsum("lk,kj->lj", stats.cov_ug, z)
@@ -292,11 +300,27 @@ def _coupling_error(u, v):
     return float(np.sum(np.sort(sq)) / sq.shape[0])
 
 
-def _check_cells(initials, cfgs, problem, mode, flow):
-    if mode not in RUN_MODES:
-        raise ValueError(f"mode must be one of {RUN_MODES}, got {mode!r}")
-    if mode in ("mean_field", "coupled") and flow is None:
-        raise ValueError(f"mode {mode!r} requires a MomentFlow")
+def _cell_modes(mode, n_cells, flow):
+    """The Kalman mode of each cell (None for mean-field-only cells) and
+    whether the cells carry mean-field reference particles."""
+    if not isinstance(mode, (list, tuple)):
+        if mode not in RUN_MODES:
+            raise ValueError(
+                f"mode must be one of {RUN_MODES}, got {mode!r}")
+        reference = mode in ("mean_field", "coupled")
+        if reference and flow is None:
+            raise ValueError(f"mode {mode!r} requires a MomentFlow")
+        kalman = {"mean_field": None, "coupled": "eks"}.get(mode, mode)
+        return [kalman] * n_cells, reference
+    if len(mode) != n_cells or not all(
+            isinstance(m, str) and m in KALMAN_MODES for m in mode):
+        raise ValueError(
+            f"a mode sequence needs one of {KALMAN_MODES} per cell, got "
+            f"{mode!r} for {n_cells} cells")
+    return list(mode), False
+
+
+def _check_cells(initials, cfgs, problem):
     if not initials or len(initials) != len(cfgs):
         raise DimensionMismatch(
             f"need one config per ensemble, got {len(cfgs)} configs for "
@@ -317,6 +341,37 @@ def _check_cells(initials, cfgs, problem, mode, flow):
                 first_cfg.h, first_cfg.n_steps, first_cfg.sqrt_tol):
             raise DimensionMismatch(
                 "lockstep cells must share h, n_steps and sqrt_tol")
+
+
+class _DrawTable:
+    """The noise blocks of one step, keyed by (seed, J).  A block is drawn
+    on its first use, handed to every update that reads that key, and
+    dropped after its last, so each distinct key is drawn once per step
+    and no more blocks are held than the cells in flight need."""
+
+    def __init__(self, keys, n_components):
+        self._uses = dict(Counter(keys))
+        self._sources = {seed: NoiseSource(seed=seed)
+                         for seed, _ in self._uses}
+        self._l = n_components
+
+    def start(self, step):
+        self._step, self._left, self._blocks = step, self._uses.copy(), {}
+
+    def take(self, key):
+        block = self._blocks.pop(key, None)
+        if block is None:
+            seed, j = key
+            xi = self._sources[seed].normal_block(self._step, j, self._l)
+            # the (J, L) view of a C-contiguous (L, J) array: every
+            # step's component-major transpose of it is free
+            block = np.ascontiguousarray(xi.T).T
+        self._left[key] -= 1
+        if self._left[key]:
+            # the next update on this key must see the same numbers
+            block.flags.writeable = False
+            self._blocks[key] = block
+        return block
 
 
 def run(initial, problem, cfg, mode, flow=None, share_noise=True,
@@ -342,26 +397,40 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
     a sweep's cells on one clock, and one config per cell with a shared
     h, n_steps and sqrt_tol (J and seed are the cell's own).  The cells
     then step in lockstep and a list of RunResults comes back, cell i's
-    bitwise equal to run(initial[i], problem, cfg[i], ...).
+    bitwise equal to run(initial[i], problem, cfg[i], ...).  mode may then
+    also be a list or tuple of one Kalman mode ("eks" or "eks_gradient")
+    per cell, so that the two samplers step side by side.
+
+    Every update of a step takes its noise from one draw table keyed by
+    (seed, J): the Kalman update reads the cell's seed, the mean-field
+    update the same seed with share_noise and a derived one without, and
+    each distinct key is drawn once per step however many updates read
+    it.  Cells that share a seed and a size (a sampler pair started from
+    one ensemble) therefore share one draw.
     """
     single = isinstance(initial, Ensemble)
     initials = [initial] if single else list(initial)
     cfgs = [cfg] if single else list(cfg)
-    _check_cells(initials, cfgs, problem, mode, flow)
+    kalman, reference = _cell_modes(mode, len(initials), flow)
+    _check_cells(initials, cfgs, problem)
     n_cells = len(initials)
     n_steps = cfgs[0].n_steps
-    reference = mode in ("mean_field", "coupled")
+    mean_field_only = kalman[0] is None
 
-    noises = [NoiseSource(seed=c.seed) for c in cfgs]
-    v_noises = noises if share_noise else [
-        NoiseSource(seed=derive_seed(c.seed, "independent-reference"))
+    u_keys = [(c.seed, c.j_particles) for c in cfgs]
+    v_keys = u_keys if share_noise else [
+        (derive_seed(c.seed, "independent-reference"), c.j_particles)
         for c in cfgs]
+    draws = _DrawTable(
+        [key for i, key in enumerate(u_keys) if kalman[i] is not None]
+        + (v_keys if reference else []), problem.dim_l)
     us = list(initials)
     vs = list(initials) if reference else None
     # the system whose clock the diagnostics read; every cell shares it
-    clock = vs if mode == "mean_field" else us
+    clock = vs if mean_field_only else us
 
-    coupling = [[] for _ in range(n_cells)] if mode == "coupled" else None
+    coupling = [[] for _ in range(n_cells)] \
+        if reference and not mean_field_only else None
     diags = [{key: [] for key in ("step", "time", "coupling_error",
                                   "condition", "trace_cov_uu",
                                   "fourth_moment")}
@@ -397,27 +466,21 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
             break
         drive = mean_field_drive(rho, problem, cfgs[0]) if reference \
             else None
+        draws.start(clock[0].step)
         for i in range(n_cells):
-            if mode == "eks":
-                us[i] = eks_step(us[i], problem, cfgs[i], noises[i])
-            elif mode == "eks_gradient":
-                us[i] = eks_gradient_step(us[i], problem, cfgs[i], noises[i])
-            elif mode == "mean_field":
+            if kalman[i] == "eks":
+                us[i] = eks_step(us[i], problem, cfgs[i],
+                                 draws.take(u_keys[i]))
+            elif kalman[i] == "eks_gradient":
+                us[i] = eks_gradient_step(us[i], problem, cfgs[i],
+                                          draws.take(u_keys[i]))
+            if reference:
                 vs[i] = mean_field_step(vs[i], drive, problem, cfgs[i],
-                                        v_noises[i])
-            else:
-                u_noise, v_noise = noises[i], v_noises[i]
-                if share_noise:
-                    # one draw feeds both systems
-                    u_noise = v_noise = noises[i].normal_block(
-                        us[i].step, *us[i].particles.shape)
-                us[i] = eks_step(us[i], problem, cfgs[i], u_noise)
-                vs[i] = mean_field_step(vs[i], drive, problem, cfgs[i],
-                                        v_noise)
+                                        draws.take(v_keys[i]))
 
     results = [RunResult(
-        final=vs[i] if mode == "mean_field" else us[i],
-        v_final=vs[i] if mode == "coupled" else None,
+        final=vs[i] if mean_field_only else us[i],
+        v_final=vs[i] if coupling is not None else None,
         coupling_error=(np.asarray(coupling[i]) if coupling is not None
                         else None),
         diagnostics=None if diags is None else {

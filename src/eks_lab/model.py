@@ -98,9 +98,11 @@ class NonlinearPerturbation:
     they are gamma^{-1}-orthogonal to the columns of A.
 
     evaluate_batch / gradient_apply_batch are the vectorized forms the
-    particle dynamics call: evaluate_batch(U) maps (J, L) -> (J, K),
-    gradient_apply_batch(U, Z) maps particles (J, L) and covectors (J, K)
-    to rows grad m(u_j) @ z_j of shape (J, L).
+    particle dynamics call, component-major like the steps: particles
+    come in as the contiguous (L, J) array U whose column j is u_j, and
+    covectors as the (K, J) array Z.  evaluate_batch(U) returns the
+    (K, J) array of columns m(u_j); gradient_apply_batch(U, Z) returns
+    the (L, J) array of columns grad m(u_j) @ z_j.
     """
 
     evaluate: Callable
@@ -114,8 +116,8 @@ class NonlinearPerturbation:
         out = np.asarray(self.evaluate_batch(u_all), dtype=float)
         if not np.all(np.isfinite(out)):
             raise NonFinite("perturbation produced non-finite values")
-        # sqrt is monotone: one sqrt of the largest squared row norm, not J
-        peak = float(np.sqrt(np.max(np.einsum("jk,jk->j", out, out)))) \
+        # sqrt is monotone: one sqrt of the largest squared column norm, not J
+        peak = float(np.sqrt(np.max(np.einsum("kj,kj->j", out, out)))) \
             if out.size else 0.0
         if peak > self.amplitude_bound * (1.0 + 1e-9) + 1e-12:
             raise EksError(
@@ -249,10 +251,10 @@ def apply_forward_batch(problem, u_all):
     # fixed order for every particle, whatever its position, the input's
     # layout or the thread count
     u_t = np.ascontiguousarray(u_all.T)
-    out = np.einsum("kl,lj->kj", problem.a, u_t).T
+    out = np.einsum("kl,lj->kj", problem.a, u_t)
     if problem.nonlinear is not None:
-        out += problem.nonlinear.eval_batch(u_t.T)
-    return out
+        out += problem.nonlinear.eval_batch(u_t)
+    return out.T
 
 
 def loss_phi_r(problem, u):
@@ -367,15 +369,17 @@ def make_perpendicular_perturbation(a, gamma, seed_direction, frequency,
         s = amplitude * (1.0 - np.tanh(float(frequency @ u)) ** 2)
         return s * np.outer(frequency, b)
 
-    # batched closures stick to einsum for row-order-independent rounding
-    def evaluate_batch(u_all):
-        t = np.tanh(np.einsum("jl,l->j", u_all, frequency))
-        return amplitude * t[:, None] * b[None, :]
+    # the batched closures run on component-major (L, J) and (K, J) rows:
+    # each einsum sums over the short axis in one fixed order per
+    # particle, and tanh runs once over a contiguous length-J row
+    def evaluate_batch(u):
+        t = np.tanh(np.einsum("l,lj->j", frequency, u))
+        return b[:, None] * (amplitude * t)[None, :]
 
-    def gradient_apply_batch(u_all, z_all):
-        t = np.tanh(np.einsum("jl,l->j", u_all, frequency))
+    def gradient_apply_batch(u, z):
+        t = np.tanh(np.einsum("l,lj->j", frequency, u))
         s = amplitude * (1.0 - t**2)
-        return (s * np.einsum("jk,k->j", z_all, b))[:, None] * frequency[None, :]
+        return frequency[:, None] * (s * np.einsum("k,kj->j", b, z))[None, :]
 
     return NonlinearPerturbation(
         evaluate=evaluate,

@@ -24,6 +24,9 @@ steps its cells in lockstep through one dynamics.run call in its own
 worker, so the per-step reference work is done once per group rather
 than once per cell.  A sweep cell's wall_ms is its group's run time,
 which the group's cells share, plus its own sampling and measurement.
+demo-nonlinear steps each repeat's gradient and plain sampler as two
+lockstep cells of one dynamics.run call, which share the repeat's
+ensemble, seed and noise draws.
 """
 
 import difflib
@@ -59,6 +62,7 @@ from .model import (
 )
 from .noise import derive_seed
 from .reference import MomentFlow, rho_at, w2_decay_curve
+from .spd import spd_sqrt
 
 __all__ = [
     "ConfigError",
@@ -427,6 +431,12 @@ def parse_config(doc, base_dir="."):
     if cfg.rho0.dim != cfg.problem.dim_l:
         raise ConfigError(f"rho0 dimension {cfg.rho0.dim} does not match "
                           f"problem dimension {cfg.problem.dim_l}")
+    try:
+        # the rule sample_gaussian applies when it draws from rho0
+        spd_sqrt(cfg.rho0.cov)
+    except EksError as err:
+        raise ConfigError("config field 'rho0.cov' must be a finite positive "
+                          f"semidefinite matrix: {err}") from None
     if kind in SWEEP_KINDS and cfg.n_steps < 1:
         raise ConfigError(f"{kind} study requires sde.n_steps >= 1")
     if kind in ("sample", "demo-nonlinear") and cfg.j_particles < 1:
@@ -728,9 +738,12 @@ def run_demo_nonlinear(cfg, out_dir=None, threads=1):
         initial = sample_gaussian(cfg.rho0, cfg.j_particles,
                                   derive_seed(rep_seed, "init"))
         sde = cfg.sde(derive_seed(rep_seed, "run"))
+        # both samplers step in lockstep from one ensemble on one seed,
+        # so each step's noise is drawn once for the pair
+        pair = run([initial, initial], cfg.problem, [sde, sde],
+                   ("eks_gradient", "eks"))
         out = {}
-        for label, mode in (("alg2", "eks_gradient"), ("alg1", "eks")):
-            res = run(initial, cfg.problem, sde, mode)
+        for label, res in zip(("alg2", "alg1"), pair):
             mean_err, cov_err = _moment_errors(res.final, target)
             out[label] = (mean_err, cov_err, res.final)
         wall = (time.perf_counter() - c0) * 1e3

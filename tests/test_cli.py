@@ -157,9 +157,12 @@ class TestExitCodes:
                                            "frequency": [1.0, 0.0],
                                            "amplitude": 1.0}}),
          "invalid problem: seed_direction lies inside the range of A"),
+        (sample_doc(rho0={"mean": [0.0, 0.0],
+                          "cov": [[1.0, 2.0], [2.0, 1.0]]}),
+         "config field 'rho0.cov' must be a finite positive semidefinite"),
     ], ids=["problem_path_not_a_string", "nonlinear_not_an_object",
             "negative_sqrt_tol", "seed_beyond_64_bits", "misspelled_key",
-            "degenerate_perturbation"])
+            "degenerate_perturbation", "indefinite_rho0_cov"])
     def test_malformed_value_exits_two_before_running(self, tmp_path, capsys,
                                                       doc, message):
         out_dir = tmp_path / "out"

@@ -42,7 +42,7 @@ from eks_lab.model import (
     posterior_moments,
     precision_matrix,
 )
-from eks_lab.noise import NoiseSource
+from eks_lab.noise import NoiseSource, derive_seed
 from eks_lab.reference import MomentFlow, rho_at
 from eks_lab.spd import spd_sqrt
 
@@ -199,7 +199,7 @@ def straight_line_step(ens, problem, cfg, seed, gradient):
     h = cfg.h
     g = np.einsum("kl,lj->kj", problem.a, u)
     if problem.nonlinear is not None:
-        g = g + problem.nonlinear.evaluate_batch(u.T).T
+        g = g + problem.nonlinear.evaluate_batch(u)
     order = np.argsort(u[0], kind="stable")
     first = u[0, order]
     if not np.all(first[1:] != first[:-1]):
@@ -217,7 +217,7 @@ def straight_line_step(ens, problem, cfg, seed, gradient):
     if gradient:
         pulled = np.einsum("kl,kj->lj", problem.a, z)
         if problem.nonlinear is not None:
-            pulled = pulled + problem.nonlinear.grad_apply_batch(u.T, z.T).T
+            pulled = pulled + problem.nonlinear.grad_apply_batch(u, z)
         drift = np.einsum("ml,lj->mj", cov_uu, pulled)
     else:
         drift = np.einsum("lk,kj->lj", cov_ug, z)
@@ -232,16 +232,21 @@ def straight_line_step(ens, problem, cfg, seed, gradient):
     return (u_star + np.einsum("ml,lj->mj", root, xi)).T
 
 
-def row_major_step(ens, problem, cfg, seed, gradient):
+def row_major_step(ens, problem, cfg, seed, gradient, tanh=None):
     """The same step in the particle-major (J, L) arithmetic it replaced,
     where every contraction ran over a short inner axis of length L; it
-    agrees with the component-major step to rounding."""
+    agrees with the component-major step to rounding.  tanh is the
+    (frequency, amplitude) of the problem's perturbation, whose batch
+    formulas are written out here in their old (J, L) form."""
     u = ens.particles
     j, l = u.shape
     h = cfg.h
     g = np.einsum("jl,kl->jk", u, problem.a)
     if problem.nonlinear is not None:
-        g = g + problem.nonlinear.evaluate_batch(u)
+        frequency, amplitude = tanh
+        b = problem.nonlinear.direction_basis[:, 0]
+        t = np.tanh(np.einsum("jl,l->j", u, frequency))
+        g = g + amplitude * t[:, None] * b[None, :]
     order = np.argsort(u[:, 0], kind="stable")
     first = u[order, 0]
     if not np.all(first[1:] != first[:-1]):
@@ -256,7 +261,9 @@ def row_major_step(ens, problem, cfg, seed, gradient):
     if gradient:
         pulled = np.einsum("jk,kl->jl", z, problem.a)
         if problem.nonlinear is not None:
-            pulled = pulled + problem.nonlinear.grad_apply_batch(u, z)
+            s = amplitude * (1.0 - t**2)
+            pulled = pulled + (s * np.einsum("jk,k->j", z, b))[:, None] \
+                * frequency[None, :]
         drift_rows = np.einsum("jl,ml->jm", pulled, cov_uu)
     else:
         drift_rows = np.einsum("jk,lk->jl", z, cov_ug)
@@ -278,9 +285,10 @@ def test_kalman_steps_bitwise_equal_straight_line_copy(l, ties):
     rng = np.random.default_rng(l)
     a = rng.normal(size=(k, l))
     gamma = np.diag(rng.uniform(0.5, 2.0, k))
+    frequency = 0.3 * rng.normal(size=l)
     pert = make_perpendicular_perturbation(
         a, gamma, seed_direction=rng.normal(size=k),
-        frequency=0.3 * rng.normal(size=l), amplitude=0.5)
+        frequency=frequency, amplitude=0.5)
     q0 = rng.normal(size=(l, l))
     problem = InverseProblem(a=a, gamma=gamma,
                              gamma0=q0 @ q0.T / l + np.eye(l),
@@ -298,7 +306,8 @@ def test_kalman_steps_bitwise_equal_straight_line_copy(l, ties):
         ens, noise = Ensemble(particles=particles, step=2), NoiseSource(seed)
         for _ in range(3):
             expected = straight_line_step(ens, problem, cfg, seed, gradient)
-            row_major = row_major_step(ens, problem, cfg, seed, gradient)
+            row_major = row_major_step(ens, problem, cfg, seed, gradient,
+                                       tanh=(frequency, 0.5))
             ens = step(ens, problem, cfg, noise)
             assert np.array_equal(ens.particles, expected)
             np.testing.assert_allclose(ens.particles, row_major,
@@ -811,7 +820,7 @@ def counted_nonlinear_problem():
     calls = []
 
     def evaluate_batch(u_all):
-        calls.append(u_all.shape[0])
+        calls.append(u_all.shape[1])
         return pert.evaluate_batch(u_all)
 
     counted = dataclasses.replace(pert, evaluate_batch=evaluate_batch)
@@ -1071,3 +1080,143 @@ def test_steps_accept_a_drawn_block_and_a_shared_drive():
         mean_field_step(ens, rho, problem, cfg, src).particles)
     with pytest.raises(DimensionMismatch, match="noise block"):
         eks_step(ens, problem, cfg, xi[:-1])
+
+
+# ----------------------------------------------------------- draw table
+
+
+def perturbed_problem():
+    a = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    gamma = np.diag([1.0, 2.0, 0.5])
+    pert = make_perpendicular_perturbation(
+        a, gamma, seed_direction=[0.0, 0.0, 1.0], frequency=[0.7, -0.4],
+        amplitude=2.0)
+    return InverseProblem(a=a, gamma=gamma, gamma0=np.eye(2),
+                          y=[1.0, 1.0, 1.5], u0=[0.0, 0.0], nonlinear=pert)
+
+
+def count_draws(monkeypatch):
+    """Record (seed, step, J) of every normal_block call from now on."""
+    calls = []
+    draw = NoiseSource.normal_block
+
+    def counted(self, step, n_particles, n_components):
+        calls.append((self.seed, step, n_particles))
+        return draw(self, step, n_particles, n_components)
+
+    monkeypatch.setattr(NoiseSource, "normal_block", counted)
+    return calls
+
+
+@pytest.mark.parametrize("j", [7, 64, 1023])
+def test_mixed_kalman_cells_equal_cells_run_alone(j):
+    # a sampler pair on one ensemble and seed, plus a cell of its own
+    problem = perturbed_problem()
+    moments0 = GaussianMoments(mean=[1.0, -1.0], cov=np.eye(2))
+    initials = [sample_gaussian(moments0, j, j)] * 2 + [
+        sample_gaussian(moments0, j + 1, j + 1)]
+    cfgs = [SdeConfig(h=0.05, n_steps=4, j_particles=n, seed=n)
+            for n in (j, j, j + 1)]
+    modes = ("eks_gradient", "eks", "eks_gradient")
+    together = run(initials, problem, cfgs, modes, record_diagnostics=True)
+    for initial, cfg, mode, res in zip(initials, cfgs, modes, together):
+        alone = run(initial, problem, cfg, mode, record_diagnostics=True)
+        assert np.array_equal(res.final.particles, alone.final.particles)
+        assert (res.final.time, res.final.step) == (alone.final.time,
+                                                    alone.final.step)
+        for key, values in alone.diagnostics.items():
+            np.testing.assert_array_equal(res.diagnostics[key], values,
+                                          err_msg=key)
+    # the pair really ran two different samplers
+    assert not np.array_equal(together[0].final.particles,
+                              together[1].final.particles)
+
+
+@pytest.mark.parametrize("mode, share_noise, draws_per_cell", [
+    ("eks", True, 1), ("mean_field", True, 1), ("coupled", True, 1),
+    ("coupled", False, 2)],
+    ids=["eks", "mean_field", "coupled_shared", "coupled_independent"])
+def test_sweep_cells_draw_once_per_seed_and_step(monkeypatch, mode,
+                                                  share_noise,
+                                                  draws_per_cell):
+    problem = default_problem()
+    moments0, initials, cfgs = lockstep_cells(n_steps=5)
+    flow = flow_for(problem, moments0.mean, moments0.cov)
+    calls = count_draws(monkeypatch)
+    run(initials, problem, cfgs, mode, flow=flow, share_noise=share_noise)
+    assert len(calls) == draws_per_cell * len(cfgs) * cfgs[0].n_steps
+    assert len(set(calls)) == len(calls)
+
+
+def test_sampler_pair_shares_one_draw_per_step(monkeypatch):
+    problem = perturbed_problem()
+    moments0 = GaussianMoments(mean=[1.0, -1.0], cov=np.eye(2))
+    initial = sample_gaussian(moments0, 32, 4)
+    cfg = SdeConfig(h=0.05, n_steps=6, j_particles=32, seed=4)
+    calls = count_draws(monkeypatch)
+    run([initial, initial], problem, [cfg, cfg], ("eks_gradient", "eks"))
+    assert calls == [(4, n, 32) for n in range(cfg.n_steps)]
+    # one seed at two sizes is two keys of the table
+    del calls[:]
+    small = Ensemble(particles=initial.particles[:16])
+    run([initial, small], problem, [cfg, dataclasses.replace(
+        cfg, j_particles=16)], "eks")
+    assert len(calls) == 2 * cfg.n_steps
+
+
+@pytest.mark.parametrize("modes", [
+    ("eks",), ("eks", "eks", "eks"), ("eks", "mean_field"),
+    ("eks_gradient", "coupled"), ("eks", "bogus"), ("eks", None)],
+    ids=["too_short", "too_long", "mean_field", "coupled", "unknown",
+         "not_a_name"])
+def test_bad_mode_sequence_raises_before_any_step(monkeypatch, modes):
+    from eks_lab import dynamics
+    problem = perturbed_problem()
+    moments0 = GaussianMoments(mean=[1.0, -1.0], cov=np.eye(2))
+    initial = sample_gaussian(moments0, 8, 1)
+    cfg = SdeConfig(h=0.05, n_steps=3, j_particles=8, seed=1)
+    calls = count_draws(monkeypatch)
+    stats = []
+    monkeypatch.setattr(dynamics, "empirical_stats",
+                        lambda *args: stats.append(args))
+    with pytest.raises(ValueError, match="one of .* per cell"):
+        run([initial, initial], problem, [cfg, cfg], modes)
+    assert calls == [] and stats == []
+
+
+def test_demo_pair_equals_two_separate_runs(monkeypatch):
+    from eks_lab import studies
+    doc = {"kind": "demo-nonlinear", "seed": 3, "repeats": 2,
+           "problem": {"a": [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]],
+                       "gamma": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+                                 [0.0, 0.0, 0.5]],
+                       "gamma0": [[1.0, 0.0], [0.0, 1.0]],
+                       "y": [1.0, 1.0, 1.5], "u0": [0.0, 0.0],
+                       "nonlinear": {"seed_direction": [0.0, 0.0, 1.0],
+                                     "frequency": [0.7, -0.4],
+                                     "amplitude": 2.0}},
+           "sde": {"j_particles": 50, "n_steps": 20, "h": 0.02}}
+    cfg = studies.parse_config(doc)
+    pairs = []
+
+    def recording(*args, **kwargs):
+        out = run(*args, **kwargs)
+        pairs.append(out)
+        return out
+
+    monkeypatch.setattr(studies, "run", recording)
+    report = studies.run_demo_nonlinear(cfg)
+    assert len(pairs) == cfg.repeats
+    for rep, pair in enumerate(pairs):
+        rep_seed = derive_seed(cfg.seed, "demo", rep)
+        initial = sample_gaussian(cfg.rho0, cfg.j_particles,
+                                  derive_seed(rep_seed, "init"))
+        sde = cfg.sde(derive_seed(rep_seed, "run"))
+        for mode, res in zip(("eks_gradient", "eks"), pair):
+            alone = run(initial, cfg.problem, sde, mode)
+            assert np.array_equal(res.final.particles,
+                                  alone.final.particles)
+        alg2_error = np.linalg.norm(
+            particle_moments(pair[0].final)[0]
+            - np.asarray(report.summary["quadrature_mean"]))
+        assert report.summary["alg2_mean_errors"][rep] == float(alg2_error)

@@ -255,16 +255,40 @@ def test_perturbation_bound_and_gradient():
 
 
 def test_perturbation_batch_hooks_match_loops():
+    # the hooks are component-major: particles (L, J), covectors (K, J)
     pert = tanh_problem().nonlinear
     rng = np.random.default_rng(45)
     u_all = rng.standard_normal((30, 2))
     z_all = rng.standard_normal((30, 3))
-    vals = pert.eval_batch(u_all)
-    assert np.max(np.abs(vals - np.stack([pert.evaluate(u) for u in u_all]))) \
-        <= 1e-14
-    rows = pert.grad_apply_batch(u_all, z_all)
+    vals = pert.eval_batch(np.ascontiguousarray(u_all.T))
+    assert vals.shape == (3, 30)
+    assert np.max(np.abs(vals.T - np.stack([pert.evaluate(u)
+                                            for u in u_all]))) <= 1e-14
+    cols = pert.grad_apply_batch(np.ascontiguousarray(u_all.T),
+                                 np.ascontiguousarray(z_all.T))
+    assert cols.shape == (2, 30)
     loop = np.stack([pert.gradient(u) @ z for u, z in zip(u_all, z_all)])
-    assert np.max(np.abs(rows - loop)) <= 1e-14
+    assert np.max(np.abs(cols.T - loop)) <= 1e-14
+
+
+@pytest.mark.parametrize("j", [7, 63, 1023, 4000])
+def test_component_major_hooks_equal_row_major_formula(j):
+    # the closures on (L, J) rows give bitwise the numbers of the
+    # particle-major formulas they replaced, written out here on (J, L)
+    frequency, amplitude = np.array([0.7, -0.4]), 2.0
+    pert = tanh_problem(amplitude).nonlinear
+    b = pert.direction_basis[:, 0]
+    rng = np.random.default_rng(j)
+    u_rows = 2.0 * rng.standard_normal((j, 2))
+    z_rows = rng.standard_normal((j, 3))
+    t = np.tanh(np.einsum("jl,l->j", u_rows, frequency))
+    values = amplitude * t[:, None] * b[None, :]
+    s = amplitude * (1.0 - t**2)
+    pulled = (s * np.einsum("jk,k->j", z_rows, b))[:, None] \
+        * frequency[None, :]
+    u, z = np.ascontiguousarray(u_rows.T), np.ascontiguousarray(z_rows.T)
+    assert np.array_equal(pert.eval_batch(u), values.T)
+    assert np.array_equal(pert.grad_apply_batch(u, z), pulled.T)
 
 
 @pytest.mark.parametrize("excess, inside", [(0.5e-9, True),
@@ -276,13 +300,13 @@ def test_perturbation_bound_check_edges(excess, inside):
     scales = np.array([0.5, 1.9, 2.0 * (1.0 + excess), 1.0])
 
     def evaluate_batch(u_all):
-        return scales[:, None] * direction[None, :]
+        return direction[:, None] * scales[None, :]
 
     pert = NonlinearPerturbation(
         evaluate=None, gradient=None, amplitude_bound=2.0,
         direction_basis=direction[:, None], evaluate_batch=evaluate_batch,
         gradient_apply_batch=None)
-    u_all = np.zeros((4, 2))
+    u_all = np.zeros((2, 4))
     if inside:
         assert np.array_equal(pert.eval_batch(u_all),
                               evaluate_batch(u_all))
@@ -306,7 +330,7 @@ def test_perturbation_degenerate_seed_raises():
     off = make_perpendicular_perturbation(a, np.eye(3),
                                           np.array([0.0, 0.0, 1.0]),
                                           np.array([1.0, 1.0]), 0.0)
-    assert np.array_equal(off.eval_batch(np.ones((3, 2))), np.zeros((3, 3)))
+    assert np.array_equal(off.eval_batch(np.ones((2, 4))), np.zeros((3, 4)))
 
 
 def test_quadrature_matches_closed_form_linear_2d():

@@ -16,12 +16,13 @@ REPORT = {
 }
 
 
-def diff(tmp_path, a, b):
+def diff(tmp_path, a, b, *flags):
     paths = []
     for name, doc in (("a.json", a), ("b.json", b)):
         paths.append(tmp_path / name)
         paths[-1].write_text(json.dumps(doc, indent=2) + "\n")
-    return subprocess.run([sys.executable, str(SCRIPT), *map(str, paths)],
+    return subprocess.run([sys.executable, str(SCRIPT), *flags,
+                           *map(str, paths)],
                           capture_output=True, text=True)
 
 
@@ -44,6 +45,21 @@ def test_perturbed_value_names_its_path(tmp_path):
                if line.startswith("cells[*].value"))
     assert row.split()[1:3] == ["1.25e-13", "1e-12"]
     assert row.split()[-1] == "cells[1].value"
+
+
+def test_exact_fails_on_any_numeric_difference(tmp_path):
+    other = json.loads(json.dumps(REPORT))
+    other["generated"] = "2026-02-02T00:00:00Z wall_ms=9.0"
+    assert diff(tmp_path, REPORT, other, "--exact").returncode == 0
+    other["fits"]["w2_vs_j"]["points"][1][0] = 3.0 * (1 + 2**-52)
+    result = diff(tmp_path, REPORT, other, "--exact")
+    assert result.returncode == 1, result.stderr
+    assert "STRUCTURE" not in result.stdout
+    row = next(line for line in result.stdout.splitlines()
+               if line.startswith("fits.w2_vs_j.points[*][*]"))
+    assert row.split()[-1] == "fits.w2_vs_j.points[1][0]"
+    # without the flag the same reports still compare as matching
+    assert diff(tmp_path, REPORT, other).returncode == 0
 
 
 def test_structural_difference_is_listed_and_fails(tmp_path):

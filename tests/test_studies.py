@@ -415,6 +415,26 @@ class TestParseConfig:
         doc["fit_t_min"] = 1.0
         assert parse_config(doc).bands == doc["bands"]
 
+    @pytest.mark.parametrize("cov, error", [
+        ([[1.0, 2.0], [2.0, 1.0]], "eigenvalue -1.000e+00 below"),
+        ([[1.0, 0.0], [0.0, -1e-11]], "eigenvalue -1.000e-11 below"),
+        ([[1.0, 0.0], [0.0, -1e-13]], None),
+        ([[1.0, 1.0], [1.0, 1.0]], None),
+        ([[1e308, 1e308], [1e308, 1e308]], "non-finite entries"),
+    ], ids=["indefinite", "below_tolerance", "within_tolerance", "singular",
+            "overflowing"])
+    def test_rho0_cov_must_be_positive_semidefinite(self, cov, error):
+        # spd_sqrt's rule: an eigenvalue below -1e-12 lam_max is indefinite
+        doc = sample_doc(rho0={"mean": [0.0, 0.0], "cov": cov})
+        if error is None:
+            assert parse_config(doc).echo["rho0"]["cov"] == cov
+        else:
+            with np.errstate(over="ignore"), pytest.raises(
+                    ConfigError, match=re.escape(
+                    "config field 'rho0.cov' must be a finite positive "
+                    "semidefinite matrix: ") + ".*" + re.escape(error)):
+                parse_config(doc)
+
     def test_moment_bands_need_a_linear_problem(self):
         doc = dict(demo_doc(), kind="sample", repeats=1,
                    bands={"mean_error": 1.0})
