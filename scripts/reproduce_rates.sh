@@ -7,13 +7,12 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 OUT_ROOT="${OUT_ROOT:-results}"
-THREADS="${EKS_LAB_THREADS:-1}"
 
 for name in study_j study_coupling study_coupling_control; do
     echo "== ${name}"
     eks-lab "$(python3 -c "import json;print(json.load(open('configs/${name}.json'))['kind'])")" \
             --config "configs/${name}.json" \
-            --out "${OUT_ROOT}/${name}" --threads "${THREADS}"
+            --out "${OUT_ROOT}/${name}"
 done
 
 for name in study_j study_coupling study_coupling_control; do

@@ -6,13 +6,12 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 OUT_ROOT="${OUT_ROOT:-results}"
-THREADS="${EKS_LAB_THREADS:-1}"
 
 run() {
     local name="$1"
     echo "== ${name} -> ${OUT_ROOT}/${name}"
     eks-lab "$2" --config "configs/${name}.json" \
-            --out "${OUT_ROOT}/${name}" --threads "${THREADS}"
+            --out "${OUT_ROOT}/${name}"
 }
 
 run validate                 validate

@@ -1,14 +1,11 @@
 """Command-line front end.
 
     eks-lab <subcommand> --config <path> --out <dir> [--seed <u64>]
-            [--threads <n>]
 
 Subcommands name the study kind (sample, study-j, study-time,
 study-coupling, demo-nonlinear, validate); the config file's own "kind"
-must match.  --seed overrides the config's base seed, --threads sets how
-many worker groups a sweep's cells (or a demo's repeats) are split into
-(env EKS_LAB_THREADS is the fallback).  Outputs land in --out:
-report.json plus the study CSVs.
+must match.  --seed overrides the config's base seed.  Outputs land in
+--out: report.json plus the study CSVs.
 
 Exit codes: 0 success, 1 a pre-registered acceptance band failed (or a
 validate check did), 2 usage or configuration error, 3 a runtime error
@@ -16,7 +13,6 @@ validate check did), 2 usage or configuration error, 3 a runtime error
 """
 
 import argparse
-import os
 import sys
 
 from . import __version__
@@ -50,32 +46,13 @@ def build_parser():
                        help="output directory (created if missing)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's base seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="concurrent groups of sweep cells "
-                            "(default: env EKS_LAB_THREADS or 1)")
     return parser
-
-
-def _resolve_threads(arg_value):
-    if arg_value is not None:
-        value = arg_value
-    else:
-        env = os.environ.get("EKS_LAB_THREADS", "")
-        try:
-            value = int(env) if env else 1
-        except ValueError:
-            raise ConfigError(
-                f"EKS_LAB_THREADS must be an integer, got {env!r}") from None
-    if value < 1:
-        raise ConfigError(f"--threads must be >= 1, got {value}")
-    return value
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _resolve_threads(args.threads)
         cfg = load_config(args.config)
         if cfg.kind != args.command:
             raise ConfigError(
@@ -91,7 +68,7 @@ def main(argv=None):
         return EXIT_USAGE
 
     try:
-        report = run_study(cfg, out_dir=args.out, threads=threads)
+        report = run_study(cfg, out_dir=args.out)
     except EksError as err:
         print(f"eks-lab: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_RUNTIME

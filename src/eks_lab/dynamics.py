@@ -55,7 +55,6 @@ seeds — stays per cell, so a cell's numbers are bitwise those of running
 it alone.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -345,30 +344,28 @@ def _check_cells(initials, cfgs, problem):
 
 class _DrawTable:
     """The noise blocks of one step, keyed by (seed, J).  A block is drawn
-    on its first use, handed to every update that reads that key, and
-    dropped after its last, so each distinct key is drawn once per step
-    and no more blocks are held than the cells in flight need."""
+    on its first use and handed to every later update that reads that
+    key, so each distinct key is drawn once per step; start() drops the
+    previous step's blocks."""
 
     def __init__(self, keys, n_components):
-        self._uses = dict(Counter(keys))
-        self._sources = {seed: NoiseSource(seed=seed)
-                         for seed, _ in self._uses}
+        self._sources = {seed: NoiseSource(seed=seed) for seed, _ in keys}
         self._l = n_components
+        self._blocks = {}
 
     def start(self, step):
-        self._step, self._left, self._blocks = step, self._uses.copy(), {}
+        self._step = step
+        self._blocks.clear()
 
     def take(self, key):
-        block = self._blocks.pop(key, None)
+        block = self._blocks.get(key)
         if block is None:
             seed, j = key
             xi = self._sources[seed].normal_block(self._step, j, self._l)
             # the (J, L) view of a C-contiguous (L, J) array: every
             # step's component-major transpose of it is free
             block = np.ascontiguousarray(xi.T).T
-        self._left[key] -= 1
-        if self._left[key]:
-            # the next update on this key must see the same numbers
+            # every update on this key must see the same numbers
             block.flags.writeable = False
             self._blocks[key] = block
         return block

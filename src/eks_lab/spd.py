@@ -33,9 +33,20 @@ def _as_square(m, name="matrix"):
 
 
 def symmetrize(m):
-    """Return (M + M^T)/2 after validating that M is square and finite."""
-    m = _as_square(m)
-    return 0.5 * (m + m.T)
+    """Return (M + M^T)/2 after validating that M is square and that the
+    result is finite: a non-finite entry of M, or a sum that overflows,
+    raises NonFinite."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(
+            f"matrix must be square 2-d, got shape {m.shape}")
+    out = 0.5 * (m + m.T)
+    # a non-finite entry of M is non-finite in the result too, so this
+    # one check covers the input as well as an overflowing sum
+    if not np.all(np.isfinite(out)):
+        raise NonFinite("matrix contains non-finite entries, or M + M^T "
+                        "overflowed")
+    return out
 
 
 def spd_sqrt(m, tol=1e-12):

@@ -17,16 +17,15 @@ before any compute runs, and produces in its output directory:
                 calls for them.
 
 Every cell derives its own seed from the base seed and its coordinates,
-so cells can run in any order — or concurrently — and still land on
-identical numbers.  study-j and study-coupling share one sweep driver:
-it splits the (J, repeat) cells into `threads` groups, and each group
-steps its cells in lockstep through one dynamics.run call in its own
-worker, so the per-step reference work is done once per group rather
-than once per cell.  A sweep cell's wall_ms is its group's run time,
-which the group's cells share, plus its own sampling and measurement.
-demo-nonlinear steps each repeat's gradient and plain sampler as two
-lockstep cells of one dynamics.run call, which share the repeat's
-ensemble, seed and noise draws.
+so its numbers do not depend on which other cells run beside it.
+study-j and study-coupling share one sweep driver: it steps all the
+(J, repeat) cells in lockstep through one dynamics.run call on the
+calling thread, so the per-step reference work is done once per study
+step rather than once per cell.  demo-nonlinear steps every repeat's
+gradient and plain sampler as lockstep cells of one dynamics.run call;
+each pair shares its repeat's ensemble, seed and noise draws.  A sweep
+or demo cell's wall_ms is the run time, which all of the study's cells
+share, plus its own measurement.
 """
 
 import difflib
@@ -34,7 +33,6 @@ import json
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -422,8 +420,17 @@ def parse_config(doc, base_dir="."):
     echo = _walk(CONFIG, doc, kind, "config field", "")
     top = {k: v for k, v in echo.items()
            if k not in ("problem", "rho0", "sde", "sweep")}
+    problem = _build(_inverse_problem, echo["problem"], "problem")
+    try:
+        # the rule sample_gaussian applies when it draws from rho0; it
+        # runs before GaussianMoments so that an overflowing cov is named
+        # as this field too
+        spd_sqrt(echo["rho0"]["cov"])
+    except EksError as err:
+        raise ConfigError("config field 'rho0.cov' must be a finite positive "
+                          f"semidefinite matrix: {err}") from None
     cfg = StudyConfig(
-        problem=_build(_inverse_problem, echo["problem"], "problem"),
+        problem=problem,
         rho0=_build(GaussianMoments, echo["rho0"], "rho0"),
         echo=echo, **top, **echo["sde"],
         **{k: tuple(v) for k, v in echo.get("sweep", {}).items()})
@@ -431,12 +438,6 @@ def parse_config(doc, base_dir="."):
     if cfg.rho0.dim != cfg.problem.dim_l:
         raise ConfigError(f"rho0 dimension {cfg.rho0.dim} does not match "
                           f"problem dimension {cfg.problem.dim_l}")
-    try:
-        # the rule sample_gaussian applies when it draws from rho0
-        spd_sqrt(cfg.rho0.cov)
-    except EksError as err:
-        raise ConfigError("config field 'rho0.cov' must be a finite positive "
-                          f"semidefinite matrix: {err}") from None
     if kind in SWEEP_KINDS and cfg.n_steps < 1:
         raise ConfigError(f"{kind} study requires sde.n_steps >= 1")
     if kind in ("sample", "demo-nonlinear") and cfg.j_particles < 1:
@@ -478,15 +479,6 @@ def parse_config(doc, base_dir="."):
 # ------------------------------------------------------------ execution
 
 
-def _map_cells(fn, specs, threads):
-    """Evaluate fn over cell specs, possibly concurrently; results come
-    back in spec order regardless of completion order."""
-    if threads <= 1 or len(specs) <= 1:
-        return [fn(spec) for spec in specs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, specs))
-
-
 def _flow(cfg):
     return MomentFlow(problem=cfg.problem, m0=cfg.rho0.mean, c0=cfg.rho0.cov)
 
@@ -518,16 +510,14 @@ _SWEEPS = {
 }
 
 
-def _sweep(cfg, threads, mode, measure, flow=None):
+def _sweep(cfg, mode, measure, flow=None):
     """Run every (J, repeat) cell of a study-j or study-coupling sweep and
     return one StudyCell per cell in (J, repeat) order, followed by the
     per-J means over repeats, plus the fits and flags of the slope in J.
 
-    The cells are dealt round-robin into `threads` groups; each group
-    steps its cells in lockstep through one run() call, in its own
-    worker.  Each cell's numbers are bitwise those of running it alone,
-    so the grouping cannot change a result.  measure(result, j, cell_seed)
-    gives a cell's value from its RunResult.
+    All cells step in lockstep through one run() call; each cell's
+    numbers are bitwise those of running it alone.  measure(result, j,
+    cell_seed) gives a cell's value from its RunResult.
     """
     kind = cfg.kind
     metric, mean_metric, fit_name, band_name = _SWEEPS[kind]
@@ -535,27 +525,20 @@ def _sweep(cfg, threads, mode, measure, flow=None):
     specs = [(j, rep, derive_seed(cfg.seed, kind, j, rep))
              for j in cfg.j_values for rep in range(cfg.repeats)]
 
-    def run_group(group):
-        c0 = time.perf_counter()
-        initials = [sample_gaussian(cfg.rho0, j, derive_seed(seed, "init"))
-                    for j, _, seed in group]
-        results = run(initials, cfg.problem,
-                      [cfg.sde(derive_seed(seed, "run"), j_particles=j)
-                       for j, _, seed in group],
-                      mode, flow=flow, share_noise=cfg.share_noise)
-        run_ms = (time.perf_counter() - c0) * 1e3
-        cells = []
-        for (j, rep, seed), res in zip(group, results):
-            c1 = time.perf_counter()
-            value = measure(res, j, seed)
-            cells.append(StudyCell(kind, j, t_final, rep, seed, metric, value,
-                                   run_ms + (time.perf_counter() - c1) * 1e3))
-        return cells
-
-    n_groups = max(1, min(threads, len(specs)))
-    groups = [specs[g::n_groups] for g in range(n_groups)]
-    by_group = _map_cells(run_group, groups, n_groups)
-    cells = [by_group[i % n_groups][i // n_groups] for i in range(len(specs))]
+    c0 = time.perf_counter()
+    initials = [sample_gaussian(cfg.rho0, j, derive_seed(seed, "init"))
+                for j, _, seed in specs]
+    results = run(initials, cfg.problem,
+                  [cfg.sde(derive_seed(seed, "run"), j_particles=j)
+                   for j, _, seed in specs],
+                  mode, flow=flow, share_noise=cfg.share_noise)
+    run_ms = (time.perf_counter() - c0) * 1e3
+    cells = []
+    for (j, rep, seed), res in zip(specs, results):
+        c1 = time.perf_counter()
+        value = measure(res, j, seed)
+        cells.append(StudyCell(kind, j, t_final, rep, seed, metric, value,
+                               run_ms + (time.perf_counter() - c1) * 1e3))
 
     means = {}
     for j in cfg.j_values:
@@ -570,7 +553,7 @@ def _sweep(cfg, threads, mode, measure, flow=None):
     return cells, means, fits, flags
 
 
-def run_sample(cfg, out_dir=None, threads=1):
+def run_sample(cfg, out_dir=None):
     """Draw an initial ensemble, evolve it, and compare its moments with
     the analytic posterior (linear case).  A configured perturbation
     switches the evolution to the gradient-based step."""
@@ -614,7 +597,7 @@ def run_sample(cfg, out_dir=None, threads=1):
     return report
 
 
-def run_study_j(cfg, out_dir=None, threads=1):
+def run_study_j(cfg, out_dir=None):
     """Ensemble-size sweep: distance between the evolved ensemble and the
     mean-field Gaussian at T, averaged over repeats, slope-fitted in J."""
     t0 = time.perf_counter()
@@ -625,7 +608,7 @@ def run_study_j(cfg, out_dir=None, threads=1):
         return w2_ensemble_vs_gaussian(res.final, target, j,
                                        derive_seed(cell_seed, "reference"))
 
-    cells, means, fits, flags = _sweep(cfg, threads, "eks", measure)
+    cells, means, fits, flags = _sweep(cfg, "eks", measure)
     report = StudyReport(kind="study-j", base_seed=cfg.seed,
                          config_echo=cfg.echo, cells=cells,
                          fits=fits, flags=flags,
@@ -636,7 +619,7 @@ def run_study_j(cfg, out_dir=None, threads=1):
     return report
 
 
-def run_study_time(cfg, out_dir=None, threads=1):
+def run_study_time(cfg, out_dir=None):
     """Exponential-decay study: the deterministic W2(rho(t), posterior)
     curve, log-linear fit over t >= fit_t_min, and (optionally) the
     particle system's Gaussian-moment distance at the same checkpoints."""
@@ -664,7 +647,7 @@ def run_study_time(cfg, out_dir=None, threads=1):
         _check_band(flags, cfg.bands, "decay_r_squared", r2)
 
     if cfg.with_particles:
-        cells.extend(_particle_checkpoints(cfg, threads))
+        cells.extend(_particle_checkpoints(cfg))
 
     report = StudyReport(kind="study-time", base_seed=cfg.seed,
                          config_echo=cfg.echo, cells=cells,
@@ -674,7 +657,7 @@ def run_study_time(cfg, out_dir=None, threads=1):
     return report
 
 
-def _particle_checkpoints(cfg, threads):
+def _particle_checkpoints(cfg):
     """Evolve one EKS ensemble, reading off gaussian_w2(empirical moments,
     posterior) at every checkpoint (parse_config put them on the step
     grid)."""
@@ -702,7 +685,7 @@ def _particle_checkpoints(cfg, threads):
     return cells
 
 
-def run_study_coupling(cfg, out_dir=None, threads=1):
+def run_study_coupling(cfg, out_dir=None):
     """Coupling sweep: mean squared particle-vs-mean-field distance at T
     under shared Brownian increments, slope-fitted in J.  share_noise
     false runs the negative control (independent increments)."""
@@ -711,8 +694,7 @@ def run_study_coupling(cfg, out_dir=None, threads=1):
     def measure(res, j, cell_seed):
         return float(res.coupling_error[-1])
 
-    cells, means, fits, flags = _sweep(cfg, threads, "coupled", measure,
-                                       flow=_flow(cfg))
+    cells, means, fits, flags = _sweep(cfg, "coupled", measure, _flow(cfg))
     report = StudyReport(kind="study-coupling", base_seed=cfg.seed,
                          config_echo=cfg.echo, cells=cells,
                          fits=fits, flags=flags,
@@ -724,48 +706,43 @@ def run_study_coupling(cfg, out_dir=None, threads=1):
     return report
 
 
-def run_demo_nonlinear(cfg, out_dir=None, threads=1):
+def run_demo_nonlinear(cfg, out_dir=None):
     """Paired comparison on a perturbed forward map: the gradient-based
     step against a quadrature oracle of the true posterior, and the
     plain Kalman step on the same seeds to expose its bias."""
     t0 = time.perf_counter()
     target = quadrature_moments(cfg.problem)
     t_final = cfg.h * cfg.n_steps
-
-    def one(rep):
-        rep_seed = derive_seed(cfg.seed, "demo", rep)
-        c0 = time.perf_counter()
+    labels = ("alg2", "alg1")           # the gradient, then the plain step
+    rep_seeds = [derive_seed(cfg.seed, "demo", rep)
+                 for rep in range(cfg.repeats)]
+    c0 = time.perf_counter()
+    initials, sdes = [], []
+    for rep_seed in rep_seeds:
         initial = sample_gaussian(cfg.rho0, cfg.j_particles,
                                   derive_seed(rep_seed, "init"))
         sde = cfg.sde(derive_seed(rep_seed, "run"))
-        # both samplers step in lockstep from one ensemble on one seed,
-        # so each step's noise is drawn once for the pair
-        pair = run([initial, initial], cfg.problem, [sde, sde],
-                   ("eks_gradient", "eks"))
-        out = {}
-        for label, res in zip(("alg2", "alg1"), pair):
-            mean_err, cov_err = _moment_errors(res.final, target)
-            out[label] = (mean_err, cov_err, res.final)
-        wall = (time.perf_counter() - c0) * 1e3
-        return rep, rep_seed, out, wall
-
-    results = _map_cells(one, list(range(cfg.repeats)), threads)
+        # a repeat's two samplers step from one ensemble on one seed, so
+        # each step's noise is drawn once for the pair
+        initials += [initial, initial]
+        sdes += [sde, sde]
+    results = run(initials, cfg.problem, sdes,
+                  ("eks_gradient", "eks") * cfg.repeats)
+    run_ms = (time.perf_counter() - c0) * 1e3
 
     cells = []
-    alg1_errs, alg2_errs = [], []
-    finals = None
-    for rep, rep_seed, out, wall in results:
-        for label, (mean_err, cov_err, final) in out.items():
+    errors = {label: [] for label in labels}
+    for i, res in enumerate(results):
+        rep, label = i // 2, labels[i % 2]
+        c1 = time.perf_counter()
+        mean_err, cov_err = _moment_errors(res.final, target)
+        wall = run_ms + (time.perf_counter() - c1) * 1e3
+        for metric, value in (("mean", mean_err), ("cov", cov_err)):
             cells.append(StudyCell("demo-nonlinear", cfg.j_particles,
-                                   t_final, rep, rep_seed,
-                                   f"{label}_mean_error", mean_err, wall))
-            cells.append(StudyCell("demo-nonlinear", cfg.j_particles,
-                                   t_final, rep, rep_seed,
-                                   f"{label}_cov_error", cov_err, wall))
-        alg1_errs.append(out["alg1"][0])
-        alg2_errs.append(out["alg2"][0])
-        if rep == 0:
-            finals = {label: out[label][2] for label in out}
+                                   t_final, rep, rep_seeds[rep],
+                                   f"{label}_{metric}_error", value, wall))
+        errors[label].append(mean_err)
+    alg1_errs, alg2_errs = errors["alg1"], errors["alg2"]
 
     wins = int(sum(a1 > a2 for a1, a2 in zip(alg1_errs, alg2_errs)))
     mean_alg2 = float(np.mean(alg2_errs))
@@ -784,9 +761,10 @@ def run_demo_nonlinear(cfg, out_dir=None, threads=1):
         "alg1_worse_count": wins,
         "repeats": cfg.repeats,
     }
-    if out_dir is not None and cfg.write_ensemble and finals is not None:
-        for label, final in finals.items():
-            save_csv(final, Path(out_dir) / f"ensemble_{label}.csv")
+    if out_dir is not None and cfg.write_ensemble:
+        # the ensembles of repeat 0
+        for label, res in zip(labels, results):
+            save_csv(res.final, Path(out_dir) / f"ensemble_{label}.csv")
 
     report = StudyReport(kind="demo-nonlinear", base_seed=cfg.seed,
                          config_echo=cfg.echo, cells=cells,
@@ -958,7 +936,7 @@ def _validation_checks(seed):
     ]
 
 
-def run_validate(cfg, out_dir=None, threads=1):
+def run_validate(cfg, out_dir=None):
     """One-shot execution of every module's core invariants at small
     sizes; any failure flips the report's flag (CLI exit 1)."""
     t0 = time.perf_counter()
@@ -995,11 +973,16 @@ _DRIVERS = {
 
 
 def run_study(cfg, out_dir=None, threads=1):
-    """Dispatch a parsed config to its driver and write the report files."""
+    """Dispatch a parsed config to its driver and write the report files.
+
+    threads is accepted and ignored: every study runs on the calling
+    thread.  It stays only because the benchmark calls
+    run_study(cfg, out, threads=1) and its rerun check compares
+    threads=1 with threads=2."""
     driver = _DRIVERS[cfg.kind]
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    report = driver(cfg, out_dir=out_dir, threads=threads)
+    report = driver(cfg, out_dir=out_dir)
     if out_dir is not None:
         write_report(report, out_dir)
     return report

@@ -1,5 +1,5 @@
 """Tests for the command-line front end: argument handling, exit codes,
-seed/thread overrides, and the files a run leaves behind.
+the seed override, and the files a run leaves behind.
 
 Most tests call main() in-process for speed.  One subprocess test builds
 the console-script launcher that pyproject.toml's [project.scripts] declares
@@ -254,6 +254,17 @@ class TestArgparse:
             main(["study-h", "--config", "x", "--out", "y"])
         assert exc.value.code == 2
 
+    def test_retired_threads_flag_is_a_usage_error(self, tmp_path, capsys):
+        """Studies run on the calling thread; a stale script that still
+        passes --threads fails in argparse rather than running."""
+        cfg = write_cfg(tmp_path, sample_doc())
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--config", cfg,
+                  "--out", str(tmp_path / "out"), "--threads", "2"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSeedOverride:
     def test_seed_changes_output(self, tmp_path):
@@ -298,47 +309,6 @@ class TestSeedOverride:
               "--seed", str(2 ** 64 - 1)])
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["base_seed"] == report["config"]["seed"] == 2 ** 64 - 1
-
-
-class TestThreads:
-    def study_cfg(self, tmp_path):
-        return write_cfg(tmp_path, {
-            "kind": "study-j", "seed": 2,
-            "sweep": {"j_values": [16, 32]},
-            "sde": {"h": 0.05, "n_steps": 5}, "repeats": 2})
-
-    def drop_generated(self, path):
-        lines = (path / "report.json").read_text().splitlines()
-        return [ln for ln in lines if '"generated"' not in ln]
-
-    def test_threads_flag_preserves_results(self, tmp_path):
-        cfg = self.study_cfg(tmp_path)
-        assert main(["study-j", "--config", cfg,
-                     "--out", str(tmp_path / "seq")]) == EXIT_OK
-        assert main(["study-j", "--config", cfg,
-                     "--out", str(tmp_path / "par"), "--threads", "4"]) == EXIT_OK
-        assert (self.drop_generated(tmp_path / "seq")
-                == self.drop_generated(tmp_path / "par"))
-
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EKS_LAB_THREADS", "2")
-        cfg = self.study_cfg(tmp_path)
-        assert main(["study-j", "--config", cfg,
-                     "--out", str(tmp_path / "out")]) == EXIT_OK
-
-    def test_env_garbage_rejected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("EKS_LAB_THREADS", "many")
-        cfg = write_cfg(tmp_path, sample_doc())
-        code = main(["sample", "--config", cfg,
-                     "--out", str(tmp_path / "out")])
-        assert code == EXIT_USAGE
-        assert "EKS_LAB_THREADS" in capsys.readouterr().err
-
-    def test_zero_threads_rejected(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, sample_doc())
-        code = main(["sample", "--config", cfg,
-                     "--out", str(tmp_path / "out"), "--threads", "0"])
-        assert code == EXIT_USAGE
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -386,7 +356,8 @@ class TestConsoleScript:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (tmp_path / "out" / "ensemble.csv").exists()
         assert (tmp_path / "out" / "sample.csv").exists()
-        # main()'s return code must reach the process exit status
-        proc = launch("--threads", "0")
+        # main()'s return code must reach the process exit status: a
+        # negative seed is refused by main itself, not by argparse
+        proc = launch("--seed", "-1")
         assert proc.returncode == EXIT_USAGE, proc.stderr
-        assert "--threads" in proc.stderr
+        assert "config error: --seed" in proc.stderr

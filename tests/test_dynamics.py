@@ -1197,17 +1197,19 @@ def test_demo_pair_equals_two_separate_runs(monkeypatch):
                                      "amplitude": 2.0}},
            "sde": {"j_particles": 50, "n_steps": 20, "h": 0.02}}
     cfg = studies.parse_config(doc)
-    pairs = []
+    calls = []
 
     def recording(*args, **kwargs):
         out = run(*args, **kwargs)
-        pairs.append(out)
+        calls.append(out)
         return out
 
     monkeypatch.setattr(studies, "run", recording)
     report = studies.run_demo_nonlinear(cfg)
-    assert len(pairs) == cfg.repeats
-    for rep, pair in enumerate(pairs):
+    # every repeat's pair steps as two cells of one run() call
+    assert len(calls) == 1 and len(calls[0]) == 2 * cfg.repeats
+    for rep in range(cfg.repeats):
+        pair = calls[0][2 * rep:2 * rep + 2]
         rep_seed = derive_seed(cfg.seed, "demo", rep)
         initial = sample_gaussian(cfg.rho0, cfg.j_particles,
                                   derive_seed(rep_seed, "init"))

@@ -101,6 +101,9 @@ def test_gaussian_moments_validates():
         GaussianMoments(mean=np.zeros(2), cov=np.eye(3))
     g = GaussianMoments(mean=np.zeros(2), cov=np.eye(2))
     assert g.dim == 2
+    # finite entries, but their symmetrized sum overflows
+    with np.errstate(over="ignore"), pytest.raises(NonFinite):
+        GaussianMoments(mean=[0.0, 0.0], cov=[[1e308, 1e308], [1e308, 1e308]])
 
 
 def test_apply_forward_linear():

@@ -81,3 +81,55 @@ def test_usage_error_exits_two(tmp_path):
                             capture_output=True, text=True)
     assert result.returncode == 2
     assert "usage:" in result.stderr
+
+
+def write_tree(root, files):
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    return str(root)
+
+
+def test_directories_compare_reports_and_csv_bytes(tmp_path):
+    files = {"study_j/report.json": json.dumps(REPORT),
+             "study_j/study_j.csv": "wall_ms\n1.0\n",
+             "sample/ensemble.csv": "u0,u1\n0.5,0.25\n",
+             "sample/diagnostics.csv": "step,time\n0,0.0\n"}
+    a = write_tree(tmp_path / "a", files)
+    # the per-cell CSV holds wall times and is not compared
+    b = write_tree(tmp_path / "b", dict(files, **{
+        "study_j/study_j.csv": "wall_ms\n9.0\n"}))
+    result = subprocess.run([sys.executable, str(SCRIPT), "--exact", a, b],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "== study_j/report.json" in result.stdout
+
+    write_tree(tmp_path / "b", {"sample/ensemble.csv": "u0,u1\n0.5,0.5\n"})
+    result = subprocess.run([sys.executable, str(SCRIPT), "--exact", a, b],
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    assert "DIFFERS   sample/ensemble.csv" in result.stdout.splitlines()
+    # without --exact a CSV's bytes are numbers that may differ
+    result = subprocess.run([sys.executable, str(SCRIPT), a, b],
+                            capture_output=True, text=True)
+    assert result.returncode == 0
+
+    (tmp_path / "a" / "sample" / "diagnostics.csv").unlink()
+    write_tree(tmp_path / "b", {"demo/ensemble_alg1.csv": "u0\n1.0\n"})
+    result = subprocess.run([sys.executable, str(SCRIPT), a, b],
+                            capture_output=True, text=True)
+    assert result.returncode == 1
+    lines = [line for line in result.stdout.splitlines()
+             if line.startswith("STRUCTURE")]
+    assert lines == ["STRUCTURE demo/ensemble_alg1.csv: only in B",
+                     "STRUCTURE sample/diagnostics.csv: only in B"]
+
+
+def test_directories_without_results_are_a_usage_error(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    result = subprocess.run([sys.executable, str(SCRIPT), str(tmp_path / "a"),
+                             str(tmp_path / "b")],
+                            capture_output=True, text=True)
+    assert result.returncode == 2
+    assert "no results" in result.stderr

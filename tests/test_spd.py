@@ -48,6 +48,15 @@ def test_symmetrize_rejects_nonsquare_and_nonfinite():
         symmetrize(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
 
+def test_symmetrize_rejects_an_overflowing_sum():
+    # finite entries whose sum m + m.T overflows to inf
+    with np.errstate(over="ignore"), pytest.raises(NonFinite,
+                                                   match="overflowed"):
+        symmetrize(np.full((2, 2), 1e308))
+    big = np.array([[8e307, -8e307], [-8e307, 8e307]])
+    assert np.array_equal(symmetrize(big), big)
+
+
 def test_sqrt_identity_and_diagonal():
     assert np.allclose(spd_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
     got = spd_sqrt(np.diag([4.0, 9.0]))
