@@ -21,7 +21,7 @@ from .ensemble import (
     Ensemble,
     EnsembleStats,
     affine_span_distance,
-    centered_moment,
+    centered_moments,
     empirical_stats,
     load_csv,
     save_csv,
@@ -45,17 +45,13 @@ from .metrics import (
     empirical_w2_exact,
     fit_slope,
     gaussian_w2,
-    sliced_w2,
     w2_ensemble_vs_gaussian,
 )
 from .model import (
     GaussianMoments,
     InverseProblem,
     NonlinearPerturbation,
-    apply_forward,
     apply_forward_batch,
-    grad_phi_r,
-    loss_phi_r,
     make_perpendicular_perturbation,
     posterior_moments,
     precision_matrix,

@@ -60,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ensemble import Ensemble, centered_moment, empirical_stats
+from .ensemble import Ensemble, centered_moments, empirical_stats
 from .errors import (
     DimensionMismatch,
     Diverged,
@@ -88,7 +88,7 @@ __all__ = [
     "condition_check",
 ]
 
-RUN_MODES = ("eks", "eks_gradient", "mean_field", "coupled")
+RUN_MODES = ("eks", "eks_gradient", "coupled")
 KALMAN_MODES = ("eks", "eks_gradient")
 
 
@@ -129,7 +129,7 @@ class RunResult:
 
     final: Ensemble
     v_final: Optional[Ensemble] = None
-    coupling_error: Optional[np.ndarray] = None
+    coupling_error: Optional[float] = None
     diagnostics: Optional[dict] = None
 
 
@@ -300,17 +300,16 @@ def _coupling_error(u, v):
 
 
 def _cell_modes(mode, n_cells, flow):
-    """The Kalman mode of each cell (None for mean-field-only cells) and
-    whether the cells carry mean-field reference particles."""
+    """The Kalman mode of each cell and whether the cells carry mean-field
+    reference particles."""
     if not isinstance(mode, (list, tuple)):
         if mode not in RUN_MODES:
             raise ValueError(
                 f"mode must be one of {RUN_MODES}, got {mode!r}")
-        reference = mode in ("mean_field", "coupled")
+        reference = mode == "coupled"
         if reference and flow is None:
             raise ValueError(f"mode {mode!r} requires a MomentFlow")
-        kalman = {"mean_field": None, "coupled": "eks"}.get(mode, mode)
-        return [kalman] * n_cells, reference
+        return ["eks" if reference else mode] * n_cells, reference
     if len(mode) != n_cells or not all(
             isinstance(m, str) and m in KALMAN_MODES for m in mode):
         raise ValueError(
@@ -373,22 +372,23 @@ class _DrawTable:
 
 def run(initial, problem, cfg, mode, flow=None, share_noise=True,
         record_diagnostics=False):
-    """Advance an ensemble n_steps times in one of four modes.
+    """Advance an ensemble n_steps times in one of three modes.
 
     mode:
         "eks"          Algorithm-style Kalman sampler steps.
         "eks_gradient" gradient-based misfit drift.
-        "mean_field"   decoupled reference particles (needs flow).
-        "coupled"      eks and mean_field side by side from the same
-                       initial ensemble; with share_noise=True (the
-                       default) both systems consume identical Brownian
-                       increments, and coupling_error(n) = (1/J) sum
-                       |u_j - v_j|^2 is recorded after every step.
+        "coupled"      eks and mean-field reference particles side by
+                       side from the same initial ensemble; with
+                       share_noise=True (the default) both systems consume
+                       identical Brownian increments, and coupling_error
+                       is the final (1/J) sum |u_j - v_j|^2.
 
-    flow is a reference.MomentFlow for the modes that need rho(t); its
-    problem must be the linear problem being sampled.  Per-step
-    diagnostics (step, time, coupling_error, condition_check, trace of
-    cov_uu, centered fourth moment) are recorded when requested.
+    flow is a reference.MomentFlow, needed by "coupled" and read by the
+    diagnostics when given; its problem must be the linear problem being
+    sampled.  Per-step diagnostics (step, time, coupling_error,
+    condition_check, trace of cov_uu, centered fourth moment) are
+    recorded when requested; their coupling_error is the per-step series
+    of a coupled run, NaN otherwise.
 
     initial and cfg may also be equal-length sequences: the ensembles of
     a sweep's cells on one clock, and one config per cell with a shared
@@ -412,74 +412,60 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
     _check_cells(initials, cfgs, problem)
     n_cells = len(initials)
     n_steps = cfgs[0].n_steps
-    mean_field_only = kalman[0] is None
 
     u_keys = [(c.seed, c.j_particles) for c in cfgs]
     v_keys = u_keys if share_noise else [
         (derive_seed(c.seed, "independent-reference"), c.j_particles)
         for c in cfgs]
-    draws = _DrawTable(
-        [key for i, key in enumerate(u_keys) if kalman[i] is not None]
-        + (v_keys if reference else []), problem.dim_l)
+    draws = _DrawTable(u_keys + (v_keys if reference else []),
+                       problem.dim_l)
     us = list(initials)
     vs = list(initials) if reference else None
-    # the system whose clock the diagnostics read; every cell shares it
-    clock = vs if mean_field_only else us
 
-    coupling = [[] for _ in range(n_cells)] \
-        if reference and not mean_field_only else None
     diags = [{key: [] for key in ("step", "time", "coupling_error",
                                   "condition", "trace_cov_uu",
                                   "fourth_moment")}
              for _ in range(n_cells)] if record_diagnostics else None
 
     def record(rho):
-        if coupling is not None:
-            for i in range(n_cells):
-                coupling[i].append(
-                    _coupling_error(us[i].particles, vs[i].particles))
-        if diags is None:
-            return
         condition = np.nan if rho is None else condition_check(problem, rho)
         for i, diag in enumerate(diags):
-            system = clock[i]
-            diag["step"].append(system.step)
-            diag["time"].append(system.time)
+            diag["step"].append(us[i].step)
+            diag["time"].append(us[i].time)
             diag["coupling_error"].append(
-                coupling[i][-1] if coupling is not None else np.nan)
+                _coupling_error(us[i].particles, vs[i].particles)
+                if reference else np.nan)
             diag["condition"].append(condition)
             # tr cov_uu is the second centered moment; no L x L pass
-            diag["trace_cov_uu"].append(centered_moment(system, 2))
-            diag["fourth_moment"].append(centered_moment(system, 4))
+            second, fourth = centered_moments(us[i])
+            diag["trace_cov_uu"].append(second)
+            diag["fourth_moment"].append(fourth)
 
     for n in range(n_steps + 1):
         # rho at the shared clock, once for all cells, where a step or a
         # diagnostic reads it
         wanted = (reference and n < n_steps) or diags is not None
-        rho = rho_at(flow, clock[0].time) if flow is not None and wanted \
+        rho = rho_at(flow, us[0].time) if flow is not None and wanted \
             else None
-        record(rho)
+        if diags is not None:
+            record(rho)
         if n == n_steps:
             break
         drive = mean_field_drive(rho, problem, cfgs[0]) if reference \
             else None
-        draws.start(clock[0].step)
+        draws.start(us[0].step)
         for i in range(n_cells):
-            if kalman[i] == "eks":
-                us[i] = eks_step(us[i], problem, cfgs[i],
-                                 draws.take(u_keys[i]))
-            elif kalman[i] == "eks_gradient":
-                us[i] = eks_gradient_step(us[i], problem, cfgs[i],
-                                          draws.take(u_keys[i]))
+            step = eks_step if kalman[i] == "eks" else eks_gradient_step
+            us[i] = step(us[i], problem, cfgs[i], draws.take(u_keys[i]))
             if reference:
                 vs[i] = mean_field_step(vs[i], drive, problem, cfgs[i],
                                         draws.take(v_keys[i]))
 
     results = [RunResult(
-        final=vs[i] if mean_field_only else us[i],
-        v_final=vs[i] if coupling is not None else None,
-        coupling_error=(np.asarray(coupling[i]) if coupling is not None
-                        else None),
+        final=us[i],
+        v_final=vs[i] if reference else None,
+        coupling_error=(_coupling_error(us[i].particles, vs[i].particles)
+                        if reference else None),
         diagnostics=None if diags is None else {
             key: np.asarray(vals) for key, vals in diags[i].items()})
         for i in range(n_cells)]

@@ -41,7 +41,7 @@ __all__ = [
     "EnsembleStats",
     "empirical_stats",
     "particle_moments",
-    "centered_moment",
+    "centered_moments",
     "affine_span_distance",
     "save_csv",
     "load_csv",
@@ -156,14 +156,15 @@ def particle_moments(ens):
     return mean_u, np.einsum("lj,mj->lm", cu, cu) / us.shape[1]
 
 
-def centered_moment(ens, p):
-    """(1/J) sum_j |u_j - mean|^p for even p in {2, 4, 6, 8}."""
-    if p not in (2, 4, 6, 8):
-        raise NonPositive(f"p must be one of 2, 4, 6, 8, got {p}")
+def centered_moments(ens):
+    """The second and fourth centered moments (1/J) sum_j |u_j - mean|^p,
+    p = 2 and 4, from one canonical ordering; the second is tr cov_uu."""
     us = np.take(ens.particles.T, _canonical_order(ens.particles), axis=1)
     cu = us - _mean_rows(us)[:, None]
     sq = np.einsum("lj,lj->j", cu, cu)
-    return float(np.einsum("j->", sq ** (p // 2)) / us.shape[1])
+    j = us.shape[1]
+    return (float(np.einsum("j->", sq) / j),
+            float(np.einsum("j->", sq ** 2) / j))
 
 
 def affine_span_distance(ens, reference):

@@ -4,6 +4,13 @@ Everything raised on purpose derives from EksError, so callers can catch
 one base class at the CLI boundary and map it to an exit code.
 """
 
+__all__ = [
+    "EksError", "DimensionMismatch", "NonFinite", "NotPSD", "NonPositive",
+    "SingularMatrix", "SingularImplicitSystem", "Diverged",
+    "DegenerateDirection", "NonlinearUnsupported", "SizeMismatch",
+    "TooLarge",
+]
+
 
 class EksError(Exception):
     """Base class for all deliberate failures in this package."""

@@ -1,11 +1,10 @@
 """Distances between distributions and rate estimation.
 
-Four distances cover the measurement needs: the closed-form 2-Wasserstein
+Three distances cover the measurement needs: the closed-form 2-Wasserstein
 distance between Gaussians, the exact empirical W2 between equal-size
-particle clouds (optimal assignment), a sliced surrogate for clouds too
-large for the assignment solver, and an ensemble-vs-Gaussian estimator
-that draws a same-size i.i.d. reference sample.  fit_slope turns sweeps
-of (size, distance) pairs into log-log rate exponents.
+particle clouds (optimal assignment), and an ensemble-vs-Gaussian
+estimator that draws a same-size i.i.d. reference sample.  fit_slope
+turns sweeps of (size, distance) pairs into log-log rate exponents.
 """
 
 from dataclasses import dataclass
@@ -24,7 +23,6 @@ __all__ = [
     "SlopeFit",
     "gaussian_w2",
     "empirical_w2_exact",
-    "sliced_w2",
     "w2_ensemble_vs_gaussian",
     "fit_slope",
 ]
@@ -68,40 +66,13 @@ def empirical_w2_exact(x, y):
     j = px.shape[0]
     if j > ASSIGNMENT_LIMIT:
         raise TooLarge(
-            f"J = {j} exceeds the exact-assignment guard {ASSIGNMENT_LIMIT}; "
-            "use sliced_w2")
+            f"J = {j} exceeds the exact-assignment guard {ASSIGNMENT_LIMIT}")
     cost = scipy.spatial.distance.cdist(px, py, "sqeuclidean")
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
 
 
-def sliced_w2(x, y, n_projections=64, seed=0):
-    """Sliced W2: RMS over random unit directions of the 1-D W2 between
-    the projected clouds (sorted-sample pairing), scaled by sqrt(L).
-
-    A unit direction picks up only 1/L of a squared separation on average,
-    so the sqrt(L) factor makes the estimator asymptotically exact for
-    translations and isotropic scalings; for L = 1 it reduces to the exact
-    1-D W2.  Deterministic for a given seed; scales to clouds far beyond
-    the assignment guard."""
-    px, py = _particles(x), _particles(y)
-    if px.shape != py.shape:
-        raise SizeMismatch(f"cloud shapes differ: {px.shape} vs {py.shape}")
-    if n_projections < 1:
-        raise NonPositive("n_projections must be >= 1")
-    dim = px.shape[1]
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_projections, dim))
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    dirs /= norms
-    ax = np.sort(np.einsum("jl,pl->jp", px, dirs), axis=0)
-    ay = np.sort(np.einsum("jl,pl->jp", py, dirs), axis=0)
-    per_projection = np.mean((ax - ay) ** 2, axis=0)
-    return float(np.sqrt(dim * np.mean(per_projection)))
-
-
-def w2_ensemble_vs_gaussian(x, g, n_reference_draws, seed):
+def w2_ensemble_vs_gaussian(x, g, seed):
     """Distance from a particle cloud to a Gaussian, estimated by exact W2
     against a fresh same-size i.i.d. sample from the Gaussian.
 
@@ -111,14 +82,10 @@ def w2_ensemble_vs_gaussian(x, g, n_reference_draws, seed):
     bands absorb the bias.
     """
     px = _particles(x)
-    j = px.shape[0]
-    if n_reference_draws != j:
-        raise SizeMismatch(
-            f"n_reference_draws = {n_reference_draws} must equal J = {j}")
     if px.shape[1] != g.dim:
         raise DimensionMismatch(
             f"cloud dimension {px.shape[1]} vs Gaussian dimension {g.dim}")
-    xi = NoiseSource(seed=seed).normal_block(0, j, g.dim)
+    xi = NoiseSource(seed=seed).normal_block(0, px.shape[0], g.dim)
     root = spd_sqrt(g.cov)
     reference = g.mean[None, :] + np.einsum("jl,ml->jm", xi, root)
     return empirical_w2_exact(px, reference)

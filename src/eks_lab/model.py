@@ -1,4 +1,4 @@
-"""Gaussian-prior inverse problem: forward map, loss, posterior moments.
+"""Gaussian-prior inverse problem: forward map, posterior moments.
 
 The forward map is G(u) = A u + m(u) with a linear part A and an optional
 bounded perturbation m.  Observations carry Gaussian noise with covariance
@@ -36,10 +36,7 @@ __all__ = [
     "GaussianMoments",
     "NonlinearPerturbation",
     "InverseProblem",
-    "apply_forward",
     "apply_forward_batch",
-    "loss_phi_r",
-    "grad_phi_r",
     "precision_matrix",
     "posterior_moments",
     "make_perpendicular_perturbation",
@@ -97,12 +94,14 @@ class NonlinearPerturbation:
     range of m; for perturbations built by make_perpendicular_perturbation
     they are gamma^{-1}-orthogonal to the columns of A.
 
-    evaluate_batch / gradient_apply_batch are the vectorized forms the
-    particle dynamics call, component-major like the steps: particles
-    come in as the contiguous (L, J) array U whose column j is u_j, and
-    covectors as the (K, J) array Z.  evaluate_batch(U) returns the
-    (K, J) array of columns m(u_j); gradient_apply_batch(U, Z) returns
-    the (L, J) array of columns grad m(u_j) @ z_j.
+    evaluate and gradient act on one point; they are the oracles the
+    vectorized forms are checked against.  evaluate_batch /
+    gradient_apply_batch are the forms the particle dynamics call,
+    component-major like the steps: particles come in as the contiguous
+    (L, J) array U whose column j is u_j, and covectors as the (K, J)
+    array Z.  evaluate_batch(U) returns the (K, J) array of columns
+    m(u_j); gradient_apply_batch(U, Z) returns the (L, J) array of
+    columns grad m(u_j) @ z_j.
     """
 
     evaluate: Callable
@@ -231,15 +230,6 @@ class InverseProblem:
         return scipy.linalg.cho_solve(self._gamma0_chol, z, check_finite=False)
 
 
-def apply_forward(problem, u):
-    """Evaluate G(u) = A u + m(u) for a single point u of shape (L,)."""
-    u = _vector(u, problem.dim_l, "u")
-    out = problem.a @ u
-    if problem.nonlinear is not None:
-        out = out + np.asarray(problem.nonlinear.evaluate(u), dtype=float)
-    return out
-
-
 def apply_forward_batch(problem, u_all):
     """Evaluate the forward map on all rows of u_all, shape (J, L) -> (J, K),
     returned as the transpose of a C-contiguous (K, J) array."""
@@ -255,33 +245,6 @@ def apply_forward_batch(problem, u_all):
     if problem.nonlinear is not None:
         out += problem.nonlinear.eval_batch(u_t)
     return out.T
-
-
-def loss_phi_r(problem, u):
-    """Regularized least-squares loss phi_r(u); the posterior density is
-    proportional to exp(-phi_r)."""
-    u = _vector(u, problem.dim_l, "u")
-    misfit = problem.y - apply_forward(problem, u)
-    shift = u - problem.u0
-    data_term = 0.5 * float(misfit @ problem.solve_gamma(misfit))
-    prior_term = 0.5 * float(shift @ problem.solve_gamma0(shift))
-    return data_term + prior_term
-
-
-def grad_phi_r(problem, u):
-    """Gradient of phi_r at u.
-
-    For linear G this equals B (u - u_star) with B the posterior precision
-    and u_star the posterior mean; in general it is
-    (A^T + grad m(u)) gamma^{-1} (G(u) - y) + gamma0^{-1} (u - u0).
-    """
-    u = _vector(u, problem.dim_l, "u")
-    residual = apply_forward(problem, u) - problem.y
-    z = problem.solve_gamma(residual)
-    g = problem.a.T @ z
-    if problem.nonlinear is not None:
-        g = g + np.asarray(problem.nonlinear.gradient(u), dtype=float) @ z
-    return g + problem.solve_gamma0(u - problem.u0)
 
 
 def precision_matrix(problem):

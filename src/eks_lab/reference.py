@@ -88,7 +88,10 @@ class MomentFlow:
         object.__setattr__(self, "_c0_inv", spd_invert(c0))
         lam, v = scipy.linalg.eigh(self._c0_inv - self._b, self._b)
         object.__setattr__(self, "_v", v)
-        object.__setattr__(self, "_lam", lam)
+        # lam > -1 exactly, since C0^{-1} is positive definite; when B
+        # dwarfs C0^{-1} the solver may return lam just below -1, which
+        # would put a negative number under advance_mean's square root
+        object.__setattr__(self, "_lam", np.maximum(lam, -1.0))
 
 
 def covariance_closed_form(flow, t):

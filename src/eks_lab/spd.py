@@ -40,7 +40,10 @@ def symmetrize(m):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(
             f"matrix must be square 2-d, got shape {m.shape}")
-    out = 0.5 * (m + m.T)
+    # an overflowing sum is reported by the check below, as NonFinite,
+    # not by a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = 0.5 * (m + m.T)
     # a non-finite entry of M is non-finite in the result too, so this
     # one check covers the input as well as an overflowing sum
     if not np.all(np.isfinite(out)):

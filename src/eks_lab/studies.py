@@ -516,7 +516,7 @@ def _sweep(cfg, mode, measure, flow=None):
     per-J means over repeats, plus the fits and flags of the slope in J.
 
     All cells step in lockstep through one run() call; each cell's
-    numbers are bitwise those of running it alone.  measure(result, j,
+    numbers are bitwise those of running it alone.  measure(result,
     cell_seed) gives a cell's value from its RunResult.
     """
     kind = cfg.kind
@@ -536,7 +536,7 @@ def _sweep(cfg, mode, measure, flow=None):
     cells = []
     for (j, rep, seed), res in zip(specs, results):
         c1 = time.perf_counter()
-        value = measure(res, j, seed)
+        value = measure(res, seed)
         cells.append(StudyCell(kind, j, t_final, rep, seed, metric, value,
                                run_ms + (time.perf_counter() - c1) * 1e3))
 
@@ -604,8 +604,8 @@ def run_study_j(cfg, out_dir=None):
     t_final = cfg.h * cfg.n_steps
     target = rho_at(_flow(cfg), t_final)
 
-    def measure(res, j, cell_seed):
-        return w2_ensemble_vs_gaussian(res.final, target, j,
+    def measure(res, cell_seed):
+        return w2_ensemble_vs_gaussian(res.final, target,
                                        derive_seed(cell_seed, "reference"))
 
     cells, means, fits, flags = _sweep(cfg, "eks", measure)
@@ -691,8 +691,8 @@ def run_study_coupling(cfg, out_dir=None):
     false runs the negative control (independent increments)."""
     t0 = time.perf_counter()
 
-    def measure(res, j, cell_seed):
-        return float(res.coupling_error[-1])
+    def measure(res, cell_seed):
+        return res.coupling_error
 
     cells, means, fits, flags = _sweep(cfg, "coupled", measure, _flow(cfg))
     report = StudyReport(kind="study-coupling", base_seed=cfg.seed,

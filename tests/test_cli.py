@@ -175,6 +175,33 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_overflowing_rho0_cov_exits_two_without_a_numpy_warning(
+            self, tmp_path):
+        # finite entries whose symmetrized sum overflows; a process of its
+        # own, so that a warning numpy prints would reach its stderr
+        doc = sample_doc(rho0={"mean": [0.0, 0.0],
+                               "cov": [[1e308, 1e308], [1e308, 1e308]]})
+        env = dict(os.environ)
+        env.pop("PYTHONWARNINGS", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(PYPROJECT.parent / "src")]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        out_dir = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from eks_lab.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "sample", "--config", write_cfg(tmp_path, doc),
+             "--out", str(out_dir)],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert "config field 'rho0.cov' must be a finite positive " \
+               "semidefinite" in proc.stderr
+        assert "Warning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out_dir.exists()
+
     def test_non_boolean_flag_exits_two_without_traceback(self, tmp_path,
                                                           capsys):
         doc = {"kind": "study-coupling", "seed": 4, "share_noise": "false",

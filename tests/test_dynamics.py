@@ -23,7 +23,7 @@ from eks_lab.dynamics import (
 from eks_lab.ensemble import (
     Ensemble,
     affine_span_distance,
-    centered_moment,
+    centered_moments,
     empirical_stats,
     particle_moments,
 )
@@ -626,7 +626,7 @@ def test_stats_and_steps_independent_of_memory_layout(l):
         stats = empirical_stats(ens, problem)
         got = [stats.mean_u, stats.mean_g, stats.cov_uu, stats.cov_ug,
                stats.forward, *particle_moments(ens),
-               np.array([centered_moment(ens, 2), centered_moment(ens, 4)])]
+               np.array(centered_moments(ens))]
         got += [stepper(ens, cfg, NoiseSource(seed=cfg.seed)).particles
                 for stepper in all_steppers(problem)]
         if expected is None:
@@ -670,18 +670,17 @@ def test_bit_identical_reruns():
 def test_no_blowup_across_seeds():
     # T=5 at h=0.01 for 50 seeds: the centered fourth moment must stay
     # finite and within a factor 10^3 of (1 + its initial value)
-    from eks_lab.ensemble import centered_moment
     problem = default_problem()
     moments0 = GaussianMoments(mean=[2.0, -2.0], cov=np.eye(2))
     cfg_template = dict(h=0.01, n_steps=500, j_particles=100)
     for seed in range(50):
         cfg = SdeConfig(seed=seed, **cfg_template)
         ens = sample_gaussian(moments0, cfg.j_particles, seed)
-        bound = 1e3 * (1.0 + centered_moment(ens, 4))
+        bound = 1e3 * (1.0 + centered_moments(ens)[1])
         noise = NoiseSource(seed=seed)
         for _ in range(cfg.n_steps):
             ens = eks_step(ens, problem, cfg, noise)
-        m4 = centered_moment(ens, 4)
+        m4 = centered_moments(ens)[1]
         assert np.isfinite(m4)
         assert m4 <= bound
 
@@ -736,10 +735,13 @@ def test_coupled_run_starts_at_zero_error():
     ens = sample_gaussian(moments0, 32, 7)
     cfg = SdeConfig(h=0.05, n_steps=10, j_particles=32, seed=7)
     flow = flow_for(problem, moments0.mean, moments0.cov)
-    res = run(ens, problem, cfg, "coupled", flow=flow)
-    assert res.coupling_error.shape == (cfg.n_steps + 1,)
-    assert res.coupling_error[0] == 0.0
-    assert np.all(np.isfinite(res.coupling_error))
+    res = run(ens, problem, cfg, "coupled", flow=flow,
+              record_diagnostics=True)
+    series = res.diagnostics["coupling_error"]
+    assert series.shape == (cfg.n_steps + 1,)
+    assert series[0] == 0.0
+    assert np.all(np.isfinite(series))
+    assert res.coupling_error == series[-1]
     assert res.v_final is not None
     assert res.v_final.particles.shape == res.final.particles.shape
 
@@ -756,7 +758,7 @@ def test_coupling_error_shrinks_with_ensemble_size():
             cfg = SdeConfig(h=0.02, n_steps=50, j_particles=j, seed=seed)
             ens = sample_gaussian(moments0, j, seed)
             res = run(ens, problem, cfg, "coupled", flow=flow)
-            vals.append(res.coupling_error[-1])
+            vals.append(res.coupling_error)
         errs[j] = np.mean(vals)
     assert errs[128] < errs[32]
     assert errs[512] < errs[128]
@@ -773,21 +775,21 @@ def test_shared_noise_tightens_coupling():
     shared = run(ens, problem, cfg, "coupled", flow=flow)
     independent = run(ens, problem, cfg, "coupled", flow=flow,
                       share_noise=False)
-    assert shared.coupling_error[-1] * 5.0 < independent.coupling_error[-1]
+    assert shared.coupling_error * 5.0 < independent.coupling_error
 
 
 def test_mean_field_run_tracks_reference_marginals():
-    # long mean-field run: empirical moments approach rho(T)
+    # long coupled run: the mean-field particles' empirical moments
+    # approach rho(T)
     problem = default_problem()
     moments0 = GaussianMoments(mean=[2.0, -2.0], cov=np.eye(2))
     flow = flow_for(problem, moments0.mean, moments0.cov)
     j = 4000
     cfg = SdeConfig(h=0.01, n_steps=300, j_particles=j, seed=12)
     ens = sample_gaussian(moments0, j, 12)
-    res = run(ens, problem, cfg, "mean_field", flow=flow)
-    from eks_lab.reference import rho_at
+    res = run(ens, problem, cfg, "coupled", flow=flow)
     target = rho_at(flow, cfg.t_final)
-    stats = empirical_stats(res.final, problem)
+    stats = empirical_stats(res.v_final, problem)
     assert np.linalg.norm(stats.mean_u - target.mean) < 0.1
     assert np.linalg.norm(stats.cov_uu - target.cov, ord=2) < 0.15
 
@@ -806,8 +808,8 @@ def test_run_diagnostics_recorded():
     for key in diag:
         assert diag[key].shape == (cfg.n_steps + 1,)
     assert np.all(np.diff(diag["time"]) > 0)
-    np.testing.assert_allclose(diag["coupling_error"],
-                               res.coupling_error, rtol=0, atol=0)
+    assert diag["coupling_error"][0] == 0.0
+    assert diag["coupling_error"][-1] == res.coupling_error
 
 
 def counted_nonlinear_problem():
@@ -985,9 +987,8 @@ def lockstep_cells(h=0.05, n_steps=9):
 
 
 @pytest.mark.parametrize("mode, share_noise", [
-    ("coupled", True), ("coupled", False), ("eks", True),
-    ("mean_field", True)],
-    ids=["coupled_shared", "coupled_independent", "eks", "mean_field"])
+    ("coupled", True), ("coupled", False), ("eks", True)],
+    ids=["coupled_shared", "coupled_independent", "eks"])
 def test_lockstep_cells_equal_cells_run_alone(mode, share_noise):
     problem = default_problem()
     moments0, initials, cfgs = lockstep_cells()
@@ -1004,7 +1005,7 @@ def test_lockstep_cells_equal_cells_run_alone(mode, share_noise):
         if mode == "coupled":
             assert np.array_equal(res.v_final.particles,
                                   alone.v_final.particles)
-            assert np.array_equal(res.coupling_error, alone.coupling_error)
+            assert res.coupling_error == alone.coupling_error
         for key, values in alone.diagnostics.items():
             np.testing.assert_array_equal(res.diagnostics[key], values,
                                           err_msg=key)
@@ -1133,9 +1134,8 @@ def test_mixed_kalman_cells_equal_cells_run_alone(j):
 
 
 @pytest.mark.parametrize("mode, share_noise, draws_per_cell", [
-    ("eks", True, 1), ("mean_field", True, 1), ("coupled", True, 1),
-    ("coupled", False, 2)],
-    ids=["eks", "mean_field", "coupled_shared", "coupled_independent"])
+    ("eks", True, 1), ("coupled", True, 1), ("coupled", False, 2)],
+    ids=["eks", "coupled_shared", "coupled_independent"])
 def test_sweep_cells_draw_once_per_seed_and_step(monkeypatch, mode,
                                                   share_noise,
                                                   draws_per_cell):

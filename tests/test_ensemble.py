@@ -10,7 +10,7 @@ from eks_lab.ensemble import (
     _canonical_order,
     _mean_rows,
     affine_span_distance,
-    centered_moment,
+    centered_moments,
     empirical_stats,
     load_csv,
     particle_moments,
@@ -277,38 +277,36 @@ def test_cov_ug_equals_cov_uu_at_for_linear_map():
 
 
 def test_centered_moment_hand_case():
-    # particles 0 and 2 in 1-D: centered values -1, +1; p=2 gives 1
+    # particles 0 and 2 in 1-D: centered values -1, +1; both moments are 1
     ens = Ensemble(particles=np.array([[0.0], [2.0]]))
-    assert centered_moment(ens, 2) == 1.0
-    assert centered_moment(ens, 4) == 1.0
+    assert centered_moments(ens) == (1.0, 1.0)
 
 
 def test_centered_moment_identical_zero():
     ens = Ensemble(particles=np.full((9, 2), 1.25))
-    for p in (2, 4, 6, 8):
-        assert centered_moment(ens, p) == 0.0
+    assert centered_moments(ens) == (0.0, 0.0)
 
 
 def test_centered_moment_matches_trace():
     rng = np.random.default_rng(10)
     ens = Ensemble(particles=rng.standard_normal((40, 3)))
     stats = empirical_stats(ens, identity_problem(3))
-    assert centered_moment(ens, 2) == pytest.approx(
-        np.trace(stats.cov_uu), rel=1e-12)
+    second, fourth = centered_moments(ens)
+    assert second == pytest.approx(np.trace(stats.cov_uu), rel=1e-12)
+    # the fourth moment from its own definition
+    c = ens.particles - ens.particles.mean(axis=0)
+    assert fourth == pytest.approx(
+        np.mean(np.sum(c * c, axis=1) ** 2), rel=1e-12)
 
 
 def test_centered_moment_law_of_large_numbers():
     rng = np.random.default_rng(11)
     l = 3
     ens = Ensemble(particles=rng.standard_normal((10_000, l)))
-    assert centered_moment(ens, 2) == pytest.approx(l, rel=0.05)
-
-
-def test_centered_moment_rejects_bad_p():
-    ens = Ensemble(particles=np.zeros((2, 2)))
-    for p in (0, 1, 3, 10, -2):
-        with pytest.raises(NonPositive):
-            centered_moment(ens, p)
+    second, fourth = centered_moments(ens)
+    assert second == pytest.approx(l, rel=0.05)
+    # E |xi|^4 = L^2 + 2 L for a standard normal in R^L
+    assert fourth == pytest.approx(l * l + 2 * l, rel=0.05)
 
 
 def test_affine_span_distance_cases():
