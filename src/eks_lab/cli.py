@@ -5,7 +5,9 @@
 Subcommands name the study kind (sample, study-j, study-time,
 study-coupling, demo-nonlinear, validate); the config file's own "kind"
 must match.  --seed overrides the config's base seed.  Outputs land in
---out: report.json plus the study CSVs.
+--out: report.json plus the study CSVs.  --out is created, parents
+included, before any compute; a path that cannot be a directory is a
+usage error.
 
 Exit codes: 0 success, 1 a pre-registered acceptance band failed (or a
 validate check did), 2 usage or configuration error, 3 a runtime error
@@ -14,6 +16,7 @@ validate check did), 2 usage or configuration error, 3 a runtime error
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import __version__
 from .errors import EksError
@@ -65,6 +68,15 @@ def main(argv=None):
                 raise ConfigError(f"--seed: {err}") from None
     except ConfigError as err:
         print(f"eks-lab: config error: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    # before any compute: an --out that cannot be a directory (an existing
+    # file, a path below one, no permission) is a usage error, not a
+    # traceback with the band-failure exit code
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"eks-lab: cannot create output directory {args.out!r}: "
+              f"{err.strerror or err}", file=sys.stderr)
         return EXIT_USAGE
 
     try:

@@ -288,7 +288,7 @@ def condition_check(problem, rho_moments):
     """Spectral diagnostic lambda_min(B) * lambda_min(C(t)); values above 1
     indicate the contractive regime.  Logged only — the dynamics run
     regardless."""
-    return lambda_min(precision_matrix(problem)) * lambda_min(rho_moments.cov)
+    return problem._precision_lambda_min * lambda_min(rho_moments.cov)
 
 
 def _coupling_error(u, v):

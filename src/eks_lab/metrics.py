@@ -10,8 +10,6 @@ turns sweeps of (size, distance) pairs into log-log rate exponents.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.spatial.distance
 
 from .ensemble import Ensemble
 from .errors import DimensionMismatch, NonPositive, SizeMismatch, TooLarge
@@ -59,6 +57,11 @@ def empirical_w2_exact(x, y):
     distance.  Solved exactly (shortest augmenting path) on the squared
     Euclidean cost matrix; guarded at J <= 4096 because the cost matrix
     is dense.
+
+    The assignment solver and the distance kernel are imported here, on
+    first use, not with the package: only study-j and validate measure
+    exact W2, and loading them is about a quarter of the package's
+    start-up.  A call the checks reject loads neither.
     """
     px, py = _particles(x), _particles(y)
     if px.shape != py.shape:
@@ -67,6 +70,8 @@ def empirical_w2_exact(x, y):
     if j > ASSIGNMENT_LIMIT:
         raise TooLarge(
             f"J = {j} exceeds the exact-assignment guard {ASSIGNMENT_LIMIT}")
+    import scipy.optimize
+    import scipy.spatial.distance
     cost = scipy.spatial.distance.cdist(px, py, "sqeuclidean")
     rows, cols = scipy.optimize.linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))

@@ -161,6 +161,8 @@ class InverseProblem:
     gamma_inv: np.ndarray = field(init=False, repr=False, compare=False)
     gamma0_inv: np.ndarray = field(init=False, repr=False, compare=False)
     _precision: np.ndarray = field(init=False, repr=False, compare=False)
+    _precision_lambda_min: float = field(init=False, repr=False,
+                                         compare=False)
     _linear_mean: np.ndarray = field(init=False, repr=False, compare=False)
     _linear_cov: np.ndarray = field(init=False, repr=False, compare=False)
     _gamma0_inv_u0: np.ndarray = field(init=False, repr=False, compare=False)
@@ -206,6 +208,8 @@ class InverseProblem:
         object.__setattr__(self, "gamma0_inv", spd_invert(gamma0))
         b = symmetrize(a.T @ self.solve_gamma(a) + self.gamma0_inv)
         object.__setattr__(self, "_precision", b)
+        # B is constant, so the diagnostics' lambda_min(B) is taken once
+        object.__setattr__(self, "_precision_lambda_min", lambda_min(b))
         object.__setattr__(self, "_linear_mean", spd_solve(b, r))
         object.__setattr__(self, "_linear_cov", spd_invert(b))
         # the constants of the Kalman step's semi-implicit prior treatment

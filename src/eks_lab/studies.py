@@ -7,7 +7,8 @@ before any compute runs, and produces in its output directory:
 
   report.json   deterministic summary — config echo, per-cell values with
                 their exact seeds, slope fits, pass/fail flags, and the
-                Python, numpy, scipy and machine it ran on.  The only
+                Python, numpy, scipy, BLAS/LAPACK builds, numpy CPU
+                dispatch targets and machine it ran on.  The only
                 line that varies between identical runs is the single
                 "generated" header entry (timestamp and total wall time).
   <kind>.csv    flat per-cell rows: study, J, t, repeat, seed,
@@ -29,6 +30,7 @@ share, plus its own measurement.
 """
 
 import difflib
+import functools
 import json
 import platform
 import sys
@@ -999,6 +1001,48 @@ def _fit_as_json(fit):
             "points": [[float(a), float(b)] for a, b in fit.points]}
 
 
+def _build_dependency(config, name):
+    """A BLAS or LAPACK entry of numpy's or scipy's build configuration:
+    name, version and OpenBLAS's configuration line, no install paths."""
+    try:
+        dep = config(mode="dicts")["Build Dependencies"][name]
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        return "unknown"
+    return {key: dep.get(key)
+            for key in ("name", "version", "openblas configuration")}
+
+
+def _cpu_dispatch():
+    """numpy's baseline SIMD targets and the dispatched targets this CPU
+    enables: what np.show_runtime() reports as "baseline" and "found"."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return {"baseline": list(umath.__cpu_baseline__),
+            "enabled": [target for target in umath.__cpu_dispatch__
+                        if umath.__cpu_features__.get(target)]}
+
+
+@functools.cache
+def _environment():
+    """What report.json records under "environment", computed once per
+    process.  Noise and sums are bit-stable only on the same binaries,
+    and np.tanh's bits also depend on the CPU dispatch level, so the
+    report names them; fixed per environment, reruns stay equal.  The
+    returned dict is shared: callers must not change it."""
+    env = {"python": platform.python_version(),
+           "numpy": np.__version__,
+           "scipy": scipy.__version__,
+           "machine": platform.machine()}
+    # numpy and scipy each ship their own OpenBLAS build
+    for dep in ("blas", "lapack"):
+        env[dep] = {lib.__name__: _build_dependency(lib.show_config, dep)
+                    for lib in (np, scipy)}
+    env["cpu_dispatch"] = _cpu_dispatch()
+    return env
+
+
 def write_report(report, out_dir):
     """report.json plus the flat per-cell CSV."""
     out = Path(out_dir)
@@ -1009,12 +1053,7 @@ def write_report(report, out_dir):
         # here and nowhere else in this file
         "generated": f"{stamp} wall_ms={report.wall_ms_total:.1f}",
         "package": f"eks-lab {__version__}",
-        # noise and sums are bit-stable only on the same binaries, so the
-        # report names them; fixed per environment, reruns stay equal
-        "environment": {"python": platform.python_version(),
-                        "numpy": np.__version__,
-                        "scipy": scipy.__version__,
-                        "machine": platform.machine()},
+        "environment": _environment(),
         "study": report.kind,
         "base_seed": report.base_seed,
         "passed": report.passed,

@@ -263,6 +263,29 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("below", ["", "sub"],
+                             ids=["is_a_file", "below_a_file"])
+    def test_out_that_cannot_be_a_directory_exits_two(self, tmp_path, capsys,
+                                                      monkeypatch, below):
+        from eks_lab import cli
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        out_dir = blocker / below if below else blocker
+        ran = []
+        monkeypatch.setattr(cli, "run_study",
+                            lambda *args, **kw: ran.append(args))
+        code = main(["sample", "--config", write_cfg(tmp_path, sample_doc()),
+                     "--out", str(out_dir)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"eks-lab: cannot create output directory {str(out_dir)!r}")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        # refused before any compute; the file in the way is left alone
+        assert ran == []
+        assert blocker.read_text() == "not a directory\n"
+
 
 class TestArgparse:
     def test_version_flag(self, capsys):

@@ -10,6 +10,7 @@ import pytest
 from numpy.random import Philox
 from scipy.special import ndtri
 
+from eks_lab import dynamics
 from eks_lab.dynamics import (
     SdeConfig,
     condition_check,
@@ -44,7 +45,7 @@ from eks_lab.model import (
 )
 from eks_lab.noise import NoiseSource, derive_seed
 from eks_lab.reference import MomentFlow, rho_at
-from eks_lab.spd import spd_sqrt
+from eks_lab.spd import lambda_min, spd_sqrt
 
 
 class FixedNoise:
@@ -915,6 +916,27 @@ def test_condition_check_values():
     w = np.linalg.eigvalsh(b)
     assert condition_check(problem, rho) == pytest.approx(w[0] / w[-1],
                                                           rel=1e-10)
+
+
+def test_condition_check_takes_lambda_min_of_b_once(monkeypatch):
+    # B is constant: its smallest eigenvalue is cached on the problem, and
+    # a diagnostics run takes lambda_min of C(t) alone at each step
+    problem = random_problem(8)
+    moments0 = GaussianMoments(mean=[1.0, -1.0, 0.5],
+                               cov=[[2.0, 0.3, 0.0], [0.3, 0.5, 0.1],
+                                    [0.0, 0.1, 1.0]])
+    assert condition_check(problem, moments0) == (
+        lambda_min(precision_matrix(problem)) * lambda_min(moments0.cov))
+    seen = []
+    monkeypatch.setattr(dynamics, "lambda_min",
+                        lambda m: seen.append(m) or lambda_min(m))
+    cfg = SdeConfig(h=0.05, n_steps=6, j_particles=8, seed=3)
+    run(sample_gaussian(moments0, 8, 4), problem, cfg, "eks",
+        flow=flow_for(problem, moments0.mean, moments0.cov),
+        record_diagnostics=True)
+    assert len(seen) == cfg.n_steps + 1
+    b = precision_matrix(problem)
+    assert not any(np.array_equal(m, b) for m in seen)
 
 
 # ------------------------------------------------------------- failures

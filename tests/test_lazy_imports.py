@@ -1,0 +1,78 @@
+"""The exact-W2 solver stack loads on first use, not with the package.
+
+Only study-j and validate measure exact W2, so scipy.optimize (the
+assignment solver) and scipy.spatial (the cost matrix) stay out of a
+process until empirical_w2_exact has a cloud pair to solve.  Each check
+runs in a fresh interpreter: this test process has long imported both.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from eks_lab.metrics import empirical_w2_exact
+
+ROOT = Path(__file__).resolve().parents[1]
+LAZY = ("scipy.optimize", "scipy.spatial")
+
+PROBE = """
+import json, sys
+from pathlib import Path
+
+import numpy as np
+
+import eks_lab
+from eks_lab import SizeMismatch, TooLarge, empirical_w2_exact, load_config
+
+LAZY = {lazy!r}
+
+
+def loaded():
+    return sorted(name for name in LAZY if name in sys.modules)
+
+
+seen = {{"import": loaded()}}
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    load_config(path)
+seen["configs"] = loaded()
+try:
+    empirical_w2_exact(np.zeros((3, 2)), np.zeros((4, 2)))
+except SizeMismatch:
+    pass
+try:
+    empirical_w2_exact(np.zeros((4097, 1)), np.zeros((4097, 1)))
+except TooLarge:
+    pass
+seen["rejected"] = loaded()
+x, y = np.random.default_rng(7).standard_normal((2, 40, 3))
+seen["w2"] = empirical_w2_exact(x, y).hex()
+seen["first_use"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def run_probe():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE.format(lazy=LAZY),
+         str(ROOT / "configs")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_w2_stack_loads_on_first_use_only():
+    seen = run_probe()
+    # not at import, not for any shipped config, not for a rejected call
+    assert seen["import"] == []
+    assert seen["configs"] == []
+    assert seen["rejected"] == []
+    # the first solvable pair loads both and gets this process's bits
+    assert seen["first_use"] == sorted(LAZY)
+    x, y = np.random.default_rng(7).standard_normal((2, 40, 3))
+    assert seen["w2"] == empirical_w2_exact(x, y).hex()

@@ -19,9 +19,10 @@ from eks_lab import dynamics, studies
 from eks_lab.dynamics import sample_gaussian
 from eks_lab.ensemble import Ensemble, load_csv
 from eks_lab.metrics import gaussian_w2
-from eks_lab.model import GaussianMoments, posterior_moments
+from eks_lab.model import GaussianMoments, posterior_moments, precision_matrix
 from eks_lab.noise import derive_seed
 from eks_lab.reference import MomentFlow
+from eks_lab.spd import lambda_min
 from eks_lab.studies import (
     ConfigError,
     load_config,
@@ -71,6 +72,21 @@ def sweep_doc(kind, share=True):
     if kind == "study-coupling":
         doc["share_noise"] = share
     return doc
+
+
+try:
+    from numpy._core import _multiarray_umath as UMATH
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as UMATH
+
+
+@pytest.fixture
+def fresh_environment():
+    """Drop report.json's per-process environment stamp before and after
+    a test that patches what it reads."""
+    studies._environment.cache_clear()
+    yield
+    studies._environment.cache_clear()
 
 
 def split_generated(text):
@@ -527,6 +543,23 @@ class TestRunSample:
         diag_a = (tmp_path / "a" / "diagnostics.csv").read_bytes()
         assert diag_a == (tmp_path / "b" / "diagnostics.csv").read_bytes()
 
+    def test_diagnostics_csv_unchanged_by_the_cached_lambda_min(
+            self, tmp_path, monkeypatch):
+        # lambda_min(B) is taken once per problem; the condition column
+        # must keep the bits of taking it afresh at every recorded step
+        doc = sample_doc()
+        doc["sde"]["n_steps"] = 20
+        cfg = parse_config(doc)
+        run_study(cfg, out_dir=tmp_path / "cached")
+        monkeypatch.setattr(
+            dynamics, "condition_check",
+            lambda problem, rho: (lambda_min(precision_matrix(problem))
+                                  * lambda_min(rho.cov)))
+        run_study(cfg, out_dir=tmp_path / "afresh")
+        cached = (tmp_path / "cached" / "diagnostics.csv").read_bytes()
+        assert cached == (tmp_path / "afresh" / "diagnostics.csv").read_bytes()
+        assert len(cached.splitlines()) == 22
+
     def test_report_differs_only_in_generated_line(self, tmp_path):
         cfg = parse_config(sample_doc())
         run_study(cfg, out_dir=tmp_path / "a")
@@ -886,10 +919,63 @@ class TestWriteReport:
 
     def test_report_names_its_environment(self, tmp_path):
         write_report(run_sample(parse_config(sample_doc())), tmp_path)
-        doc = json.loads((tmp_path / "report.json").read_text())
-        assert doc["environment"] == {
+        env = json.loads((tmp_path / "report.json").read_text())["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "machine", "blas",
+                            "lapack", "cpu_dispatch"}
+        assert {key: env[key] for key in ("python", "numpy", "scipy",
+                                          "machine")} == {
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "machine": platform.machine()}
+        # the BLAS/LAPACK builds of both libraries, without install paths
+        for dep in ("blas", "lapack"):
+            for lib in (np, scipy):
+                built = lib.show_config(mode="dicts")["Build Dependencies"]
+                assert env[dep][lib.__name__] == {
+                    key: built[dep].get(key) for key in
+                    ("name", "version", "openblas configuration")}
+        # numpy's baseline and the dispatched targets this CPU enables
+        assert env["cpu_dispatch"] == {
+            "baseline": list(UMATH.__cpu_baseline__),
+            "enabled": [t for t in UMATH.__cpu_dispatch__
+                        if UMATH.__cpu_features__[t]]}
+
+    def test_cpu_dispatch_level_changes_the_body(self, tmp_path, monkeypatch,
+                                                 fresh_environment):
+        report = run_sample(parse_config(sample_doc()))
+        write_report(report, tmp_path / "here")
+        write_report(report, tmp_path / "again")
+        # a process at another level: the first dispatched target flipped,
+        # as NPY_DISABLE_CPU_FEATURES or another CPU would, and the stamp
+        # taken afresh as a new process takes it
+        target = UMATH.__cpu_dispatch__[0]
+        monkeypatch.setattr(UMATH, "__cpu_features__", {
+            **UMATH.__cpu_features__,
+            target: not UMATH.__cpu_features__[target]})
+        studies._environment.cache_clear()
+        write_report(report, tmp_path / "elsewhere")
+        bodies = {}
+        for name in ("here", "again", "elsewhere"):
+            doc = json.loads((tmp_path / name / "report.json").read_text())
+            doc.pop("generated")
+            bodies[name] = doc
+        assert bodies["here"] == bodies["again"]
+        assert bodies["here"] != bodies["elsewhere"]
+        moved = bodies["elsewhere"]["environment"].pop("cpu_dispatch")
+        assert target in (set(moved["enabled"]) ^ set(
+            bodies["here"]["environment"].pop("cpu_dispatch")["enabled"]))
+        assert bodies["here"] == bodies["elsewhere"]
+
+    def test_environment_is_computed_once_per_process(self, tmp_path,
+                                                      monkeypatch,
+                                                      fresh_environment):
+        calls = []
+        dispatch = studies._cpu_dispatch
+        monkeypatch.setattr(studies, "_cpu_dispatch",
+                            lambda: calls.append(1) or dispatch())
+        report = run_sample(parse_config(sample_doc()))
+        write_report(report, tmp_path / "a")
+        write_report(report, tmp_path / "b")
+        assert calls == [1]
 
     def test_fit_serialization(self, tmp_path):
         doc = {"kind": "study-j", "seed": 2,
