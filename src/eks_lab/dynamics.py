@@ -105,7 +105,6 @@ class SdeConfig:
     n_steps: int
     j_particles: int
     seed: int
-    sqrt_tol: float = 1e-12
 
     def __post_init__(self):
         if not np.isfinite(self.h) or self.h < 0.0 or self.h > 0.5:
@@ -115,8 +114,6 @@ class SdeConfig:
         if self.j_particles < 1:
             raise NonPositive(
                 f"j_particles must be >= 1, got {self.j_particles}")
-        if not (self.sqrt_tol > 0.0):
-            raise NonPositive(f"sqrt_tol must be > 0, got {self.sqrt_tol}")
 
     @property
     def t_final(self):
@@ -204,7 +201,7 @@ def _kalman_step(ens, problem, cfg, noise, gradient):
         raise SingularImplicitSystem(
             f"step {ens.step}: implicit system is singular ({err})") from None
     out = np.einsum("ml,lj->mj", solve_matrix, rhs)
-    root = spd_sqrt(2.0 * h * stats.cov_uu, cfg.sqrt_tol)
+    root = spd_sqrt(2.0 * h * stats.cov_uu)
     out += np.einsum("ml,lj->mj", root, _draw(noise, ens.step, j, l))
     if not np.isfinite(out).all():
         raise NonFinite(
@@ -244,13 +241,13 @@ class MeanFieldDrive:
 
 
 def mean_field_drive(rho_moments, problem, cfg):
-    """The MeanFieldDrive of the flow moments rho(t) under cfg's h and
-    sqrt_tol, built once for any number of steps taken from time t."""
+    """The MeanFieldDrive of the flow moments rho(t) under cfg's h, built
+    once for any number of steps taken from time t."""
     return MeanFieldDrive(
         pull=np.einsum("ab,bc->ac", rho_moments.cov,
                        precision_matrix(problem)),
         u_star=posterior_moments(problem).mean,
-        root=spd_sqrt(2.0 * cfg.h * rho_moments.cov, cfg.sqrt_tol))
+        root=spd_sqrt(2.0 * cfg.h * rho_moments.cov))
 
 
 def mean_field_step(v_ens, rho_moments, problem, cfg, noise):
@@ -335,10 +332,8 @@ def _check_cells(initials, cfgs, problem):
                 f"{cfg.j_particles}")
         if (ens.time, ens.step) != (first_ens.time, first_ens.step):
             raise DimensionMismatch("lockstep cells must share the clock")
-        if (cfg.h, cfg.n_steps, cfg.sqrt_tol) != (
-                first_cfg.h, first_cfg.n_steps, first_cfg.sqrt_tol):
-            raise DimensionMismatch(
-                "lockstep cells must share h, n_steps and sqrt_tol")
+        if (cfg.h, cfg.n_steps) != (first_cfg.h, first_cfg.n_steps):
+            raise DimensionMismatch("lockstep cells must share h and n_steps")
 
 
 class _DrawTable:
@@ -392,7 +387,7 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
 
     initial and cfg may also be equal-length sequences: the ensembles of
     a sweep's cells on one clock, and one config per cell with a shared
-    h, n_steps and sqrt_tol (J and seed are the cell's own).  The cells
+    h and n_steps (J and seed are the cell's own).  The cells
     then step in lockstep and a list of RunResults comes back, cell i's
     bitwise equal to run(initial[i], problem, cfg[i], ...).  mode may then
     also be a list or tuple of one Kalman mode ("eks" or "eks_gradient")

@@ -370,8 +370,14 @@ def _log_density_batch(problem, points):
     return -(data_term + prior_term)
 
 
-def _grid_moments(problem, center, widths, n_points):
-    axes = [np.linspace(c - w, c + w, n_points)
+# quadrature_moments' grid: points per axis, and the half-width of its
+# window in posterior standard deviations
+QUADRATURE_POINTS = 400
+QUADRATURE_HALF_WIDTH = 8.0
+
+
+def _grid_moments(problem, center, widths):
+    axes = [np.linspace(c - w, c + w, QUADRATURE_POINTS)
             for c, w in zip(center, widths)]
     if len(axes) == 1:
         points = axes[0][:, None]
@@ -387,25 +393,23 @@ def _grid_moments(problem, center, widths, n_points):
     return GaussianMoments(mean=mean, cov=symmetrize(cov))
 
 
-def quadrature_moments(problem, n_points=400, half_width=8.0):
+def quadrature_moments(problem):
     """Posterior mean and covariance by dense tensor-grid quadrature.
 
     Only for dimension L <= 2 (TooLarge otherwise).  The grid spans
-    half_width linear-posterior standard deviations around the linear
-    posterior mean, and is re-centered once on the first pass's moments so
-    bounded perturbations that shift the posterior stay well inside the
-    window.  Deliberately ignorant of the closed-form Gaussian answer:
+    QUADRATURE_HALF_WIDTH linear-posterior standard deviations around the
+    linear posterior mean, and is re-centered once on the first pass's
+    moments so bounded perturbations that shift the posterior stay well
+    inside the window.  Deliberately ignorant of the closed-form Gaussian answer:
     this is the reference the closed form gets checked against.
     """
     if problem.dim_l > 2:
         raise TooLarge("tensor-grid quadrature is limited to L <= 2")
-    if n_points < 10:
-        raise NonPositive("n_points must be at least 10")
     linear = InverseProblem(a=problem.a, gamma=problem.gamma,
                             gamma0=problem.gamma0, y=problem.y,
                             u0=problem.u0)
     start = posterior_moments(linear)
-    widths = half_width * np.sqrt(np.diag(start.cov))
-    first = _grid_moments(problem, start.mean, widths, n_points)
-    widths = half_width * np.sqrt(np.diag(first.cov))
-    return _grid_moments(problem, first.mean, widths, n_points)
+    widths = QUADRATURE_HALF_WIDTH * np.sqrt(np.diag(start.cov))
+    first = _grid_moments(problem, start.mean, widths)
+    widths = QUADRATURE_HALF_WIDTH * np.sqrt(np.diag(first.cov))
+    return _grid_moments(problem, first.mean, widths)

@@ -48,6 +48,7 @@ from .dynamics import SdeConfig, run, sample_gaussian
 from .ensemble import particle_moments, save_csv
 from .errors import EksError
 from .metrics import (
+    ASSIGNMENT_LIMIT,
     _line_fit,
     fit_slope,
     gaussian_w2,
@@ -73,12 +74,6 @@ __all__ = [
     "default_rho0",
     "load_config",
     "parse_config",
-    "run_sample",
-    "run_study_j",
-    "run_study_time",
-    "run_study_coupling",
-    "run_demo_nonlinear",
-    "run_validate",
     "run_study",
     "write_report",
 ]
@@ -86,8 +81,8 @@ __all__ = [
 STUDY_KINDS = ("sample", "study-j", "study-time", "study-coupling",
                "demo-nonlinear", "validate")
 SWEEP_KINDS = ("study-j", "study-coupling")
-
-DEFAULT_SQRT_TOL = 1e-12
+# the kinds that sample a problem: every kind but validate
+SAMPLING_KINDS = STUDY_KINDS[:-1]
 
 # the anisotropic off-center 2-D linear problem used throughout the
 # acceptance studies, and the start its studies take by default
@@ -115,32 +110,31 @@ def default_rho0():
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Everything a study needs; built by parse_config, never by hand."""
+    """Everything a study needs; built by parse_config, never by hand.
+    A value its kind does not read stays None (or empty)."""
 
     kind: str
-    problem: InverseProblem
-    rho0: GaussianMoments
-    h: float
-    n_steps: int
-    j_particles: int
     seed: int
-    sqrt_tol: float = DEFAULT_SQRT_TOL
+    echo: dict
+    problem: Optional[InverseProblem] = None
+    rho0: Optional[GaussianMoments] = None
+    h: Optional[float] = None
+    n_steps: Optional[int] = None
+    j_particles: Optional[int] = None
+    repeats: Optional[int] = None
+    share_noise: Optional[bool] = None
+    with_particles: Optional[bool] = None
+    fit_t_min: Optional[float] = None
     j_values: tuple = ()
     t_checkpoints: tuple = ()
-    repeats: int = 1
-    share_noise: bool = True
-    with_particles: bool = False
-    write_ensemble: bool = True
-    fit_t_min: float = 1.0
     bands: dict = field(default_factory=dict)
-    echo: dict = field(default_factory=dict)
 
     def sde(self, seed, j_particles=None, n_steps=None):
         return SdeConfig(h=self.h,
                          n_steps=self.n_steps if n_steps is None else n_steps,
                          j_particles=(self.j_particles if j_particles is None
                                       else j_particles),
-                         seed=seed, sqrt_tol=self.sqrt_tol)
+                         seed=seed)
 
 
 @dataclass
@@ -175,10 +169,10 @@ class StudyReport:
     base_seed: int
     config_echo: dict
     cells: list
-    fits: dict = field(default_factory=dict)
-    flags: dict = field(default_factory=dict)
-    summary: dict = field(default_factory=dict)
-    wall_ms_total: float = 0.0
+    fits: dict
+    flags: dict
+    summary: dict
+    wall_ms_total: float
 
     @property
     def passed(self):
@@ -191,7 +185,8 @@ class StudyReport:
 @dataclass(frozen=True)
 class Field:
     """One config key: its type, its default (None: optional; ...: the
-    kinds that read it must give it), its numbers' range and its kinds.
+    kinds that read it must give it), its numbers' range and the kinds
+    that read it; a config of any other kind must not set it.
 
     A type is int or float (a finite JSON number; an int rejects 2.7), a
     tuple of the allowed values, [int] or [float] (a non-empty, strictly
@@ -238,26 +233,29 @@ BANDS = {
     "min_alg1_worse_count": Field("min", kinds=("demo-nonlinear",)),
 }
 
-# The whole config, in the order of the echo in report.json.  The echo is
-# the config resolved against this table, so parse and echo cannot drift
-# apart.
+# The whole config, in the order of the echo in report.json, each key with
+# the kinds that read it.  The echo is the config resolved against this
+# table, so parse and echo cannot drift apart.
 CONFIG = {
     "kind": Field(STUDY_KINDS, ...),
     "seed": Field(int, 0, "[0, 18446744073709551616)"),
-    "problem": Field(PROBLEM, DEFAULT_PROBLEM, label="problem field"),
-    "rho0": Field({"mean": _ARRAY, "cov": _ARRAY}, _default_rho0),
+    "problem": Field(PROBLEM, DEFAULT_PROBLEM, kinds=SAMPLING_KINDS,
+                     label="problem field"),
+    "rho0": Field({"mean": _ARRAY, "cov": _ARRAY}, _default_rho0,
+                  kinds=SAMPLING_KINDS),
     "sde": Field({
         "h": Field(float, 0.01, "[0, 0.5]"),            # SdeConfig's range
-        "n_steps": Field(int, 0, "[0, inf)"),
-        "j_particles": Field(int, 0, "[0, inf)"),
-        "sqrt_tol": Field(float, DEFAULT_SQRT_TOL, "(0, inf)"),
-    }, {}),
-    "repeats": Field(int, 1, "[1, inf)"),
-    "share_noise": Field((True, False), True),
-    "with_particles": Field((True, False), False),
-    "write_ensemble": Field((True, False), True),
-    "fit_t_min": Field(float, 1.0),
-    "bands": Field(BANDS, {}, label="band"),
+        "n_steps": Field(int, 0, "[0, inf)",
+                         kinds=SWEEP_KINDS + ("sample", "demo-nonlinear")),
+        "j_particles": Field(int, 0, "[0, inf)",
+                             kinds=("sample", "study-time", "demo-nonlinear")),
+    }, {}, kinds=SAMPLING_KINDS),
+    "repeats": Field(int, 1, "[1, inf)",
+                     kinds=SWEEP_KINDS + ("demo-nonlinear",)),
+    "share_noise": Field((True, False), True, kinds=("study-coupling",)),
+    "with_particles": Field((True, False), False, kinds=("study-time",)),
+    "fit_t_min": Field(float, 1.0, kinds=("study-time",)),
+    "bands": Field(BANDS, {}, kinds=SAMPLING_KINDS, label="band"),
     "sweep": Field({
         "j_values": Field([int], ..., "[2, inf)", SWEEP_KINDS),
         "t_checkpoints": Field([float], ..., "[0, inf)",
@@ -341,13 +339,17 @@ def _check(field, value, kind, label, name):
 
 def _walk(schema, doc, kind, label, prefix):
     """doc resolved against a section of the table for a study of this
-    kind, in the table's order: unknown keys rejected, values checked,
-    defaults filled in.  A key the kind does not read must be absent."""
+    kind, in the table's order: unknown keys and keys the kind does not
+    read rejected, values checked, defaults filled in."""
     for key in doc:
+        name = f"{label} '{prefix}{key}'"
         if key not in schema:
             near = difflib.get_close_matches(str(key), list(schema), n=1)
             hint = f": did you mean '{prefix}{near[0]}'?" if near else ""
-            raise ConfigError(f"unknown {label} '{prefix}{key}'{hint}")
+            raise ConfigError(f"unknown {name}{hint}")
+        if kind not in schema[key].kinds:
+            raise ConfigError(f"{name} does not apply to {kind} studies, "
+                              f"only to {', '.join(schema[key].kinds)}")
     out = {}
     for key, field in schema.items():
         name = prefix + key
@@ -361,9 +363,6 @@ def _walk(schema, doc, kind, label, prefix):
             value = (field.default(out) if callable(field.default)
                      else field.default)
         out[key] = _check(field, value, kind, label, name)
-        if kind not in field.kinds:
-            raise ConfigError(f"{label} '{name}' does not apply to {kind} "
-                              f"studies")
     return out
 
 
@@ -417,11 +416,15 @@ def parse_config(doc, base_dir="."):
         raise ConfigError("config root must be a JSON object")
     kind = _check(CONFIG["kind"], doc.get("kind"), None, "config field",
                   "kind")
-    if "problem" in doc:
+    if "problem" in doc and kind in SAMPLING_KINDS:
         doc = dict(doc, problem=_problem_document(doc["problem"], base_dir))
     echo = _walk(CONFIG, doc, kind, "config field", "")
-    top = {k: v for k, v in echo.items()
-           if k not in ("problem", "rho0", "sde", "sweep")}
+    values = {k: v for k, v in echo.items()
+              if k not in ("problem", "rho0", "sde", "sweep")}
+    values.update(echo.get("sde", {}))
+    values.update((k, tuple(v)) for k, v in echo.get("sweep", {}).items())
+    if kind == "validate":
+        return StudyConfig(echo=echo, **values)
     problem = _build(_inverse_problem, echo["problem"], "problem")
     try:
         # the rule sample_gaussian applies when it draws from rho0; it
@@ -431,17 +434,24 @@ def parse_config(doc, base_dir="."):
     except EksError as err:
         raise ConfigError("config field 'rho0.cov' must be a finite positive "
                           f"semidefinite matrix: {err}") from None
-    cfg = StudyConfig(
-        problem=problem,
-        rho0=_build(GaussianMoments, echo["rho0"], "rho0"),
-        echo=echo, **top, **echo["sde"],
-        **{k: tuple(v) for k, v in echo.get("sweep", {}).items()})
+    cfg = StudyConfig(problem=problem,
+                      rho0=_build(GaussianMoments, echo["rho0"], "rho0"),
+                      echo=echo, **values)
 
     if cfg.rho0.dim != cfg.problem.dim_l:
         raise ConfigError(f"rho0 dimension {cfg.rho0.dim} does not match "
                           f"problem dimension {cfg.problem.dim_l}")
     if kind in SWEEP_KINDS and cfg.n_steps < 1:
         raise ConfigError(f"{kind} study requires sde.n_steps >= 1")
+    # both would fail only after every cell has run: an exact W2 above
+    # the assignment guard, and a slope fit of coupling errors that are
+    # all 0 at h = 0
+    if kind == "study-j" and cfg.j_values[-1] > ASSIGNMENT_LIMIT:
+        raise ConfigError(f"config field 'sweep.j_values': J = "
+                          f"{cfg.j_values[-1]} exceeds the exact-assignment "
+                          f"guard {ASSIGNMENT_LIMIT} of study-j's W2")
+    if kind == "study-coupling" and cfg.h == 0.0:
+        raise ConfigError("study-coupling requires config field 'sde.h' > 0")
     if kind in ("sample", "demo-nonlinear") and cfg.j_particles < 1:
         raise ConfigError(f"{kind} study requires sde.j_particles >= 1")
     if kind == "study-time" and cfg.with_particles:
@@ -467,11 +477,12 @@ def parse_config(doc, base_dir="."):
     # t >= fit_t_min for study-time), and a sample study's bands need the
     # closed-form posterior of a linear problem.
     band = next(iter(cfg.bands), None)
-    points = (len(cfg.j_values) if kind in SWEEP_KINDS
-              else sum(t >= cfg.fit_t_min for t in cfg.t_checkpoints))
-    if band and kind in SWEEP_KINDS + ("study-time",) and points < 3:
-        raise ConfigError(f"band '{band}' can never be graded: its fit "
-                          f"needs 3 points, the sweep gives {points}")
+    if band and kind in SWEEP_KINDS + ("study-time",):
+        points = (len(cfg.j_values) if kind in SWEEP_KINDS
+                  else sum(t >= cfg.fit_t_min for t in cfg.t_checkpoints))
+        if points < 3:
+            raise ConfigError(f"band '{band}' can never be graded: its fit "
+                              f"needs 3 points, the sweep gives {points}")
     if band and kind == "sample" and cfg.problem.nonlinear is not None:
         raise ConfigError(f"band '{band}' can never be graded: a nonlinear "
                           "problem has no closed-form posterior")
@@ -512,14 +523,15 @@ _SWEEPS = {
 }
 
 
-def _sweep(cfg, mode, measure, flow=None):
+def _sweep(cfg, mode, measure, **run_options):
     """Run every (J, repeat) cell of a study-j or study-coupling sweep and
     return one StudyCell per cell in (J, repeat) order, followed by the
     per-J means over repeats, plus the fits and flags of the slope in J.
 
-    All cells step in lockstep through one run() call; each cell's
-    numbers are bitwise those of running it alone.  measure(result,
-    cell_seed) gives a cell's value from its RunResult.
+    All cells step in lockstep through one run() call, which also takes
+    run_options; each cell's numbers are bitwise those of running it
+    alone.  measure(result, cell_seed) gives a cell's value from its
+    RunResult.
     """
     kind = cfg.kind
     metric, mean_metric, fit_name, band_name = _SWEEPS[kind]
@@ -533,7 +545,7 @@ def _sweep(cfg, mode, measure, flow=None):
     results = run(initials, cfg.problem,
                   [cfg.sde(derive_seed(seed, "run"), j_particles=j)
                    for j, _, seed in specs],
-                  mode, flow=flow, share_noise=cfg.share_noise)
+                  mode, **run_options)
     run_ms = (time.perf_counter() - c0) * 1e3
     cells = []
     for (j, rep, seed), res in zip(specs, results):
@@ -555,7 +567,7 @@ def _sweep(cfg, mode, measure, flow=None):
     return cells, means, fits, flags
 
 
-def run_sample(cfg, out_dir=None):
+def _run_sample(cfg, out_dir):
     """Draw an initial ensemble, evolve it, and compare its moments with
     the analytic posterior (linear case).  A configured perturbation
     switches the evolution to the gradient-based step."""
@@ -588,21 +600,15 @@ def run_sample(cfg, out_dir=None):
         _check_band(flags, cfg.bands, "mean_error", mean_err)
         _check_band(flags, cfg.bands, "cov_error", cov_err)
 
-    if out_dir is not None and cfg.write_ensemble:
+    if out_dir is not None:
         save_csv(res.final, Path(out_dir) / "ensemble.csv")
         _write_diagnostics(res.diagnostics, Path(out_dir) / "diagnostics.csv")
-
-    report = StudyReport(kind="sample", base_seed=cfg.seed,
-                         config_echo=cfg.echo, cells=cells,
-                         flags=flags, summary=summary,
-                         wall_ms_total=(time.perf_counter() - t0) * 1e3)
-    return report
+    return cells, {}, flags, summary
 
 
-def run_study_j(cfg, out_dir=None):
+def _run_study_j(cfg, out_dir):
     """Ensemble-size sweep: distance between the evolved ensemble and the
     mean-field Gaussian at T, averaged over repeats, slope-fitted in J."""
-    t0 = time.perf_counter()
     t_final = cfg.h * cfg.n_steps
     target = rho_at(_flow(cfg), t_final)
 
@@ -611,21 +617,15 @@ def run_study_j(cfg, out_dir=None):
                                        derive_seed(cell_seed, "reference"))
 
     cells, means, fits, flags = _sweep(cfg, "eks", measure)
-    report = StudyReport(kind="study-j", base_seed=cfg.seed,
-                         config_echo=cfg.echo, cells=cells,
-                         fits=fits, flags=flags,
-                         summary={"t_final": t_final,
-                                  "mean_w2": {str(j): means[j]
-                                              for j in cfg.j_values}},
-                         wall_ms_total=(time.perf_counter() - t0) * 1e3)
-    return report
+    return cells, fits, flags, {
+        "t_final": t_final,
+        "mean_w2": {str(j): means[j] for j in cfg.j_values}}
 
 
-def run_study_time(cfg, out_dir=None):
+def _run_study_time(cfg, out_dir):
     """Exponential-decay study: the deterministic W2(rho(t), posterior)
     curve, log-linear fit over t >= fit_t_min, and (optionally) the
     particle system's Gaussian-moment distance at the same checkpoints."""
-    t0 = time.perf_counter()
     flow = _flow(cfg)
     curve = w2_decay_curve(flow, cfg.t_checkpoints)
     cells = [StudyCell("study-time", None, t, None, None,
@@ -650,13 +650,7 @@ def run_study_time(cfg, out_dir=None):
 
     if cfg.with_particles:
         cells.extend(_particle_checkpoints(cfg))
-
-    report = StudyReport(kind="study-time", base_seed=cfg.seed,
-                         config_echo=cfg.echo, cells=cells,
-                         fits=fits, flags=flags,
-                         summary={"curve": [[t, w2] for t, w2 in curve]},
-                         wall_ms_total=(time.perf_counter() - t0) * 1e3)
-    return report
+    return cells, fits, flags, {"curve": [[t, w2] for t, w2 in curve]}
 
 
 def _particle_checkpoints(cfg):
@@ -687,32 +681,27 @@ def _particle_checkpoints(cfg):
     return cells
 
 
-def run_study_coupling(cfg, out_dir=None):
+def _run_study_coupling(cfg, out_dir):
     """Coupling sweep: mean squared particle-vs-mean-field distance at T
     under shared Brownian increments, slope-fitted in J.  share_noise
     false runs the negative control (independent increments)."""
-    t0 = time.perf_counter()
 
     def measure(res, cell_seed):
         return res.coupling_error
 
-    cells, means, fits, flags = _sweep(cfg, "coupled", measure, _flow(cfg))
-    report = StudyReport(kind="study-coupling", base_seed=cfg.seed,
-                         config_echo=cfg.echo, cells=cells,
-                         fits=fits, flags=flags,
-                         summary={"t_final": cfg.h * cfg.n_steps,
-                                  "share_noise": cfg.share_noise,
-                                  "mean_sq_error": {str(j): means[j]
-                                                    for j in cfg.j_values}},
-                         wall_ms_total=(time.perf_counter() - t0) * 1e3)
-    return report
+    cells, means, fits, flags = _sweep(cfg, "coupled", measure,
+                                       flow=_flow(cfg),
+                                       share_noise=cfg.share_noise)
+    return cells, fits, flags, {
+        "t_final": cfg.h * cfg.n_steps,
+        "share_noise": cfg.share_noise,
+        "mean_sq_error": {str(j): means[j] for j in cfg.j_values}}
 
 
-def run_demo_nonlinear(cfg, out_dir=None):
+def _run_demo_nonlinear(cfg, out_dir):
     """Paired comparison on a perturbed forward map: the gradient-based
     step against a quadrature oracle of the true posterior, and the
     plain Kalman step on the same seeds to expose its bias."""
-    t0 = time.perf_counter()
     target = quadrature_moments(cfg.problem)
     t_final = cfg.h * cfg.n_steps
     labels = ("alg2", "alg1")           # the gradient, then the plain step
@@ -763,16 +752,11 @@ def run_demo_nonlinear(cfg, out_dir=None):
         "alg1_worse_count": wins,
         "repeats": cfg.repeats,
     }
-    if out_dir is not None and cfg.write_ensemble:
+    if out_dir is not None:
         # the ensembles of repeat 0
         for label, res in zip(labels, results):
             save_csv(res.final, Path(out_dir) / f"ensemble_{label}.csv")
-
-    report = StudyReport(kind="demo-nonlinear", base_seed=cfg.seed,
-                         config_echo=cfg.echo, cells=cells,
-                         flags=flags, summary=summary,
-                         wall_ms_total=(time.perf_counter() - t0) * 1e3)
-    return report
+    return cells, {}, flags, summary
 
 
 # ----------------------------------------------------------- validation
@@ -938,10 +922,9 @@ def _validation_checks(seed):
     ]
 
 
-def run_validate(cfg, out_dir=None):
+def _run_validate(cfg, out_dir):
     """One-shot execution of every module's core invariants at small
     sizes; any failure flips the report's flag (CLI exit 1)."""
-    t0 = time.perf_counter()
     cells = []
     failures = {}
     for name, check in _validation_checks(cfg.seed):
@@ -955,36 +938,39 @@ def run_validate(cfg, out_dir=None):
                                1.0 if detail is None else 0.0, wall))
         if detail is not None:
             failures[name] = detail
-    report = StudyReport(
-        kind="validate", base_seed=cfg.seed, config_echo=cfg.echo,
-        cells=cells,
-        flags={"all_checks_passed": not failures},
-        summary={"failures": failures, "n_checks": len(cells)},
-        wall_ms_total=(time.perf_counter() - t0) * 1e3)
-    return report
+    return cells, {}, {"all_checks_passed": not failures}, {
+        "failures": failures, "n_checks": len(cells)}
 
 
+# per kind, the driver that runs its study: driver(cfg, out_dir) writes
+# the study's own CSVs into out_dir (when given) and returns its cells,
+# fits, flags and summary
 _DRIVERS = {
-    "sample": run_sample,
-    "study-j": run_study_j,
-    "study-time": run_study_time,
-    "study-coupling": run_study_coupling,
-    "demo-nonlinear": run_demo_nonlinear,
-    "validate": run_validate,
+    "sample": _run_sample,
+    "study-j": _run_study_j,
+    "study-time": _run_study_time,
+    "study-coupling": _run_study_coupling,
+    "demo-nonlinear": _run_demo_nonlinear,
+    "validate": _run_validate,
 }
 
 
 def run_study(cfg, out_dir=None, threads=1):
-    """Dispatch a parsed config to its driver and write the report files.
+    """Run a parsed config's study and, given out_dir, write its report
+    files there; returns the StudyReport.
 
     threads is accepted and ignored: every study runs on the calling
     thread.  It stays only because the benchmark calls
     run_study(cfg, out, threads=1) and its rerun check compares
     threads=1 with threads=2."""
-    driver = _DRIVERS[cfg.kind]
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-    report = driver(cfg, out_dir=out_dir)
+    t0 = time.perf_counter()
+    cells, fits, flags, summary = _DRIVERS[cfg.kind](cfg, out_dir)
+    report = StudyReport(kind=cfg.kind, base_seed=cfg.seed,
+                         config_echo=cfg.echo, cells=cells, fits=fits,
+                         flags=flags, summary=summary,
+                         wall_ms_total=(time.perf_counter() - t0) * 1e3)
     if out_dir is not None:
         write_report(report, out_dir)
     return report

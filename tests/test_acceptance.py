@@ -44,9 +44,7 @@ from eks_lab.studies import (
     default_problem,
     default_rho0,
     parse_config,
-    run_demo_nonlinear,
-    run_study_coupling,
-    run_study_j,
+    run_study,
 )
 
 
@@ -159,7 +157,7 @@ def test_criterion_4_mean_field_j_rate():
             "repeats": 20,
             "bands": {"slope_j": [-0.70, -0.30]},
         }
-        report = run_study_j(parse_config(doc))
+        report = run_study(parse_config(doc))
         slope = report.fits["w2_vs_j"].slope
         assert report.flags["slope_j"], f"slope {slope:.4f}"
 
@@ -176,13 +174,13 @@ def test_criterion_5_coupling_rate_with_control():
             "repeats": 20,
             "bands": {"slope_coupling": [-1.25, -0.70]},
         }
-        shared = run_study_coupling(parse_config(doc))
+        shared = run_study(parse_config(doc))
         slope = shared.fits["coupling_vs_j"].slope
         assert shared.flags["slope_coupling"], f"shared slope {slope:.4f}"
 
         control_doc = dict(doc, share_noise=False,
                            bands={"slope_coupling": [-0.2, 0.2]})
-        control = run_study_coupling(parse_config(control_doc))
+        control = run_study(parse_config(control_doc))
         c_slope = control.fits["coupling_vs_j"].slope
         assert control.flags["slope_coupling"], \
             f"control slope {c_slope:.4f}"
@@ -234,7 +232,7 @@ def test_criterion_7_nonlinear_consistency_split():
             "repeats": 5,
             "bands": {"alg2_mean_error": 0.2, "min_alg1_worse_count": 4},
         }
-        report = run_demo_nonlinear(parse_config(doc))
+        report = run_study(parse_config(doc))
         worst_alg2 = max(report.summary["alg2_mean_errors"])
         wins = report.summary["alg1_worse_count"]
         assert report.flags["alg2_mean_error"], \

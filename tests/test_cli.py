@@ -145,8 +145,9 @@ class TestExitCodes:
                              "y": [1.0, 1.0], "u0": [0.0, 0.0],
                              "nonlinear": 5}),
          "problem field 'nonlinear' must be an object"),
-        (sample_doc(sde={"j_particles": 16, "sqrt_tol": -5}),
-         "'sde.sqrt_tol'"),
+        (sample_doc(share_noise=False),
+         "config field 'share_noise' does not apply to sample studies, only "
+         "to study-coupling"),
         (sample_doc(seed=2 ** 70), "'seed'"),
         (sample_doc(repeat=3), "'repeat': did you mean 'repeats'?"),
         (sample_doc(problem={"a": [[1.0, 0.0], [0.0, 2.0]],
@@ -161,7 +162,7 @@ class TestExitCodes:
                           "cov": [[1.0, 2.0], [2.0, 1.0]]}),
          "config field 'rho0.cov' must be a finite positive semidefinite"),
     ], ids=["problem_path_not_a_string", "nonlinear_not_an_object",
-            "negative_sqrt_tol", "seed_beyond_64_bits", "misspelled_key",
+            "key_of_another_kind", "seed_beyond_64_bits", "misspelled_key",
             "degenerate_perturbation", "indefinite_rho0_cov"])
     def test_malformed_value_exits_two_before_running(self, tmp_path, capsys,
                                                       doc, message):
@@ -258,10 +259,39 @@ class TestExitCodes:
         assert "2 usage or config error, 3 runtime error" in out
 
     def test_invalid_band_value_fails_validation(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, sample_doc(repeats=-2))
-        code = main(["sample", "--config", cfg,
+        cfg = write_cfg(tmp_path, {"kind": "study-j", "repeats": -2,
+                                   "sde": {"n_steps": 5},
+                                   "sweep": {"j_values": [8, 16, 32]}})
+        code = main(["study-j", "--config", cfg,
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_USAGE
+        assert "'repeats': repeats must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("study-j", {"kind": "study-j", "sde": {"h": 0.01, "n_steps": 2},
+                     "sweep": {"j_values": [8, 16, 5000]}},
+         "config field 'sweep.j_values': J = 5000 exceeds the "
+         "exact-assignment guard 4096"),
+        ("study-coupling", {"kind": "study-coupling",
+                            "sde": {"h": 0, "n_steps": 2},
+                            "sweep": {"j_values": [8, 16, 32]}},
+         "study-coupling requires config field 'sde.h' > 0"),
+    ], ids=["j_above_assignment_guard", "coupling_at_zero_h"])
+    def test_sweep_that_fails_only_after_running_exits_two_before_running(
+            self, tmp_path, capsys, monkeypatch, command, doc, message):
+        from eks_lab import cli
+        ran = []
+        monkeypatch.setattr(cli, "run_study",
+                            lambda *args, **kw: ran.append(args))
+        out_dir = tmp_path / "out"
+        code = main([command, "--config", write_cfg(tmp_path, doc),
+                     "--out", str(out_dir)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"eks-lab: config error: {message}" in err
+        assert "Traceback" not in err
+        assert ran == []
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("below", ["", "sub"],
                              ids=["is_a_file", "below_a_file"])

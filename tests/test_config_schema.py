@@ -25,6 +25,10 @@ from eks_lab.studies import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+# a shipped config of each kind
+SHIPPED = {doc["kind"]: doc for doc in (
+    json.loads(path.read_text())
+    for path in sorted((ROOT / "configs").glob("*.json")))}
 
 
 def table_keys(schema):
@@ -63,39 +67,58 @@ def band_value(name):
     return number
 
 
+# value strategies for the table's numbers and sweeps, chosen so that most
+# drawn configs parse; a flag is drawn from its allowed values
+VALUES = {
+    "seed": st.integers(0, 2 ** 64 - 1),
+    "sde.h": st.sampled_from([0.0, 0.01, 0.05, 0.25, 0.5]),
+    "sde.n_steps": st.integers(1, 9),
+    "sde.j_particles": st.integers(2, 64),
+    "repeats": st.integers(1, 3),
+    "fit_t_min": st.floats(-1, 3),
+    "sweep.j_values": sweep(st.integers(2, 512)),
+    "sweep.t_checkpoints": sweep(st.integers(0, 100)).map(
+        lambda ns: [0.05 * n for n in ns]),
+    "rho0": st.builds(lambda mean: {"mean": mean,
+                                    "cov": [[2.0, 0.5], [0.5, 1.0]]},
+                      st.lists(st.floats(-5, 5), min_size=2, max_size=2)),
+}
+
+
+def draw_section(draw, schema, kind, prefix=""):
+    """Values for the keys of a section of the table that this kind reads;
+    a top-level key other than a section of numbers is drawn or left to
+    its default."""
+    doc = {}
+    for key, field in schema.items():
+        path = prefix + key
+        if kind not in field.kinds or key in ("kind", "problem", "bands"):
+            continue
+        if (not prefix and key not in ("sde", "sweep")
+                and draw(st.booleans())):
+            continue
+        if path in VALUES:
+            doc[key] = draw(VALUES[path])
+        elif isinstance(field.type, tuple):
+            doc[key] = draw(st.sampled_from(field.type))
+        else:
+            doc[key] = draw_section(draw, field.type, kind, path + ".")
+    return doc
+
+
 @st.composite
 def table_docs(draw):
-    """Configs drawn from the table's own types and ranges, so that most
-    of them parse."""
+    """Configs drawn from the table itself: only the keys the drawn kind
+    reads, with values that mostly parse."""
     kind = draw(st.sampled_from(STUDY_KINDS))
-    doc = {"kind": kind,
-           "seed": draw(st.integers(0, 2 ** 64 - 1)),
-           "repeats": draw(st.integers(1, 3)),
-           "fit_t_min": draw(st.floats(-1, 3)),
-           "sde": {"h": draw(st.sampled_from([0.0, 0.01, 0.05, 0.25, 0.5])),
-                   "n_steps": draw(st.integers(1, 9)),
-                   "j_particles": draw(st.integers(2, 64)),
-                   "sqrt_tol": draw(st.floats(1e-15, 1.0))}}
-    for flag in ("share_noise", "with_particles", "write_ensemble"):
-        if draw(st.booleans()):
-            doc[flag] = draw(st.booleans())
-    if kind in ("study-j", "study-coupling"):
-        doc["sweep"] = {"j_values": draw(sweep(st.integers(2, 512)))}
-    if kind == "study-time":
-        doc["sweep"] = {"t_checkpoints": [
-            0.05 * n for n in draw(sweep(st.integers(0, 100)))]}
+    doc = {"kind": kind, **draw_section(draw, CONFIG, kind)}
     if kind == "demo-nonlinear":
-        doc["problem"] = json.loads(
-            (ROOT / "configs" / "demo_nonlinear.json").read_text())["problem"]
-    elif draw(st.booleans()):
-        doc["rho0"] = {"mean": draw(st.lists(st.floats(-5, 5), min_size=2,
-                                             max_size=2)),
-                       "cov": [[2.0, 0.5], [0.5, 1.0]]}
+        doc["problem"] = SHIPPED[kind]["problem"]
     own = [name for name, band in BANDS.items() if kind in band.kinds]
-    doc["bands"] = {name: draw(band_value(name))
-                    for name in draw(st.lists(st.sampled_from(own or ["x"]),
-                                              unique=True, max_size=2))
-                    if name in own}
+    if own:
+        doc["bands"] = {name: draw(band_value(name))
+                        for name in draw(st.lists(st.sampled_from(own),
+                                                  unique=True, max_size=2))}
     return doc
 
 
@@ -164,3 +187,72 @@ def test_benchmark_workload_configs_parse_and_round_trip(name, toy):
     for seed in range(4):
         assert_echo_round_trips(
             parse_config(WORKLOADS.make_config(name, seed, toy)))
+
+
+def foreign_keys(kind, schema=CONFIG, prefix="", label="config field"):
+    """(path, message) of every key of the table outside this kind's
+    kinds, in sections the kind reads; an unread section is one key."""
+    for key, field in schema.items():
+        name = key if label == "band" else prefix + key
+        if kind not in field.kinds:
+            yield prefix + key, (f"{label} '{name}' does not apply to {kind} "
+                                 f"studies, only to {', '.join(field.kinds)}")
+        elif isinstance(field.type, dict) and key not in ("problem", "rho0"):
+            yield from foreign_keys(kind, field.type, prefix + key + ".",
+                                    field.label or label)
+
+
+@pytest.mark.parametrize("kind", STUDY_KINDS)
+def test_a_key_its_kind_does_not_read_is_rejected(kind):
+    cases = list(foreign_keys(kind))
+    assert cases
+    for path, message in cases:
+        doc = json.loads(json.dumps(SHIPPED[kind]))
+        *sections, key = path.split(".")
+        section = doc
+        for name in sections:
+            section = section.setdefault(name, {})
+        section[key] = 1
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc, base_dir=ROOT / "configs")
+        assert str(err.value) == message
+
+
+# the keys each kind reads, bands aside
+READS = {
+    "sample": {"seed", "problem", "rho0", "sde.h", "sde.n_steps",
+               "sde.j_particles"},
+    "study-j": {"seed", "problem", "rho0", "sde.h", "sde.n_steps",
+                "repeats", "sweep.j_values"},
+    "study-coupling": {"seed", "problem", "rho0", "sde.h", "sde.n_steps",
+                       "repeats", "sweep.j_values", "share_noise"},
+    "study-time": {"seed", "problem", "rho0", "sde.h", "sde.j_particles",
+                   "with_particles", "fit_t_min", "sweep.t_checkpoints"},
+    "demo-nonlinear": {"seed", "problem", "rho0", "sde.h", "sde.n_steps",
+                       "sde.j_particles", "repeats"},
+    "validate": {"seed"},
+}
+
+
+def read_keys(kind, schema=CONFIG, prefix=""):
+    """The dotted keys of the table a kind reads, sde's and sweep's own
+    keys included."""
+    keys = set()
+    for key, field in schema.items():
+        if kind in field.kinds:
+            keys.add(prefix + key)
+            if key in ("sde", "sweep"):
+                keys |= read_keys(kind, field.type, key + ".")
+    return keys
+
+
+@pytest.mark.parametrize("kind", STUDY_KINDS)
+def test_each_kind_echoes_exactly_the_keys_it_reads(kind):
+    echo = parse_config(SHIPPED[kind], base_dir=ROOT / "configs").echo
+    echoed = set(echo) | {f"{section}.{key}" for section in ("sde", "sweep")
+                          for key in echo.get(section, {})}
+    assert echoed == read_keys(kind)
+    sections = {"kind", "sde", "sweep"} | ({"bands"} if kind != "validate"
+                                           else set())
+    assert echoed - sections == READS[kind]
+    assert_echo_round_trips(parse_config(echo))

@@ -121,8 +121,6 @@ def test_sde_config_validation():
         SdeConfig(h=0.1, n_steps=-1, j_particles=1, seed=0)
     with pytest.raises(NonPositive):
         SdeConfig(h=0.1, n_steps=1, j_particles=0, seed=0)
-    with pytest.raises(NonPositive):
-        SdeConfig(h=0.1, n_steps=1, j_particles=1, seed=0, sqrt_tol=0.0)
     assert SdeConfig(h=0.01, n_steps=300, j_particles=4, seed=1).t_final == \
         pytest.approx(3.0)
 
@@ -229,7 +227,7 @@ def straight_line_step(ens, problem, cfg, seed, gradient):
     rhs = u - h * drift + prior_pull[:, None]
     u_star = np.einsum("ml,lj->mj", np.linalg.solve(system, np.eye(l)), rhs)
     xi = np.ascontiguousarray(philox_normals(seed, ens.step, j, l).T)
-    root = spd_sqrt(2.0 * h * cov_uu, cfg.sqrt_tol)
+    root = spd_sqrt(2.0 * h * cov_uu)
     return (u_star + np.einsum("ml,lj->mj", root, xi)).T
 
 
@@ -275,7 +273,7 @@ def row_major_step(ens, problem, cfg, seed, gradient, tanh=None):
     rhs = u - h * drift_rows + prior_pull[None, :]
     u_star = np.einsum("jl,ml->jm", rhs, np.linalg.solve(system, np.eye(l)))
     xi = philox_normals(seed, ens.step, j, l)
-    root = spd_sqrt(2.0 * h * cov_uu, cfg.sqrt_tol)
+    root = spd_sqrt(2.0 * h * cov_uu)
     return u_star + np.einsum("jl,ml->jm", xi, root)
 
 
@@ -1227,7 +1225,7 @@ def test_demo_pair_equals_two_separate_runs(monkeypatch):
         return out
 
     monkeypatch.setattr(studies, "run", recording)
-    report = studies.run_demo_nonlinear(cfg)
+    report = studies.run_study(cfg)
     # every repeat's pair steps as two cells of one run() call
     assert len(calls) == 1 and len(calls[0]) == 2 * cfg.repeats
     for rep in range(cfg.repeats):

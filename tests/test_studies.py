@@ -27,13 +27,7 @@ from eks_lab.studies import (
     ConfigError,
     load_config,
     parse_config,
-    run_demo_nonlinear,
-    run_sample,
     run_study,
-    run_study_coupling,
-    run_study_j,
-    run_study_time,
-    run_validate,
     write_report,
 )
 
@@ -66,12 +60,30 @@ def demo_doc(amplitude=2.0, **over):
     return doc
 
 
-def sweep_doc(kind, share=True):
+def sweep_doc(kind, share=True, **over):
     doc = {"kind": kind, "seed": 17, "sweep": {"j_values": [8, 16, 32]},
            "sde": {"h": 0.05, "n_steps": 6}, "repeats": 2}
     if kind == "study-coupling":
         doc["share_noise"] = share
+    doc.update(over)
     return doc
+
+
+def time_doc(**over):
+    doc = {"kind": "study-time", "sweep": {"t_checkpoints": [0.0, 0.2]}}
+    doc.update(over)
+    return doc
+
+
+# a small valid config of each kind
+KIND_DOCS = {
+    "sample": sample_doc,
+    "study-j": lambda: sweep_doc("study-j"),
+    "study-coupling": lambda: sweep_doc("study-coupling"),
+    "study-time": time_doc,
+    "demo-nonlinear": demo_doc,
+    "validate": lambda: {"kind": "validate", "seed": 3},
+}
 
 
 try:
@@ -105,10 +117,14 @@ class TestParseConfig:
     def test_documented_defaults_resolve(self):
         cfg = parse_config({"kind": "sample", "sde": {"j_particles": 8}})
         assert cfg.h == 0.01
-        assert cfg.sqrt_tol == 1e-12
         assert cfg.seed == 0
+        cfg = parse_config({"kind": "study-coupling", "sde": {"n_steps": 1},
+                            "sweep": {"j_values": [8]}})
         assert cfg.repeats == 1
         assert cfg.share_noise is True
+        cfg = parse_config(time_doc())
+        assert cfg.fit_t_min == 1.0
+        assert cfg.with_particles is False
 
     def test_default_problem_and_rho0(self):
         cfg = parse_config({"kind": "sample", "problem": "default",
@@ -202,8 +218,9 @@ class TestParseConfig:
             "interval_number", "interval_short", "interval_reversed",
             "interval_string", "interval_nan"])
     def test_wrong_shaped_band_names_the_band(self, bands, name):
+        doc = KIND_DOCS[studies.BANDS[name].kinds[0]]()
         with pytest.raises(ConfigError, match=f"band '{name}' must be"):
-            parse_config(sample_doc(bands=bands))
+            parse_config(dict(doc, bands=bands))
 
     @pytest.mark.parametrize("doc, bands", [
         (sample_doc(), {"mean_error": 1, "cov_error": 0.5}),
@@ -268,15 +285,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'a'"):
             parse_config(doc)
 
-    @pytest.mark.parametrize("over, field", [
-        ({"sde": {"j_particles": 8, "h": "abc"}}, "sde.h"),
-        ({"repeats": "x"}, "repeats"),
+    @pytest.mark.parametrize("doc, field", [
+        (sample_doc(sde={"j_particles": 8, "h": "abc"}), "sde.h"),
+        (sweep_doc("study-j", repeats="x"), "repeats"),
         ({"kind": "study-j", "sde": {"n_steps": 5},
           "sweep": {"j_values": [8, "a"]}}, "sweep.j_values"),
     ], ids=["h", "repeats", "j_values"])
-    def test_malformed_number_names_its_field(self, over, field):
+    def test_malformed_number_names_its_field(self, doc, field):
         with pytest.raises(ConfigError, match=f"'{field}' must be a number"):
-            parse_config(sample_doc(**over))
+            parse_config(doc)
 
     @pytest.mark.parametrize("doc, field", [
         ({"kind": "study-j", "sde": {"n_steps": 5},
@@ -322,14 +339,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="invalid problem"):
             parse_config(doc)
 
-    @pytest.mark.parametrize("field", ["share_noise", "with_particles",
-                                       "write_ensemble"])
+    @pytest.mark.parametrize("field", ["share_noise", "with_particles"])
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [],
                                        {}], ids=repr)
     def test_flag_must_be_a_json_boolean(self, field, value):
+        doc = (sweep_doc("study-coupling", share=value)
+               if field == "share_noise" else time_doc(with_particles=value))
         with pytest.raises(ConfigError,
                            match=f"'{field}' must be true or false"):
-            parse_config(sample_doc(**{field: value}))
+            parse_config(doc)
 
     def test_string_false_does_not_share_noise(self):
         # bool("false") is True: the negative control would run with
@@ -340,10 +358,11 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("value", [True, False])
     def test_flags_accept_json_booleans(self, value):
-        cfg = parse_config(sample_doc(share_noise=value,
-                                      write_ensemble=value))
+        cfg = parse_config(sweep_doc("study-coupling", share=value))
         assert cfg.share_noise is value
-        assert cfg.write_ensemble is value
+        cfg = parse_config(time_doc(with_particles=value,
+                                    sde={"h": 0.1, "j_particles": 8}))
+        assert cfg.with_particles is value
 
     @pytest.mark.parametrize("doc, message", [
         (sample_doc(repeat=3),
@@ -370,40 +389,40 @@ class TestParseConfig:
           "sweep": {"j_values": [8, 16, 32], "t_checkpoints": [1.0]}},
          "'sweep.t_checkpoints' does not apply to study-j studies"),
         (sample_doc(sweep={"j_values": [8, 16, 32]}),
-         "'sweep.j_values' does not apply to sample studies"),
+         "'sweep' does not apply to sample studies, only to study-j, "
+         "study-coupling, study-time"),
     ], ids=["top", "sde", "dt_ode", "rho0", "problem", "nonlinear", "band",
             "sweep_key_of_another_kind", "sweep_of_a_sampler"])
     def test_unknown_keys_are_rejected_with_their_path(self, doc, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(doc)
 
-    @pytest.mark.parametrize("over, message", [
-        ({"repeats": 2.7}, "'repeats' must be an integer, got 2.7"),
-        ({"repeats": "12"}, "'repeats' must be a number, got '12'"),
-        ({"repeats": True}, "'repeats' must be a number, got True"),
-        ({"seed": 2 ** 64}, "'seed': seed must lie in [0, "),
-        ({"seed": 2 ** 70}, "'seed': seed must lie in [0, "),
-        ({"seed": 1.0}, "'seed' must be an integer"),
-        ({"sde": {"j_particles": 16, "sqrt_tol": -5}},
-         "'sde.sqrt_tol': sqrt_tol must be > 0, got -5"),
-        ({"sde": {"j_particles": 16, "sqrt_tol": float("inf")}},
-         "'sde.sqrt_tol' must be a number, got inf"),
-        ({"sde": {"j_particles": 16.0}}, "'sde.j_particles' must be an "
-                                         "integer"),
-        ({"fit_t_min": float("nan")}, "'fit_t_min'"),
-        ({"problem": {"path": 5}}, "'problem.path' must be a string"),
-        ({"problem": dict(studies.DEFAULT_PROBLEM, nonlinear=5)},
+    @pytest.mark.parametrize("doc, message", [
+        (sweep_doc("study-j", repeats=2.7),
+         "'repeats' must be an integer, got 2.7"),
+        (sweep_doc("study-j", repeats="12"),
+         "'repeats' must be a number, got '12'"),
+        (sweep_doc("study-j", repeats=True),
+         "'repeats' must be a number, got True"),
+        (sample_doc(seed=2 ** 64), "'seed': seed must lie in [0, "),
+        (sample_doc(seed=2 ** 70), "'seed': seed must lie in [0, "),
+        (sample_doc(seed=1.0), "'seed' must be an integer"),
+        (sample_doc(sde={"j_particles": 16.0}), "'sde.j_particles' must be "
+                                                "an integer"),
+        (time_doc(fit_t_min=float("nan")),
+         "'fit_t_min': fit_t_min must lie in (-inf, inf), got nan"),
+        (sample_doc(problem={"path": 5}), "'problem.path' must be a string"),
+        (sample_doc(problem=dict(studies.DEFAULT_PROBLEM, nonlinear=5)),
          "problem field 'nonlinear' must be an object, got 5"),
-        ({"problem": dict(studies.DEFAULT_PROBLEM, a=[[1.0, True]])},
+        (sample_doc(problem=dict(studies.DEFAULT_PROBLEM, a=[[1.0, True]])),
          "problem field 'a' must be a list"),
     ], ids=["int_given_float", "int_given_string", "int_given_bool",
-            "seed_2_64", "seed_2_70", "seed_float", "sqrt_tol_negative",
-            "sqrt_tol_infinite", "j_particles_float", "fit_t_min_nan",
-            "problem_path_not_a_string", "nonlinear_not_an_object",
-            "matrix_with_a_boolean"])
-    def test_values_outside_their_type_or_range(self, over, message):
+            "seed_2_64", "seed_2_70", "seed_float", "j_particles_float",
+            "fit_t_min_nan", "problem_path_not_a_string",
+            "nonlinear_not_an_object", "matrix_with_a_boolean"])
+    def test_values_outside_their_type_or_range(self, doc, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
-            parse_config(sample_doc(**over))
+            parse_config(doc)
 
     def test_largest_seed_is_accepted(self):
         assert parse_config(sample_doc(seed=2 ** 64 - 1)).seed == 2 ** 64 - 1
@@ -452,8 +471,8 @@ class TestParseConfig:
                 parse_config(doc)
 
     def test_moment_bands_need_a_linear_problem(self):
-        doc = dict(demo_doc(), kind="sample", repeats=1,
-                   bands={"mean_error": 1.0})
+        doc = dict(demo_doc(), kind="sample", bands={"mean_error": 1.0})
+        del doc["repeats"]
         with pytest.raises(ConfigError, match="band 'mean_error' can never "
                                               "be graded"):
             parse_config(doc)
@@ -461,10 +480,9 @@ class TestParseConfig:
     def test_echo_is_the_resolved_config_in_table_order(self):
         cfg = parse_config(sample_doc(bands={"cov_error": 2}))
         assert list(cfg.echo) == ["kind", "seed", "problem", "rho0", "sde",
-                                  "repeats", "share_noise", "with_particles",
-                                  "write_ensemble", "fit_t_min", "bands"]
+                                  "bands"]
         assert cfg.echo["sde"] == {"h": 0.05, "n_steps": 5,
-                                   "j_particles": 16, "sqrt_tol": 1e-12}
+                                   "j_particles": 16}
         assert cfg.echo["problem"] == studies.DEFAULT_PROBLEM
         assert cfg.echo["rho0"] == studies.DEFAULT_RHO0
         # a band is echoed in the number type it was written in
@@ -509,13 +527,6 @@ class TestLoadConfig:
             '{"t_checkpoints": [0.0, 1.0, 2.0, 3.0]}, '
             '"bands": {"decay_slope": [5.0, 6.0]}}' % literal)
         with pytest.raises(ConfigError, match="'fit_t_min'"):
-            load_config(cfg_path)
-
-    def test_infinite_sqrt_tol_literal_is_rejected(self, tmp_path):
-        cfg_path = tmp_path / "study.json"
-        cfg_path.write_text('{"kind": "sample", "sde": {"j_particles": 8, '
-                            '"sqrt_tol": Infinity}}')
-        with pytest.raises(ConfigError, match="'sde.sqrt_tol'"):
             load_config(cfg_path)
 
 
@@ -592,13 +603,13 @@ class TestRunSample:
 
         monkeypatch.setattr(ensemble, "apply_forward_batch", counted)
         cfg = parse_config(sample_doc())
-        report = run_sample(cfg)
+        report = run_study(cfg)
         assert len(calls) == cfg.n_steps
         assert len(report.cells) == 2
 
     def test_band_failure_flips_flag(self):
         doc = sample_doc(bands={"mean_error": 1e-12})
-        report = run_sample(parse_config(doc))
+        report = run_study(parse_config(doc))
         assert report.flags["mean_error"] is False
         assert not report.passed
 
@@ -612,12 +623,6 @@ class TestRunSample:
         float(first[6])          # value parses
         float(first[7])          # wall_ms parses
 
-    def test_no_ensemble_written_when_disabled(self, tmp_path):
-        cfg = parse_config(sample_doc(write_ensemble=False))
-        run_study(cfg, out_dir=tmp_path)
-        assert not (tmp_path / "ensemble.csv").exists()
-        assert (tmp_path / "report.json").exists()
-
 
 # ------------------------------------------------------------- study-j
 
@@ -629,29 +634,29 @@ class TestStudyJ:
                 "sde": {"h": 0.05, "n_steps": 10}, "repeats": repeats}
 
     def test_single_j_gives_values_but_no_fit(self):
-        report = run_study_j(parse_config(self.small_doc([64], 2)))
+        report = run_study(parse_config(self.small_doc([64], 2)))
         assert report.fits == {}
         values = [c for c in report.cells if c.metric == "w2_vs_mean_field"]
         assert len(values) == 2
         assert all(c.value > 0 for c in values)
 
     def test_every_value_cell_carries_its_seed(self):
-        report = run_study_j(parse_config(self.small_doc([16, 32], 2)))
+        report = run_study(parse_config(self.small_doc([16, 32], 2)))
         for cell in report.cells:
             if cell.metric == "w2_vs_mean_field":
                 expected = derive_seed(21, "study-j", cell.j, cell.repeat)
                 assert cell.seed == expected
 
     def test_three_sizes_produce_slope_fit(self):
-        report = run_study_j(parse_config(self.small_doc([16, 32, 64], 3)))
+        report = run_study(parse_config(self.small_doc([16, 32, 64], 3)))
         assert "w2_vs_j" in report.fits
         assert report.fits["w2_vs_j"].slope < 0
 
     def test_repeats_extend_not_reshuffle(self):
         """Cell seeds depend only on (J, repeat), so a longer study
         reproduces a shorter one as its prefix."""
-        short = run_study_j(parse_config(self.small_doc([32], 3)))
-        long = run_study_j(parse_config(self.small_doc([32], 9)))
+        short = run_study(parse_config(self.small_doc([32], 3)))
+        long = run_study(parse_config(self.small_doc([32], 9)))
         vals_short = [c.value for c in short.cells
                       if c.metric == "w2_vs_mean_field"]
         vals_long = [c.value for c in long.cells
@@ -662,7 +667,7 @@ class TestStudyJ:
         """Standard error of the per-J mean falls like 1/sqrt(repeats):
         quadrupling the repeat count should halve it, within the sampling
         noise of the std estimates themselves."""
-        report = run_study_j(parse_config(self.small_doc([32], 48, seed=9)))
+        report = run_study(parse_config(self.small_doc([32], 48, seed=9)))
         vals = np.array([c.value for c in report.cells
                          if c.metric == "w2_vs_mean_field"])
         se_12 = np.std(vals[:12], ddof=1) / np.sqrt(12)
@@ -672,7 +677,7 @@ class TestStudyJ:
     def test_slope_band_graded(self):
         doc = self.small_doc([16, 32, 64], 3)
         doc["bands"] = {"slope_j": [-5.0, 5.0]}
-        report = run_study_j(parse_config(doc))
+        report = run_study(parse_config(doc))
         assert report.flags == {"slope_j": True}
 
 
@@ -682,7 +687,7 @@ class TestStudyJ:
 class TestStudyTime:
     def test_single_checkpoint_single_point(self):
         doc = {"kind": "study-time", "sweep": {"t_checkpoints": [0.0]}}
-        report = run_study_time(parse_config(doc))
+        report = run_study(parse_config(doc))
         assert len(report.cells) == 1
         assert report.fits == {}
         cell = report.cells[0]
@@ -691,7 +696,7 @@ class TestStudyTime:
     def test_t_zero_equals_initial_distance(self):
         doc = {"kind": "study-time", "sweep": {"t_checkpoints": [0.0, 1.0]}}
         cfg = parse_config(doc)
-        report = run_study_time(cfg)
+        report = run_study(cfg)
         target = posterior_moments(cfg.problem)
         expected = gaussian_w2(cfg.rho0, target)
         assert report.cells[0].value == pytest.approx(expected, abs=1e-12)
@@ -702,7 +707,7 @@ class TestStudyTime:
                                            np.arange(0.0, 5.5, 0.5)]},
                "bands": {"decay_slope": [-1.3, -0.7],
                          "decay_r_squared": 0.95}}
-        report = run_study_time(parse_config(doc))
+        report = run_study(parse_config(doc))
         fit = report.fits["log_w2_vs_t"]
         assert report.flags["decay_slope"]
         assert report.flags["decay_r_squared"]
@@ -719,14 +724,14 @@ class TestStudyTime:
                "rho0": {"mean": [1.0, 1.0],
                         "cov": [[2.0, 0.0], [0.0, 2.0]]},
                "sweep": {"t_checkpoints": [0.0, 8.0]}}
-        report = run_study_time(parse_config(doc))
+        report = run_study(parse_config(doc))
         assert report.cells[-1].value <= 1e-3
 
     def test_particle_checkpoints(self):
         doc = {"kind": "study-time", "with_particles": True, "seed": 4,
                "sde": {"h": 0.05, "j_particles": 64},
                "sweep": {"t_checkpoints": [0.0, 0.5, 1.0]}}
-        report = run_study_time(parse_config(doc))
+        report = run_study(parse_config(doc))
         particle = [c for c in report.cells
                     if c.metric == "w2_particles_vs_posterior"]
         reference = [c for c in report.cells
@@ -747,7 +752,7 @@ class TestStudyCoupling:
                 "repeats": 2, "share_noise": share}
 
     def test_smoke_and_summary(self):
-        report = run_study_coupling(parse_config(self.small_doc()))
+        report = run_study(parse_config(self.small_doc()))
         assert report.fits == {}            # two sizes, no fit
         vals = [c for c in report.cells if c.metric == "sq_coupling_error"]
         assert len(vals) == 4
@@ -756,8 +761,8 @@ class TestStudyCoupling:
         assert set(report.summary["mean_sq_error"]) == {"16", "32"}
 
     def test_independent_noise_control_is_larger(self):
-        shared = run_study_coupling(parse_config(self.small_doc(True)))
-        control = run_study_coupling(parse_config(self.small_doc(False)))
+        shared = run_study(parse_config(self.small_doc(True)))
+        control = run_study(parse_config(self.small_doc(False)))
         m_shared = shared.summary["mean_sq_error"]["32"]
         m_control = control.summary["mean_sq_error"]["32"]
         assert m_control > m_shared
@@ -788,7 +793,7 @@ class TestSweepDriver:
                              ids=["shared", "independent"])
     def test_coupling_cells_equal_cells_run_alone(self, share):
         cfg = parse_config(sweep_doc("study-coupling", share))
-        report = run_study_coupling(cfg)
+        report = run_study(cfg)
         flow = MomentFlow(problem=cfg.problem, m0=cfg.rho0.mean,
                           c0=cfg.rho0.cov)
         cells = [c for c in report.cells if c.metric == "sq_coupling_error"]
@@ -814,7 +819,7 @@ class TestSweepDriver:
 
         monkeypatch.setattr(dynamics, "rho_at", counted)
         cfg = parse_config(sweep_doc("study-coupling"))
-        run_study_coupling(cfg)
+        run_study(cfg)
         assert len(calls) == cfg.n_steps
 
 
@@ -828,14 +833,14 @@ class TestDemoNonlinear:
         Gaussian posterior up to Monte-Carlo noise."""
         doc = demo_doc(amplitude=0.0)
         doc["sde"] = {"j_particles": 400, "n_steps": 300, "h": 0.01}
-        report = run_demo_nonlinear(parse_config(doc), out_dir=tmp_path)
+        report = run_study(parse_config(doc), out_dir=tmp_path)
         a1 = report.summary["alg1_mean_errors"]
         a2 = report.summary["alg2_mean_errors"]
         assert np.allclose(a1, a2, atol=1e-8)
         assert max(a1) < 0.35
         # quadrature target collapses onto the analytic posterior
         lin_doc = demo_doc(amplitude=0.0)
-        del lin_doc["problem"]["nonlinear"]
+        del lin_doc["problem"]["nonlinear"], lin_doc["repeats"]
         lin_doc["kind"] = "sample"
         lin_doc["sde"]["j_particles"] = 4
         lin = posterior_moments(parse_config(lin_doc).problem)
@@ -843,7 +848,7 @@ class TestDemoNonlinear:
                            atol=1e-10)
 
     def test_paired_runs_share_initial_conditions(self):
-        report = run_demo_nonlinear(parse_config(demo_doc()))
+        report = run_study(parse_config(demo_doc()))
         reps = {c.repeat for c in report.cells}
         assert reps == {0, 1}
         for cell in report.cells:
@@ -855,7 +860,7 @@ class TestDemoNonlinear:
         doc = demo_doc(repeats=3)
         doc["sde"] = {"j_particles": 400, "n_steps": 300, "h": 0.01}
         doc["bands"] = {"alg2_mean_error": 0.5, "min_alg1_worse_count": 2}
-        report = run_demo_nonlinear(parse_config(doc), out_dir=tmp_path)
+        report = run_study(parse_config(doc), out_dir=tmp_path)
         assert report.summary["alg1_worse_count"] >= 2
         assert report.passed
         assert (tmp_path / "ensemble_alg1.csv").exists()
@@ -867,7 +872,7 @@ class TestDemoNonlinear:
 
 class TestValidate:
     def test_fresh_checkout_all_pass(self):
-        report = run_validate(parse_config({"kind": "validate", "seed": 7}))
+        report = run_study(parse_config({"kind": "validate", "seed": 7}))
         assert report.passed
         assert report.summary["failures"] == {}
         assert all(c.value == 1.0 for c in report.cells)
@@ -884,7 +889,7 @@ class TestValidate:
                             time=out.time, step=out.step)
 
         monkeypatch.setattr(dynamics, "eks_step", flipped)
-        report = run_validate(parse_config({"kind": "validate", "seed": 7}))
+        report = run_study(parse_config({"kind": "validate", "seed": 7}))
         assert not report.passed
         failures = set(report.summary["failures"])
         assert {"linear_step_agreement", "affine_span_invariance",
@@ -893,7 +898,7 @@ class TestValidate:
     def test_crashing_check_counts_as_failure(self, monkeypatch):
         monkeypatch.setattr(dynamics, "eks_step",
                             lambda *a, **k: 1 / 0)
-        report = run_validate(parse_config({"kind": "validate"}))
+        report = run_study(parse_config({"kind": "validate"}))
         assert not report.passed
         assert any("ZeroDivisionError" in d
                    for d in report.summary["failures"].values())
@@ -905,7 +910,7 @@ class TestValidate:
 class TestWriteReport:
     def test_report_fields(self, tmp_path):
         cfg = parse_config(sample_doc())
-        report = run_sample(cfg)
+        report = run_study(cfg)
         write_report(report, tmp_path)
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["study"] == "sample"
@@ -913,12 +918,12 @@ class TestWriteReport:
         assert doc["package"].startswith("eks-lab ")
         assert isinstance(doc["passed"], bool)
         # resolved defaults are echoed, not left implicit
-        assert doc["config"]["sde"]["sqrt_tol"] == 1e-12
+        assert doc["config"]["problem"] == studies.DEFAULT_PROBLEM
         # cells never carry wall times; those live in the CSV only
         assert all("wall_ms" not in cell for cell in doc["cells"])
 
     def test_report_names_its_environment(self, tmp_path):
-        write_report(run_sample(parse_config(sample_doc())), tmp_path)
+        write_report(run_study(parse_config(sample_doc())), tmp_path)
         env = json.loads((tmp_path / "report.json").read_text())["environment"]
         assert set(env) == {"python", "numpy", "scipy", "machine", "blas",
                             "lapack", "cpu_dispatch"}
@@ -941,7 +946,7 @@ class TestWriteReport:
 
     def test_cpu_dispatch_level_changes_the_body(self, tmp_path, monkeypatch,
                                                  fresh_environment):
-        report = run_sample(parse_config(sample_doc()))
+        report = run_study(parse_config(sample_doc()))
         write_report(report, tmp_path / "here")
         write_report(report, tmp_path / "again")
         # a process at another level: the first dispatched target flipped,
@@ -972,7 +977,7 @@ class TestWriteReport:
         dispatch = studies._cpu_dispatch
         monkeypatch.setattr(studies, "_cpu_dispatch",
                             lambda: calls.append(1) or dispatch())
-        report = run_sample(parse_config(sample_doc()))
+        report = run_study(parse_config(sample_doc()))
         write_report(report, tmp_path / "a")
         write_report(report, tmp_path / "b")
         assert calls == [1]
