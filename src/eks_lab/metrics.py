@@ -98,7 +98,8 @@ def w2_ensemble_vs_gaussian(x, g, seed):
 
 @dataclass(frozen=True)
 class SlopeFit:
-    """Least-squares line through (ln x, ln y) points."""
+    """Least-squares line through its points: (ln x, ln y) from fit_slope,
+    (t, ln y) for study-time's semilog decay fit."""
 
     slope: float
     intercept: float

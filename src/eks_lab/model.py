@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateDirection,
@@ -144,9 +143,9 @@ class InverseProblem:
     u0 : (L,) prior mean
     nonlinear : optional NonlinearPerturbation added to A u
 
-    Instances are treated as immutable; Cholesky factors of gamma and
-    gamma0 and the vector r = A^T gamma^{-1} y + gamma0^{-1} u0 are
-    precomputed once at construction.
+    Instances are treated as immutable; the vector
+    r = A^T gamma^{-1} y + gamma0^{-1} u0, the inverses of gamma and
+    gamma0 and the linear posterior are computed once at construction.
     """
 
     a: np.ndarray
@@ -155,8 +154,6 @@ class InverseProblem:
     y: np.ndarray
     u0: np.ndarray
     nonlinear: Optional[NonlinearPerturbation] = None
-    _gamma_chol: tuple = field(init=False, repr=False, compare=False)
-    _gamma0_chol: tuple = field(init=False, repr=False, compare=False)
     r: np.ndarray = field(init=False, repr=False, compare=False)
     gamma_inv: np.ndarray = field(init=False, repr=False, compare=False)
     gamma0_inv: np.ndarray = field(init=False, repr=False, compare=False)
@@ -194,19 +191,13 @@ class InverseProblem:
         object.__setattr__(self, "gamma0", gamma0)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "u0", u0)
-        object.__setattr__(
-            self, "_gamma_chol",
-            scipy.linalg.cho_factor(gamma, lower=True, check_finite=False))
-        object.__setattr__(
-            self, "_gamma0_chol",
-            scipy.linalg.cho_factor(gamma0, lower=True, check_finite=False))
-        r = a.T @ self.solve_gamma(y) + self.solve_gamma0(u0)
+        r = a.T @ spd_solve(gamma, y) + spd_solve(gamma0, u0)
         object.__setattr__(self, "r", r)
         # explicit inverses and linear-posterior moments, computed once;
         # the particle dynamics apply these row by row every step
         object.__setattr__(self, "gamma_inv", spd_invert(gamma))
         object.__setattr__(self, "gamma0_inv", spd_invert(gamma0))
-        b = symmetrize(a.T @ self.solve_gamma(a) + self.gamma0_inv)
+        b = symmetrize(a.T @ spd_solve(gamma, a) + self.gamma0_inv)
         object.__setattr__(self, "_precision", b)
         # B is constant, so the diagnostics' lambda_min(B) is taken once
         object.__setattr__(self, "_precision_lambda_min", lambda_min(b))
@@ -224,14 +215,6 @@ class InverseProblem:
     @property
     def dim_l(self):
         return self.a.shape[1]
-
-    def solve_gamma(self, z):
-        """gamma^{-1} z for a vector (K,) or matrix (K, n)."""
-        return scipy.linalg.cho_solve(self._gamma_chol, z, check_finite=False)
-
-    def solve_gamma0(self, z):
-        """gamma0^{-1} z for a vector (L,) or matrix (L, n)."""
-        return scipy.linalg.cho_solve(self._gamma0_chol, z, check_finite=False)
 
 
 def apply_forward_batch(problem, u_all):

@@ -18,15 +18,16 @@ before any compute runs, and produces in its output directory:
                 calls for them.
 
 Every cell derives its own seed from the base seed and its coordinates,
-so its numbers do not depend on which other cells run beside it.
-study-j and study-coupling share one sweep driver: it steps all the
-(J, repeat) cells in lockstep through one dynamics.run call on the
-calling thread, so the per-step reference work is done once per study
-step rather than once per cell.  demo-nonlinear steps every repeat's
-gradient and plain sampler as lockstep cells of one dynamics.run call;
-each pair shares its repeat's ensemble, seed and noise draws.  A sweep
-or demo cell's wall_ms is the run time, which all of the study's cells
-share, plus its own measurement.
+so its numbers do not depend on which other cells run beside it; one
+rule (_cell_start) turns that seed into the cell's initial draw from
+rho0 and its noise seed.  sample, study-j, study-coupling and
+demo-nonlinear step all their cells in lockstep through one dynamics.run
+call on the calling thread (_run_cells), so the per-step reference work
+is done once per study step rather than once per cell; a demo repeat's
+two samplers share one start and its noise draws.  study-time steps its
+particle cell's start in segments between checkpoints.  A cell's
+wall_ms is the run time, which all of the study's cells share, plus its
+own measurement.
 """
 
 import difflib
@@ -35,7 +36,7 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -49,6 +50,7 @@ from .ensemble import particle_moments, save_csv
 from .errors import EksError
 from .metrics import (
     ASSIGNMENT_LIMIT,
+    SlopeFit,
     _line_fit,
     fit_slope,
     gaussian_w2,
@@ -128,13 +130,6 @@ class StudyConfig:
     j_values: tuple = ()
     t_checkpoints: tuple = ()
     bands: dict = field(default_factory=dict)
-
-    def sde(self, seed, j_particles=None, n_steps=None):
-        return SdeConfig(h=self.h,
-                         n_steps=self.n_steps if n_steps is None else n_steps,
-                         j_particles=(self.j_particles if j_particles is None
-                                      else j_particles),
-                         seed=seed)
 
 
 @dataclass
@@ -419,6 +414,12 @@ def parse_config(doc, base_dir="."):
     if "problem" in doc and kind in SAMPLING_KINDS:
         doc = dict(doc, problem=_problem_document(doc["problem"], base_dir))
     echo = _walk(CONFIG, doc, kind, "config field", "")
+    # study-time reads sde only to step particles
+    if kind == "study-time" and not echo["with_particles"]:
+        if "sde" in doc:
+            raise ConfigError("config field 'sde' does not apply to study-time"
+                              " studies unless with_particles is true")
+        del echo["sde"]
     values = {k: v for k, v in echo.items()
               if k not in ("problem", "rho0", "sde", "sweep")}
     values.update(echo.get("sde", {}))
@@ -443,15 +444,16 @@ def parse_config(doc, base_dir="."):
                           f"problem dimension {cfg.problem.dim_l}")
     if kind in SWEEP_KINDS and cfg.n_steps < 1:
         raise ConfigError(f"{kind} study requires sde.n_steps >= 1")
-    # both would fail only after every cell has run: an exact W2 above
-    # the assignment guard, and a slope fit of coupling errors that are
-    # all 0 at h = 0
+    # these would fail only after every cell has run: an exact W2 above
+    # the assignment guard, a slope fit of coupling errors that are all 0
+    # at h = 0, and a demo whose samplers do not move at h = 0, so that
+    # neither can beat the other
     if kind == "study-j" and cfg.j_values[-1] > ASSIGNMENT_LIMIT:
         raise ConfigError(f"config field 'sweep.j_values': J = "
                           f"{cfg.j_values[-1]} exceeds the exact-assignment "
                           f"guard {ASSIGNMENT_LIMIT} of study-j's W2")
-    if kind == "study-coupling" and cfg.h == 0.0:
-        raise ConfigError("study-coupling requires config field 'sde.h' > 0")
+    if kind in ("study-coupling", "demo-nonlinear") and cfg.h == 0.0:
+        raise ConfigError(f"{kind} requires config field 'sde.h' > 0")
     if kind in ("sample", "demo-nonlinear") and cfg.j_particles < 1:
         raise ConfigError(f"{kind} study requires sde.j_particles >= 1")
     if kind == "study-time" and cfg.with_particles:
@@ -513,6 +515,35 @@ def _check_band(flags, bands, name, value):
         flags[name] = bool(lo <= value <= hi)
 
 
+def _cell_start(cfg, cell_seed, j, n_steps):
+    """A cell's initial ensemble and SdeConfig: J particles drawn from
+    rho0 on the cell seed's "init" seed, stepped on its "run" seed.  The
+    one place this rule is written."""
+    return (sample_gaussian(cfg.rho0, j, derive_seed(cell_seed, "init")),
+            SdeConfig(h=cfg.h, n_steps=n_steps, j_particles=j,
+                      seed=derive_seed(cell_seed, "run")))
+
+
+def _run_cells(cfg, cells, mode, measure, **run_options):
+    """Step (cell seed, J) cells from their starts in lockstep through
+    one run() call and return (RunResult, measure(result, cell seed),
+    wall_ms) per cell, each bitwise that of running the cell alone.
+    Cells with equal seed and J share one start (a demo's sampler pair).
+    """
+    c0 = time.perf_counter()
+    starts = {cell: _cell_start(cfg, *cell, cfg.n_steps)
+              for cell in dict.fromkeys(cells)}
+    results = run([starts[cell][0] for cell in cells], cfg.problem,
+                  [starts[cell][1] for cell in cells], mode, **run_options)
+    run_ms = (time.perf_counter() - c0) * 1e3
+    out = []
+    for (seed, _), res in zip(cells, results):
+        c1 = time.perf_counter()
+        value = measure(res, seed)
+        out.append((res, value, run_ms + (time.perf_counter() - c1) * 1e3))
+    return out
+
+
 # per sweep kind: the cell metric, its per-J mean, the slope fit and the
 # band that grades it
 _SWEEPS = {
@@ -527,40 +558,23 @@ def _sweep(cfg, mode, measure, **run_options):
     """Run every (J, repeat) cell of a study-j or study-coupling sweep and
     return one StudyCell per cell in (J, repeat) order, followed by the
     per-J means over repeats, plus the fits and flags of the slope in J.
-
-    All cells step in lockstep through one run() call, which also takes
-    run_options; each cell's numbers are bitwise those of running it
-    alone.  measure(result, cell_seed) gives a cell's value from its
-    RunResult.
+    mode, measure and run_options go to _run_cells.
     """
     kind = cfg.kind
     metric, mean_metric, fit_name, band_name = _SWEEPS[kind]
     t_final = cfg.h * cfg.n_steps
     specs = [(j, rep, derive_seed(cfg.seed, kind, j, rep))
              for j in cfg.j_values for rep in range(cfg.repeats)]
+    outs = _run_cells(cfg, [(seed, j) for j, _, seed in specs], mode,
+                      measure, **run_options)
+    cells = [StudyCell(kind, j, t_final, rep, seed, metric, value, wall)
+             for (j, rep, seed), (_, value, wall) in zip(specs, outs)]
 
-    c0 = time.perf_counter()
-    initials = [sample_gaussian(cfg.rho0, j, derive_seed(seed, "init"))
-                for j, _, seed in specs]
-    results = run(initials, cfg.problem,
-                  [cfg.sde(derive_seed(seed, "run"), j_particles=j)
-                   for j, _, seed in specs],
-                  mode, **run_options)
-    run_ms = (time.perf_counter() - c0) * 1e3
-    cells = []
-    for (j, rep, seed), res in zip(specs, results):
-        c1 = time.perf_counter()
-        value = measure(res, seed)
-        cells.append(StudyCell(kind, j, t_final, rep, seed, metric, value,
-                               run_ms + (time.perf_counter() - c1) * 1e3))
-
-    means = {}
-    for j in cfg.j_values:
-        means[j] = float(np.mean([c.value for c in cells if c.j == j]))
-        cells.append(StudyCell(kind, j, t_final, None, None, mean_metric,
-                               means[j]))
-    fits = {}
-    flags = {}
+    means = {j: float(np.mean([c.value for c in cells if c.j == j]))
+             for j in cfg.j_values}
+    cells += [StudyCell(kind, j, t_final, None, None, mean_metric, mean)
+              for j, mean in means.items()]
+    fits, flags = {}, {}
     if len(cfg.j_values) >= 3:
         fits[fit_name] = fit_slope([(j, means[j]) for j in cfg.j_values])
         _check_band(flags, cfg.bands, band_name, fits[fit_name].slope)
@@ -571,34 +585,30 @@ def _run_sample(cfg, out_dir):
     """Draw an initial ensemble, evolve it, and compare its moments with
     the analytic posterior (linear case).  A configured perturbation
     switches the evolution to the gradient-based step."""
-    t0 = time.perf_counter()
-    mode = "eks_gradient" if cfg.problem.nonlinear is not None else "eks"
-    init_seed = derive_seed(cfg.seed, "init")
-    run_seed = derive_seed(cfg.seed, "run")
-    initial = sample_gaussian(cfg.rho0, cfg.j_particles, init_seed)
-    flow = _flow(cfg) if cfg.problem.nonlinear is None else None
-    res = run(initial, cfg.problem, cfg.sde(run_seed), mode, flow=flow,
-              record_diagnostics=True)
+    linear = cfg.problem.nonlinear is None
+    mode = "eks" if linear else "eks_gradient"
+    target = posterior_moments(cfg.problem) if linear else None
+
+    def measure(res, cell_seed):
+        return _moment_errors(res.final, target) if linear else None
+
+    [(res, errors, wall)] = _run_cells(
+        cfg, [(cfg.seed, cfg.j_particles)], mode, measure,
+        flow=_flow(cfg) if linear else None, record_diagnostics=True)
 
     cells = []
     t_final = res.final.time
     summary = {"mode": mode, "t_final": t_final,
                "j_particles": cfg.j_particles}
     flags = {}
-    if cfg.problem.nonlinear is None:
-        target = posterior_moments(cfg.problem)
-        mean_err, cov_err = _moment_errors(res.final, target)
-        wall = (time.perf_counter() - t0) * 1e3
-        cells.append(StudyCell("sample", cfg.j_particles, t_final, 0,
-                               cfg.seed, "mean_error_vs_posterior",
-                               mean_err, wall))
-        cells.append(StudyCell("sample", cfg.j_particles, t_final, 0,
-                               cfg.seed, "cov_error_vs_posterior",
-                               cov_err, wall))
+    if linear:
+        for name, value in zip(("mean_error", "cov_error"), errors):
+            cells.append(StudyCell("sample", cfg.j_particles, t_final, 0,
+                                   cfg.seed, f"{name}_vs_posterior", value,
+                                   wall))
+            _check_band(flags, cfg.bands, name, value)
         summary["posterior_mean"] = target.mean.tolist()
         summary["posterior_cov"] = target.cov.tolist()
-        _check_band(flags, cfg.bands, "mean_error", mean_err)
-        _check_band(flags, cfg.bands, "cov_error", cov_err)
 
     if out_dir is not None:
         save_csv(res.final, Path(out_dir) / "ensemble.csv")
@@ -632,21 +642,17 @@ def _run_study_time(cfg, out_dir):
                        "w2_reference_vs_posterior", w2)
              for t, w2 in curve]
 
-    fits = {}
-    flags = {}
+    fits, flags = {}, {}
     fit_pts = [(t, w2) for t, w2 in curve if t >= cfg.fit_t_min and w2 > 0]
     if len(fit_pts) >= 3:
         # exponential decay shows up as a line in t vs ln(w2), so the fit
         # here is semilog, not the log-log of fit_slope
         ts = np.array([p[0] for p in fit_pts])
         logs = np.log([p[1] for p in fit_pts])
-        slope, intercept, r2 = _line_fit(ts, logs)
-        fits["log_w2_vs_t"] = {
-            "slope": slope, "intercept": intercept, "r_squared": r2,
-            "points": [[float(a), float(b)] for a, b in zip(ts, logs)],
-        }
-        _check_band(flags, cfg.bands, "decay_slope", slope)
-        _check_band(flags, cfg.bands, "decay_r_squared", r2)
+        fits["log_w2_vs_t"] = fit = SlopeFit(
+            *_line_fit(ts, logs), points=np.column_stack([ts, logs]))
+        _check_band(flags, cfg.bands, "decay_slope", fit.slope)
+        _check_band(flags, cfg.bands, "decay_r_squared", fit.r_squared)
 
     if cfg.with_particles:
         cells.extend(_particle_checkpoints(cfg))
@@ -654,24 +660,19 @@ def _run_study_time(cfg, out_dir):
 
 
 def _particle_checkpoints(cfg):
-    """Evolve one EKS ensemble, reading off gaussian_w2(empirical moments,
-    posterior) at every checkpoint (parse_config put them on the step
-    grid)."""
+    """Evolve one EKS cell from its start, in segments between checkpoints
+    (parse_config put them on the step grid), reading off
+    gaussian_w2(empirical moments, posterior) at each."""
     steps = [int(round(t / cfg.h)) for t in cfg.t_checkpoints]
     target = posterior_moments(cfg.problem)
     cell_seed = derive_seed(cfg.seed, "time-particles")
-    ens = sample_gaussian(cfg.rho0, cfg.j_particles,
-                          derive_seed(cell_seed, "init"))
-    run_seed = derive_seed(cell_seed, "run")
+    ens, sde = _cell_start(cfg, cell_seed, cfg.j_particles, 0)
     cells = []
-    done = 0
     for t, n in zip(cfg.t_checkpoints, steps):
         c0 = time.perf_counter()
-        if n > done:
-            res = run(ens, cfg.problem,
-                      cfg.sde(run_seed, n_steps=n - done), "eks")
-            ens = res.final
-            done = n
+        if n > ens.step:
+            ens = run(ens, cfg.problem, replace(sde, n_steps=n - ens.step),
+                      "eks").final
         mean_u, cov_uu = particle_moments(ens)
         emp = GaussianMoments(mean=mean_u, cov=cov_uu)
         cells.append(StudyCell(
@@ -685,13 +686,9 @@ def _run_study_coupling(cfg, out_dir):
     """Coupling sweep: mean squared particle-vs-mean-field distance at T
     under shared Brownian increments, slope-fitted in J.  share_noise
     false runs the negative control (independent increments)."""
-
-    def measure(res, cell_seed):
-        return res.coupling_error
-
-    cells, means, fits, flags = _sweep(cfg, "coupled", measure,
-                                       flow=_flow(cfg),
-                                       share_noise=cfg.share_noise)
+    cells, means, fits, flags = _sweep(
+        cfg, "coupled", lambda res, cell_seed: res.coupling_error,
+        flow=_flow(cfg), share_noise=cfg.share_noise)
     return cells, fits, flags, {
         "t_final": cfg.h * cfg.n_steps,
         "share_noise": cfg.share_noise,
@@ -707,27 +704,17 @@ def _run_demo_nonlinear(cfg, out_dir):
     labels = ("alg2", "alg1")           # the gradient, then the plain step
     rep_seeds = [derive_seed(cfg.seed, "demo", rep)
                  for rep in range(cfg.repeats)]
-    c0 = time.perf_counter()
-    initials, sdes = [], []
-    for rep_seed in rep_seeds:
-        initial = sample_gaussian(cfg.rho0, cfg.j_particles,
-                                  derive_seed(rep_seed, "init"))
-        sde = cfg.sde(derive_seed(rep_seed, "run"))
-        # a repeat's two samplers step from one ensemble on one seed, so
-        # each step's noise is drawn once for the pair
-        initials += [initial, initial]
-        sdes += [sde, sde]
-    results = run(initials, cfg.problem, sdes,
-                  ("eks_gradient", "eks") * cfg.repeats)
-    run_ms = (time.perf_counter() - c0) * 1e3
+    # a repeat's two samplers are two cells on one seed: one start, and
+    # each step's noise drawn once for the pair
+    outs = _run_cells(
+        cfg, [(seed, cfg.j_particles) for seed in rep_seeds for _ in labels],
+        ("eks_gradient", "eks") * cfg.repeats,
+        lambda res, cell_seed: _moment_errors(res.final, target))
 
     cells = []
     errors = {label: [] for label in labels}
-    for i, res in enumerate(results):
+    for i, (_, (mean_err, cov_err), wall) in enumerate(outs):
         rep, label = i // 2, labels[i % 2]
-        c1 = time.perf_counter()
-        mean_err, cov_err = _moment_errors(res.final, target)
-        wall = run_ms + (time.perf_counter() - c1) * 1e3
         for metric, value in (("mean", mean_err), ("cov", cov_err)):
             cells.append(StudyCell("demo-nonlinear", cfg.j_particles,
                                    t_final, rep, rep_seeds[rep],
@@ -754,7 +741,7 @@ def _run_demo_nonlinear(cfg, out_dir):
     }
     if out_dir is not None:
         # the ensembles of repeat 0
-        for label, res in zip(labels, results):
+        for label, (res, _, _) in zip(labels, outs):
             save_csv(res.final, Path(out_dir) / f"ensemble_{label}.csv")
     return cells, {}, flags, summary
 
@@ -980,8 +967,6 @@ def run_study(cfg, out_dir=None, threads=1):
 
 
 def _fit_as_json(fit):
-    if isinstance(fit, dict):
-        return fit
     return {"slope": fit.slope, "intercept": fit.intercept,
             "r_squared": fit.r_squared,
             "points": [[float(a), float(b)] for a, b in fit.points]}

@@ -24,6 +24,8 @@ from eks_lab.cli import (
     main,
 )
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def write_cfg(tmp_path, doc, name="study.json"):
     path = tmp_path / name
@@ -106,7 +108,13 @@ class TestExitCodes:
         ("sample", sample_doc(sde={"h": 0.9, "j_particles": 16,
                                    "n_steps": 5}),
          "'sde.h': h must lie in [0, 0.5]"),
-    ], ids=["j_values_not_a_list", "particles_with_zero_h", "h_too_large"])
+        ("study-time", {"kind": "study-time",
+                        "sde": {"h": 0.01, "j_particles": 8},
+                        "sweep": {"t_checkpoints": [0.0, 0.2]}},
+         "config field 'sde' does not apply to study-time studies unless "
+         "with_particles is true"),
+    ], ids=["j_values_not_a_list", "particles_with_zero_h", "h_too_large",
+            "sde_without_particles"])
     def test_malformed_config_exits_two_without_traceback(
             self, tmp_path, capsys, command, doc, message):
         cfg = write_cfg(tmp_path, doc)
@@ -276,7 +284,12 @@ class TestExitCodes:
                             "sde": {"h": 0, "n_steps": 2},
                             "sweep": {"j_values": [8, 16, 32]}},
          "study-coupling requires config field 'sde.h' > 0"),
-    ], ids=["j_above_assignment_guard", "coupling_at_zero_h"])
+        ("demo-nonlinear", dict(
+            json.loads((CONFIGS / "demo_nonlinear.json").read_text()),
+            sde={"h": 0, "n_steps": 2, "j_particles": 50}, repeats=2),
+         "demo-nonlinear requires config field 'sde.h' > 0"),
+    ], ids=["j_above_assignment_guard", "coupling_at_zero_h",
+            "demo_at_zero_h"])
     def test_sweep_that_fails_only_after_running_exits_two_before_running(
             self, tmp_path, capsys, monkeypatch, command, doc, message):
         from eks_lab import cli

@@ -112,6 +112,8 @@ def table_docs(draw):
     reads, with values that mostly parse."""
     kind = draw(st.sampled_from(STUDY_KINDS))
     doc = {"kind": kind, **draw_section(draw, CONFIG, kind)}
+    if kind == "study-time" and not doc.get("with_particles"):
+        del doc["sde"]              # read only to step particles
     if kind == "demo-nonlinear":
         doc["problem"] = SHIPPED[kind]["problem"]
     own = [name for name, band in BANDS.items() if kind in band.kinds]

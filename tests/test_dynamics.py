@@ -1233,7 +1233,9 @@ def test_demo_pair_equals_two_separate_runs(monkeypatch):
         rep_seed = derive_seed(cfg.seed, "demo", rep)
         initial = sample_gaussian(cfg.rho0, cfg.j_particles,
                                   derive_seed(rep_seed, "init"))
-        sde = cfg.sde(derive_seed(rep_seed, "run"))
+        sde = SdeConfig(h=cfg.h, n_steps=cfg.n_steps,
+                        j_particles=cfg.j_particles,
+                        seed=derive_seed(rep_seed, "run"))
         for mode, res in zip(("eks_gradient", "eks"), pair):
             alone = run(initial, cfg.problem, sde, mode)
             assert np.array_equal(res.final.particles,

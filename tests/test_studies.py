@@ -16,8 +16,8 @@ import pytest
 import scipy
 
 from eks_lab import dynamics, studies
-from eks_lab.dynamics import sample_gaussian
-from eks_lab.ensemble import Ensemble, load_csv
+from eks_lab.dynamics import SdeConfig, sample_gaussian
+from eks_lab.ensemble import Ensemble, load_csv, particle_moments
 from eks_lab.metrics import gaussian_w2
 from eks_lab.model import GaussianMoments, posterior_moments, precision_matrix
 from eks_lab.noise import derive_seed
@@ -360,8 +360,9 @@ class TestParseConfig:
     def test_flags_accept_json_booleans(self, value):
         cfg = parse_config(sweep_doc("study-coupling", share=value))
         assert cfg.share_noise is value
-        cfg = parse_config(time_doc(with_particles=value,
-                                    sde={"h": 0.1, "j_particles": 8}))
+        # study-time reads sde only with particles on
+        sde = {"sde": {"h": 0.1, "j_particles": 8}} if value else {}
+        cfg = parse_config(time_doc(with_particles=value, **sde))
         assert cfg.with_particles is value
 
     @pytest.mark.parametrize("doc, message", [
@@ -711,7 +712,7 @@ class TestStudyTime:
         fit = report.fits["log_w2_vs_t"]
         assert report.flags["decay_slope"]
         assert report.flags["decay_r_squared"]
-        assert fit["slope"] == pytest.approx(-1.0, abs=0.3)
+        assert fit.slope == pytest.approx(-1.0, abs=0.3)
 
     def test_endpoint_tiny_for_unit_precision_problem(self):
         # A = I, Gamma = Gamma0 = 2I gives total precision I, so the
@@ -739,6 +740,50 @@ class TestStudyTime:
         assert len(particle) == 3 and len(reference) == 3
         assert all(np.isfinite(c.value) and c.value >= 0 for c in particle)
         assert [c.t for c in particle] == [0.0, 0.5, 1.0]
+
+    def test_particle_checkpoints_equal_one_continuous_run(self):
+        """The study steps its particles in segments between checkpoints;
+        each checkpoint's value is bitwise that of one run of n steps
+        from step 0, from the cell's init seed on its run seed."""
+        doc = {"kind": "study-time", "with_particles": True, "seed": 4,
+               "sde": {"h": 0.05, "j_particles": 32},
+               "sweep": {"t_checkpoints": [0.0, 0.1, 0.25, 0.5]}}
+        cfg = parse_config(doc)
+        report = run_study(cfg)
+        particle = [c for c in report.cells
+                    if c.metric == "w2_particles_vs_posterior"]
+        cell_seed = derive_seed(cfg.seed, "time-particles")
+        initial = sample_gaussian(cfg.rho0, cfg.j_particles,
+                                  derive_seed(cell_seed, "init"))
+        target = posterior_moments(cfg.problem)
+        assert [(c.t, c.seed) for c in particle] == [
+            (t, cell_seed) for t in cfg.t_checkpoints]
+        for cell, n in zip(particle, (0, 2, 5, 10)):
+            sde = SdeConfig(h=cfg.h, n_steps=n, j_particles=cfg.j_particles,
+                            seed=derive_seed(cell_seed, "run"))
+            final = dynamics.run(initial, cfg.problem, sde, "eks").final
+            mean_u, cov_uu = particle_moments(final)
+            assert cell.value == gaussian_w2(
+                GaussianMoments(mean=mean_u, cov=cov_uu), target)
+
+    @pytest.mark.parametrize("with_particles", [None, False],
+                             ids=["default", "false"])
+    def test_sde_without_particles_is_rejected(self, with_particles):
+        doc = time_doc(sde={"h": 0.01, "j_particles": 512})
+        if with_particles is not None:
+            doc["with_particles"] = with_particles
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert str(err.value) == ("config field 'sde' does not apply to "
+                                  "study-time studies unless with_particles "
+                                  "is true")
+
+    def test_echo_without_particles_leaves_sde_out(self):
+        cfg = parse_config(time_doc())
+        assert "sde" not in cfg.echo and cfg.with_particles is False
+        assert cfg.h is None and cfg.j_particles is None
+        text = json.dumps(cfg.echo)
+        assert json.dumps(parse_config(json.loads(text)).echo) == text
 
 
 # ------------------------------------------------------- study-coupling
@@ -802,10 +847,10 @@ class TestSweepDriver:
         for cell in cells:
             initial = sample_gaussian(cfg.rho0, cell.j,
                                       derive_seed(cell.seed, "init"))
-            alone = dynamics.run(
-                initial, cfg.problem,
-                cfg.sde(derive_seed(cell.seed, "run"), j_particles=cell.j),
-                "coupled", flow=flow, share_noise=share)
+            sde = SdeConfig(h=cfg.h, n_steps=cfg.n_steps, j_particles=cell.j,
+                            seed=derive_seed(cell.seed, "run"))
+            alone = dynamics.run(initial, cfg.problem, sde, "coupled",
+                                 flow=flow, share_noise=share)
             assert cell.value == alone.coupling_error
 
     def test_coupling_study_computes_reference_once_per_step(
