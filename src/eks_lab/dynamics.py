@@ -180,6 +180,8 @@ def _kalman_step(ens, problem, cfg, noise, gradient):
     else:
         drift = np.einsum("lk,kj->lj", stats.cov_ug, z)
     eye = problem._eye_l
+    # not bit-equal to fold the prior pull in as one more column of
+    # gamma0^{-1}: that column sums in another order from L = 3 on
     system = eye + h * np.einsum("ab,bc->ac", stats.cov_uu,
                                  problem.gamma0_inv)
     prior_pull = h * np.einsum("ab,b->a", stats.cov_uu,

@@ -9,24 +9,24 @@ order: the lexicographic order of the raw particle rows u_j (np.lexsort),
 with G(u_j) gathered alongside.  When the first column has no ties, that
 order is the unique permutation that sorts the first column, so any
 argsort of it (stable or not, whatever its algorithm) returns exactly that
-order; only a tie sends the order to np.lexsort.  The gather writes the
-component-major (L, J) transposes of u and G in that order, C-contiguous
-whatever the input's layout; means and covariances are fixed-order
-np.einsum contractions along those length-J rows, O(J L^2) for the
-covariances.  einsum's loops are built for the baseline instruction set
-(their grouping depends on J and the binaries, not on run-time CPU
-features) and use no threads, so the result is bit-stable across runs and
-thread counts.  Two particles tie in the key only if they are the same
-point, so they carry the same G row and the order among them cannot change
-a sum: statistics are bitwise independent of particle order, and permuting
-an ensemble permutes its trajectories exactly.  The key must be the raw
-rows, not the centered ones — subtracting the mean can round two distinct
-points to the same centered row while their G rows still differ, and then
-the tie order would leak into cov_ug.  Centering subtracts the
-componentwise minimum, an exact pivot, before any arithmetic, so an
-ensemble whose particles all coincide produces exactly zero covariance,
-not merely a small one — the degenerate-freeze invariant of the dynamics
-depends on that exactness.
+order; only a tie sends the order to np.lexsort.  One gather writes u and
+G in that order as the rows of one C-contiguous (L+K, J) block, whatever
+the input's layout; one pivot, mean and centring pass runs along its
+length-J rows, and the covariances are fixed-order np.einsum contractions
+of its row slices, O(J L^2).  einsum's loops are built for the baseline
+instruction set (their grouping depends on J and the binaries, not on
+run-time CPU features) and use no threads, so the result is bit-stable
+across runs and thread counts.  Two particles tie in the key only if they
+are the same point, so they carry the same G row and the order among them
+cannot change a sum: statistics are bitwise independent of particle order,
+and permuting an ensemble permutes its trajectories exactly.  The key must
+be the raw rows, not the centered ones — subtracting the mean can round
+two distinct points to the same centered row while their G rows still
+differ, and then the tie order would leak into cov_ug.  Centering
+subtracts the componentwise minimum, an exact pivot, before any
+arithmetic, so an ensemble whose particles all coincide produces exactly
+zero covariance, not merely a small one — the degenerate-freeze invariant
+of the dynamics depends on that exactness.
 """
 
 from dataclasses import dataclass
@@ -108,17 +108,17 @@ def _canonical_order(u):
     # the lexicographic order; np.lexsort makes L passes and costs about as
     # much as the whole O(J L^2) contraction at L = 32.
     first = u[:, 0]
-    order = np.argsort(first)
-    first = np.take(first, order)
-    if np.all(first[1:] != first[:-1]):
+    order = first.argsort()
+    first = first[order]
+    if (first[1:] != first[:-1]).all():
         return order
     return np.lexsort(u.T[::-1])
 
 
 def _mean_rows(rows):
-    # rows (L, J), particles in canonical order along axis 1; the pivot
+    # rows (n, J), particles in canonical order along axis 1; the pivot
     # is exact, the sum fixed-order along each contiguous row
-    pivot = rows.min(axis=1)
+    pivot = np.minimum.reduce(rows, axis=1)
     return pivot + np.einsum("lj->l", rows - pivot[:, None]) / rows.shape[1]
 
 
@@ -130,19 +130,21 @@ def empirical_stats(ens, problem):
     particles both covariances are exactly zero.
     """
     u = ens.particles
-    j = u.shape[0]
+    j, l = u.shape
     g = apply_forward_batch(problem, u)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFinite("forward map produced non-finite values")
     order = _canonical_order(u)
-    us, gs = np.take(u.T, order, axis=1), np.take(g.T, order, axis=1)
-    mean_u = _mean_rows(us)
-    mean_g = _mean_rows(gs)
-    cu = us - mean_u[:, None]
-    cg = gs - mean_g[:, None]
-    cov_uu = np.einsum("lj,mj->lm", cu, cu) / j
-    cov_ug = np.einsum("lj,mj->lm", cu, cg) / j
-    return EnsembleStats(mean_u=mean_u, mean_g=mean_g,
+    # every row reduces exactly as if gathered alone; order is a
+    # permutation, so "clip" never clips ("raise" would buffer the copy)
+    rows = np.empty((l + g.shape[1], j))
+    u.T.take(order, axis=1, out=rows[:l], mode="clip")
+    g.T.take(order, axis=1, out=rows[l:], mode="clip")
+    mean = _mean_rows(rows)
+    rows -= mean[:, None]
+    cov_uu = np.einsum("lj,mj->lm", rows[:l], rows[:l]) / j
+    cov_ug = np.einsum("lj,mj->lm", rows[:l], rows[l:]) / j
+    return EnsembleStats(mean_u=mean[:l], mean_g=mean[l:],
                          cov_uu=cov_uu, cov_ug=cov_ug, forward=g)
 
 

@@ -112,10 +112,10 @@ class NonlinearPerturbation:
 
     def eval_batch(self, u_all):
         out = np.asarray(self.evaluate_batch(u_all), dtype=float)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NonFinite("perturbation produced non-finite values")
         # sqrt is monotone: one sqrt of the largest squared column norm, not J
-        peak = float(np.sqrt(np.max(np.einsum("kj,kj->j", out, out)))) \
+        peak = float(np.sqrt(np.einsum("kj,kj->j", out, out).max())) \
             if out.size else 0.0
         if peak > self.amplitude_bound * (1.0 + 1e-9) + 1e-12:
             raise EksError(
@@ -125,7 +125,7 @@ class NonlinearPerturbation:
 
     def grad_apply_batch(self, u_all, z_all):
         out = np.asarray(self.gradient_apply_batch(u_all, z_all), dtype=float)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NonFinite("perturbation gradient produced non-finite values")
         return out
 
@@ -186,27 +186,24 @@ class InverseProblem:
             raise NotPSD("gamma0 must be strictly positive definite")
         y = _vector(self.y, k, "y")
         u0 = _vector(self.u0, l, "u0")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "gamma0", gamma0)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "u0", u0)
-        r = a.T @ spd_solve(gamma, y) + spd_solve(gamma0, u0)
-        object.__setattr__(self, "r", r)
+        # an overflowing product is named by spd_solve's check of r or
+        # symmetrize's of B, not by a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = a.T @ spd_solve(gamma, y) + spd_solve(gamma0, u0)
         # explicit inverses and linear-posterior moments, computed once;
         # the particle dynamics apply these row by row every step
-        object.__setattr__(self, "gamma_inv", spd_invert(gamma))
-        object.__setattr__(self, "gamma0_inv", spd_invert(gamma0))
-        b = symmetrize(a.T @ spd_solve(gamma, a) + self.gamma0_inv)
-        object.__setattr__(self, "_precision", b)
-        # B is constant, so the diagnostics' lambda_min(B) is taken once
-        object.__setattr__(self, "_precision_lambda_min", lambda_min(b))
-        object.__setattr__(self, "_linear_mean", spd_solve(b, r))
-        object.__setattr__(self, "_linear_cov", spd_invert(b))
-        # the constants of the Kalman step's semi-implicit prior treatment
-        object.__setattr__(self, "_gamma0_inv_u0", _frozen(
-            np.einsum("ab,b->a", self.gamma0_inv, u0)))
-        object.__setattr__(self, "_eye_l", _frozen(np.eye(l)))
+        gamma_inv, gamma0_inv = spd_invert(gamma), spd_invert(gamma0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = symmetrize(a.T @ spd_solve(gamma, a) + gamma0_inv)
+        vars(self).update(
+            a=a, gamma=gamma, gamma0=gamma0, y=y, u0=u0, r=r,
+            gamma_inv=gamma_inv, gamma0_inv=gamma0_inv, _precision=b,
+            # B is constant, so the diagnostics' lambda_min(B) is taken once
+            _precision_lambda_min=lambda_min(b),
+            _linear_mean=spd_solve(b, r), _linear_cov=spd_invert(b),
+            # the constants of the Kalman step's semi-implicit prior treatment
+            _gamma0_inv_u0=_frozen(np.einsum("ab,b->a", gamma0_inv, u0)),
+            _eye_l=_frozen(np.eye(l)))
 
     @property
     def dim_k(self):

@@ -22,13 +22,11 @@ __all__ = [
 ]
 
 
-def _as_square(m, name="matrix"):
+def _as_square(m):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(
-            f"{name} must be square 2-d, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NonFinite(f"{name} contains non-finite entries")
+            f"matrix must be square 2-d, got shape {m.shape}")
     return m
 
 
@@ -36,17 +34,14 @@ def symmetrize(m):
     """Return (M + M^T)/2 after validating that M is square and that the
     result is finite: a non-finite entry of M, or a sum that overflows,
     raises NonFinite."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(
-            f"matrix must be square 2-d, got shape {m.shape}")
+    m = _as_square(m)
     # an overflowing sum is reported by the check below, as NonFinite,
     # not by a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         out = 0.5 * (m + m.T)
     # a non-finite entry of M is non-finite in the result too, so this
     # one check covers the input as well as an overflowing sum
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFinite("matrix contains non-finite entries, or M + M^T "
                         "overflowed")
     return out
@@ -81,7 +76,7 @@ def spd_sqrt(m, tol=1e-12):
     m = symmetrize(m)
     w, v = np.linalg.eigh(m)
     lam_max = w[-1] if w.size else 0.0
-    floor = tol * max(lam_max, 0.0)
+    floor = tol * lam_max if lam_max > 0.0 else 0.0
     if w.size and w[0] < -floor:
         raise NotPSD(
             f"eigenvalue {w[0]:.3e} below -{tol:g} * lam_max ({lam_max:.3e})")
@@ -100,7 +95,7 @@ def spd_solve(m, rhs):
     if rhs.shape[0] != m.shape[0]:
         raise DimensionMismatch(
             f"rhs leading dimension {rhs.shape[0]} != matrix size {m.shape[0]}")
-    if not np.all(np.isfinite(rhs)):
+    if not np.isfinite(rhs).all():
         raise NonFinite("rhs contains non-finite entries")
     try:
         factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
@@ -134,6 +129,8 @@ def general_solve(a, rhs):
     scipy's per-call wrapper cost.
     """
     a = _as_square(a)
+    if not np.isfinite(a).all():
+        raise NonFinite("matrix contains non-finite entries")
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != a.shape[0]:
         raise DimensionMismatch(
@@ -143,6 +140,6 @@ def general_solve(a, rhs):
     except np.linalg.LinAlgError:
         raise SingularMatrix("LU factorization produced a zero pivot") \
             from None
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise SingularMatrix("solution of the linear system is non-finite")
     return x

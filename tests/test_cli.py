@@ -211,6 +211,39 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("a, y", [
+        ([[1e200, 0.0], [0.0, 1.0]], [0.0, 0.0]),      # A^T gamma^-1 A
+        ([[1e154, 0.0], [0.0, 1.0]], [1e155, 0.0])],   # A^T gamma^-1 y too
+        ids=["precision", "precision_and_r"])
+    def test_overflowing_forward_map_exits_two_without_a_numpy_warning(
+            self, tmp_path, a, y):
+        # finite entries whose products in InverseProblem overflow; a
+        # process of its own, so that a warning numpy prints would reach
+        # its stderr, with run_study replaced by an exit 97
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        doc = sample_doc(problem={"a": a, "gamma": eye, "gamma0": eye,
+                                  "y": y, "u0": [0.0, 0.0]})
+        env = dict(os.environ)
+        env.pop("PYTHONWARNINGS", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(PYPROJECT.parent / "src")]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        out_dir = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from eks_lab import cli; "
+             "cli.run_study = lambda *args, **kwargs: sys.exit(97); "
+             "sys.exit(cli.main(sys.argv[1:]))",
+             "sample", "--config", write_cfg(tmp_path, doc),
+             "--out", str(out_dir)],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("eks-lab: config error: invalid problem:")
+        assert not out_dir.exists()
+
     def test_non_boolean_flag_exits_two_without_traceback(self, tmp_path,
                                                           capsys):
         doc = {"kind": "study-coupling", "seed": 4, "share_noise": "false",

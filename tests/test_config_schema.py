@@ -107,10 +107,10 @@ def draw_section(draw, schema, kind, prefix=""):
 
 
 @st.composite
-def table_docs(draw):
+def table_docs(draw, kinds=STUDY_KINDS):
     """Configs drawn from the table itself: only the keys the drawn kind
     reads, with values that mostly parse."""
-    kind = draw(st.sampled_from(STUDY_KINDS))
+    kind = draw(st.sampled_from(kinds))
     doc = {"kind": kind, **draw_section(draw, CONFIG, kind)}
     if kind == "study-time" and not doc.get("with_particles"):
         del doc["sde"]              # read only to step particles
@@ -164,6 +164,37 @@ def test_parsed_configs_echo_round_trip(doc):
     except ConfigError:
         return
     assert_echo_round_trips(cfg)
+
+
+DRAWS_PER_KIND = 40
+
+
+def test_table_docs_mostly_parse_for_every_kind():
+    # the round trip above returns on any ConfigError, so it would pass
+    # on a kind whose drawn docs hardly ever parse; this is its floor: of
+    # a fixed number of draws per kind, at least a quarter parse
+    parsed = {kind: [] for kind in STUDY_KINDS}
+
+    @settings(max_examples=DRAWS_PER_KIND, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def draw_every_kind(data):
+        for kind in STUDY_KINDS:
+            doc = data.draw(table_docs(kinds=(kind,)))
+            try:
+                parse_config(doc)
+            except ConfigError:
+                parsed[kind].append(False)
+            else:
+                parsed[kind].append(True)
+
+    draw_every_kind()
+    for kind, ok in parsed.items():
+        # hypothesis may run a few more examples than max_examples
+        assert len(ok) >= DRAWS_PER_KIND, kind
+        ok = ok[:DRAWS_PER_KIND]
+        assert sum(ok) >= DRAWS_PER_KIND / 4, \
+            f"{kind}: {sum(ok)} of {DRAWS_PER_KIND} drawn docs parse"
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")),

@@ -253,6 +253,65 @@ def test_particle_moments_equal_stats_bitwise(problem, j):
         assert np.array_equal(cov_uu, stats.cov_uu)
 
 
+def separate_rows_stats(particles, problem):
+    """The statistics pass written out with u and G(u) kept apart, as two
+    gathers, two pivot and mean passes and two centrings, operation for
+    operation; the order is the lexicographic one by its definition."""
+    j = particles.shape[0]
+    g = apply_forward_batch(problem, particles)
+    order = np.lexsort(particles.T[::-1])
+    us = np.take(particles.T, order, axis=1)
+    gs = np.take(g.T, order, axis=1)
+    pivot_u, pivot_g = us.min(axis=1), gs.min(axis=1)
+    mean_u = pivot_u + np.einsum("lj->l", us - pivot_u[:, None]) / j
+    mean_g = pivot_g + np.einsum("lj->l", gs - pivot_g[:, None]) / j
+    cu, cg = us - mean_u[:, None], gs - mean_g[:, None]
+    return {"mean_u": mean_u, "mean_g": mean_g,
+            "cov_uu": np.einsum("lj,mj->lm", cu, cu) / j,
+            "cov_ug": np.einsum("lj,mj->lm", cu, cg) / j, "forward": g}
+
+
+def layouts(particles):
+    """The same particles C-ordered, Fortran-ordered, and as a strided
+    view that starts one row and one column into a larger array."""
+    j, l = particles.shape
+    big = np.zeros((j + 1, l + 1))
+    big[1:, 1:] = particles
+    return (np.ascontiguousarray(particles), np.asfortranarray(particles),
+            big[1:, 1:])
+
+
+@pytest.mark.parametrize("j", [1, 2, 7, 64, 1023, 4000])
+@pytest.mark.parametrize("problem", [
+    random_linear_problem(40, l=2, k=2), random_linear_problem(41, l=2, k=3),
+    random_linear_problem(42, l=8, k=10),
+    random_linear_problem(43, l=32, k=32), shipped_nonlinear_problem()],
+    ids=["L2_K2", "L2_K3", "L8_K10", "L32_K32", "shipped_nonlinear"])
+def test_stats_bitwise_equal_separate_rows_copy(problem, j):
+    # one gather, pivot, mean and centring over the stacked (L+K, J)
+    # block gives every field exactly as the separate row blocks do
+    rng = np.random.default_rng(j + problem.dim_l)
+    l = problem.dim_l
+    row = rng.standard_normal(l)
+    ensembles = [2.0 + rng.standard_normal((j, l)), np.tile(row, (j, 1))]
+    if j >= 3:
+        # whole rows repeat, and other rows tie in the first column only
+        tied = 2.0 + rng.standard_normal((j, l))
+        tied[1::3] = tied[::3][: len(tied[1::3])]
+        tied[2::3, 0] = tied[::3, 0][: len(tied[2::3])]
+        ensembles.append(tied)
+    for particles in ensembles:
+        expected = separate_rows_stats(particles, problem)
+        for laid_out in layouts(particles):
+            stats = empirical_stats(Ensemble(particles=laid_out), problem)
+            for name, want in expected.items():
+                assert np.array_equal(getattr(stats, name), want), name
+    # all-identical particles: both covariances exactly zero
+    stats = empirical_stats(Ensemble(particles=ensembles[1]), problem)
+    assert not stats.cov_uu.any() and not stats.cov_ug.any()
+    assert np.array_equal(stats.mean_u, row)
+
+
 def test_cov_psd_on_random_ensembles():
     rng = np.random.default_rng(8)
     problem = identity_problem(3)
