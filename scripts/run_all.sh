@@ -2,25 +2,31 @@
 # Run every configured study into $OUT_ROOT (default: results/).
 # Each study self-grades against the bands pre-registered in its config;
 # the script stops at the first failure (nonzero exit from eks-lab).
-# Each study's wall seconds, interpreter start included, print after it.
+# Each study's wall seconds, interpreter start included, and its peak
+# resident memory print after it.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 OUT_ROOT="${OUT_ROOT:-results}"
 
-# microseconds since the epoch; bash's EPOCHREALTIME with its decimal
-# separator (a point or a comma, by locale) removed
-now_us() { echo "${EPOCHREALTIME/[.,]/}"; }
+# runs argv[2:] as a child and prints argv[1]'s wall seconds and the
+# child's peak RSS (ru_maxrss, KiB on Linux) in MiB; exits with the
+# child's status, 128 + N when signal N ended it
+MEASURE='
+import resource, subprocess, sys, time
+start = time.perf_counter()
+status = subprocess.call(sys.argv[2:])
+wall = time.perf_counter() - start
+if status:
+    sys.exit(128 - status if status < 0 else status)
+rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"== {sys.argv[1]}: {wall:.2f} s, peak RSS {rss:.1f} MB", flush=True)
+'
 
 run() {
-    local name="$1" start us
-    start="$(now_us)"
-    echo "== ${name} -> ${OUT_ROOT}/${name}"
-    eks-lab "$2" --config "configs/${name}.json" \
-            --out "${OUT_ROOT}/${name}"
-    us=$(( $(now_us) - start ))
-    printf '== %s: %d.%02d s\n' "${name}" $(( us / 1000000 )) \
-           $(( us % 1000000 / 10000 ))
+    echo "== ${1} -> ${OUT_ROOT}/${1}"
+    python3 -c "${MEASURE}" "${1}" eks-lab "$2" \
+            --config "configs/${1}.json" --out "${OUT_ROOT}/${1}"
 }
 
 run validate                 validate

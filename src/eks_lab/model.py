@@ -186,15 +186,24 @@ class InverseProblem:
             raise NotPSD("gamma0 must be strictly positive definite")
         y = _vector(self.y, k, "y")
         u0 = _vector(self.u0, l, "u0")
-        # an overflowing product is named by spd_solve's check of r or
-        # symmetrize's of B, not by a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = a.T @ spd_solve(gamma, y) + spd_solve(gamma0, u0)
         # explicit inverses and linear-posterior moments, computed once;
         # the particle dynamics apply these row by row every step
         gamma_inv, gamma0_inv = spd_invert(gamma), spd_invert(gamma0)
+        # an overflowing product is named here, with the inputs it came
+        # from, not by a numpy warning or by a later generic check
         with np.errstate(over="ignore", invalid="ignore"):
-            b = symmetrize(a.T @ spd_solve(gamma, a) + gamma0_inv)
+            r = a.T @ spd_solve(gamma, y) + spd_solve(gamma0, u0)
+            b = a.T @ spd_solve(gamma, a) + gamma0_inv
+        if not np.isfinite(r).all():
+            raise NonFinite(
+                "r = A^T gamma^-1 y + gamma0^-1 u0 overflowed: a, gamma and "
+                "y (or gamma0 and u0) are too far apart in scale")
+        try:
+            b = symmetrize(b)
+        except NonFinite:
+            raise NonFinite(
+                "posterior precision A^T gamma^-1 A + gamma0^-1 overflowed: "
+                "a is too large for gamma, or gamma0 too small") from None
         vars(self).update(
             a=a, gamma=gamma, gamma0=gamma0, y=y, u0=u0, r=r,
             gamma_inv=gamma_inv, gamma0_inv=gamma0_inv, _precision=b,
@@ -354,6 +363,9 @@ def _log_density_batch(problem, points):
 # window in posterior standard deviations
 QUADRATURE_POINTS = 400
 QUADRATURE_HALF_WIDTH = 8.0
+# grid points whose log density is evaluated at once: whole grid rows, so
+# the per-point temporaries of a 2-D grid are a tenth of the grid's
+QUADRATURE_BLOCK = 40 * QUADRATURE_POINTS
 
 
 def _grid_moments(problem, center, widths):
@@ -364,12 +376,21 @@ def _grid_moments(problem, center, widths):
     else:
         xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
         points = np.column_stack([xx.ravel(), yy.ravel()])
-    logw = _log_density_batch(problem, points)
+        del xx, yy
+    # blocks move no bit: every operation of the log density acts on one
+    # point at a time (the forward map, the perturbation and its bound
+    # check, the two three-operand einsums), and each reduction below
+    # still runs over the whole grid in the same expression form
+    logw = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], QUADRATURE_BLOCK):
+        stop = start + QUADRATURE_BLOCK
+        logw[start:stop] = _log_density_batch(problem, points[start:stop])
     w = np.exp(logw - np.max(logw))
+    del logw
     w /= np.sum(w)
     mean = w @ points
-    centered = points - mean[None, :]
-    cov = (w[:, None] * centered).T @ centered
+    points -= mean[None, :]  # centred in place
+    cov = (w[:, None] * points).T @ points
     return GaussianMoments(mean=mean, cov=symmetrize(cov))
 
 

@@ -211,12 +211,17 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("a, y", [
-        ([[1e200, 0.0], [0.0, 1.0]], [0.0, 0.0]),      # A^T gamma^-1 A
-        ([[1e154, 0.0], [0.0, 1.0]], [1e155, 0.0])],   # A^T gamma^-1 y too
+    @pytest.mark.parametrize("a, y, named", [
+        # A^T gamma^-1 A overflows
+        ([[1e200, 0.0], [0.0, 1.0]], [0.0, 0.0],
+         "posterior precision A^T gamma^-1 A + gamma0^-1 overflowed: a is "
+         "too large for gamma"),
+        # A^T gamma^-1 y overflows too, and r is checked first
+        ([[1e154, 0.0], [0.0, 1.0]], [1e155, 0.0],
+         "r = A^T gamma^-1 y + gamma0^-1 u0 overflowed: a, gamma and y")],
         ids=["precision", "precision_and_r"])
     def test_overflowing_forward_map_exits_two_without_a_numpy_warning(
-            self, tmp_path, a, y):
+            self, tmp_path, a, y, named):
         # finite entries whose products in InverseProblem overflow; a
         # process of its own, so that a warning numpy prints would reach
         # its stderr, with run_study replaced by an exit 97
@@ -241,7 +246,8 @@ class TestExitCodes:
         assert proc.returncode == EXIT_USAGE, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
-        assert lines[0].startswith("eks-lab: config error: invalid problem:")
+        assert lines[0].startswith(
+            "eks-lab: config error: invalid problem: " + named), lines[0]
         assert not out_dir.exists()
 
     def test_non_boolean_flag_exits_two_without_traceback(self, tmp_path,

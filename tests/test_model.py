@@ -7,9 +7,14 @@ batched forward map, and the tensor-grid quadrature as an analytic-free
 route to the posterior moments.
 """
 
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from eks_lab import model
 from eks_lab.errors import (
     DegenerateDirection,
     DimensionMismatch,
@@ -31,6 +36,10 @@ from eks_lab.model import (
     precision_matrix,
     quadrature_moments,
 )
+from eks_lab.spd import symmetrize
+from eks_lab.studies import default_problem, parse_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def loss_oracle(problem, u):
@@ -401,3 +410,70 @@ def test_quadrature_size_guard():
     problem = random_problem(52, l=3, k=3)
     with pytest.raises(TooLarge):
         quadrature_moments(problem)
+
+
+def shipped_nonlinear_problem():
+    doc = json.loads((CONFIGS / "demo_nonlinear.json").read_text())
+    return parse_config(doc).problem
+
+
+def whole_grid_moments(problem, center, widths):
+    # the grid moments with every per-point temporary built for the whole
+    # grid at once: the blocked evaluation must equal it bit for bit
+    axes = [np.linspace(c - w, c + w, model.QUADRATURE_POINTS)
+            for c, w in zip(center, widths)]
+    if len(axes) == 1:
+        points = axes[0][:, None]
+    else:
+        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
+        points = np.column_stack([xx.ravel(), yy.ravel()])
+    logw = _log_density_batch(problem, points)
+    w = np.exp(logw - np.max(logw))
+    w /= np.sum(w)
+    mean = w @ points
+    centered = points - mean[None, :]
+    cov = (w[:, None] * centered).T @ centered
+    return GaussianMoments(mean=mean, cov=symmetrize(cov))
+
+
+@pytest.mark.parametrize("block", [None, 10_007, 150],
+                         ids=["shipped_block", "ragged_2d", "ragged_1d"])
+@pytest.mark.parametrize("make_problem", [
+    shipped_nonlinear_problem,
+    default_problem,
+    lambda: InverseProblem(a=np.array([[2.0]]), gamma=np.array([[1.0]]),
+                           gamma0=np.array([[1.0]]), y=np.array([3.0]),
+                           u0=np.array([0.5]))],
+    ids=["shipped_nonlinear", "default_linear_2d", "linear_1d"])
+def test_blocked_quadrature_equals_whole_grid_bit_for_bit(
+        monkeypatch, make_problem, block):
+    # 10,007 leaves a ragged last block of the 160,000-point 2-D grid, 150
+    # one of the 400-point 1-D grid too
+    problem = make_problem()
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "_grid_moments", whole_grid_moments)
+        whole = quadrature_moments(problem)
+    if block is not None:
+        monkeypatch.setattr(model, "QUADRATURE_BLOCK", block)
+    blocked = quadrature_moments(problem)
+    assert np.array_equal(blocked.mean, whole.mean)
+    assert np.array_equal(blocked.cov, whole.cov)
+
+
+def test_quadrature_peak_allocation_is_bounded_by_whole_grid_arrays():
+    # The whole-grid reductions still need the N x 2 points (centred in
+    # place for the covariance) and N x 2 weighted points, 2.56 MB each at
+    # N = 160,000, and the weights w, 1.28 MB: 5 doubles per grid point.
+    # One block of n points adds its log-density temporaries: the (2, n)
+    # transposed points, the (3, n) G(u), its perturbation and misfit, the
+    # (n, 2) shift and a few length-n rows, at most 16 doubles per point.
+    problem = shipped_nonlinear_problem()
+    grid = model.QUADRATURE_POINTS ** 2
+    bound = 8 * (5 * grid + 16 * model.QUADRATURE_BLOCK)
+    tracemalloc.start()
+    try:
+        quadrature_moments(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 1e6:.2f} MB > {bound / 1e6:.2f} MB"
