@@ -21,13 +21,17 @@ Every cell derives its own seed from the base seed and its coordinates,
 so its numbers do not depend on which other cells run beside it; one
 rule (_cell_start) turns that seed into the cell's initial draw from
 rho0 and its noise seed.  sample, study-j, study-coupling and
-demo-nonlinear step all their cells in lockstep through one dynamics.run
-call on the calling thread (_run_cells), so the per-step reference work
-is done once per study step rather than once per cell; a demo repeat's
-two samplers share one start and its noise draws.  study-time steps its
-particle cell's start in segments between checkpoints.  A cell's
-wall_ms is the run time, which all of the study's cells share, plus its
-own measurement.
+demo-nonlinear step their cells through one driver (_run_cells): in
+lockstep, on the calling thread, in one dynamics.run call when the run
+reads the mean-field flow (so the per-step reference work is done once
+per study step rather than once per cell) and in one call per J,
+largest J first, otherwise.  Each call's cells are then measured on one
+worker thread while the next call steps, so study-j's exact W2 solves
+overlap the stepping of its smaller J; results are collected in cell
+order.  A demo repeat's two samplers share one start and its noise
+draws.  study-time steps its particle cell's start in segments between
+checkpoints.  A cell's wall_ms is the time of the run call it stepped
+in plus its own measurement.
 """
 
 import difflib
@@ -36,6 +40,7 @@ import json
 import platform
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -524,24 +529,80 @@ def _cell_start(cfg, cell_seed, j, n_steps):
                       seed=derive_seed(cell_seed, "run")))
 
 
-def _run_cells(cfg, cells, mode, measure, **run_options):
-    """Step (cell seed, J) cells from their starts in lockstep through
-    one run() call and return (RunResult, measure(result, cell seed),
-    wall_ms) per cell, each bitwise that of running the cell alone.
-    Cells with equal seed and J share one start (a demo's sampler pair).
-    """
+def _timed(measure, res, cell_seed):
     c0 = time.perf_counter()
-    starts = {cell: _cell_start(cfg, *cell, cfg.n_steps)
-              for cell in dict.fromkeys(cells)}
-    results = run([starts[cell][0] for cell in cells], cfg.problem,
-                  [starts[cell][1] for cell in cells], mode, **run_options)
-    run_ms = (time.perf_counter() - c0) * 1e3
-    out = []
-    for (seed, _), res in zip(cells, results):
-        c1 = time.perf_counter()
-        value = measure(res, seed)
-        out.append((res, value, run_ms + (time.perf_counter() - c1) * 1e3))
-    return out
+    value = measure(res, cell_seed)
+    return value, (time.perf_counter() - c0) * 1e3
+
+
+def _run_cells(cfg, cells, mode, measure, **run_options):
+    """Step (cell seed, J) cells from their starts and return
+    (RunResult, measure(result, cell seed), wall_ms) per cell, in cell
+    order, each bitwise that of running the cell alone.  Cells with equal
+    seed and J share one start (a demo's sampler pair).
+
+    The cells step in lockstep groups, one run() call each: all cells in
+    one group when the run reads a flow (its per-step clock work is then
+    shared), otherwise one group per J, largest J first.  As each group's
+    run() returns, its measure calls go to one worker thread (a fixed
+    count; run_study's threads keyword does not change it), so the
+    largest cells are measured while the smaller ones step; measure must
+    therefore be safe to run beside run().  On one core the overlap
+    gains nothing (not measured).  A cell's wall_ms is its group's run time plus its
+    own measurement.
+
+    Errors are those of stepping every cell in one run() call and then
+    measuring them in cell order: a stepping error wins over any measuring
+    error, and the first measuring error in cell order is raised.  Queued
+    measures are cancelled and the worker is joined before any error
+    leaves, so no thread outlives the call.
+    """
+    if run_options.get("flow") is not None:
+        groups = [list(range(len(cells)))]
+    else:
+        by_j = {}
+        for i, (_, j) in enumerate(cells):
+            by_j.setdefault(j, []).append(i)
+        groups = [by_j[j] for j in sorted(by_j, reverse=True)]
+    starts = {}
+
+    def step(indices):
+        for i in indices:
+            if cells[i] not in starts:
+                starts[cells[i]] = _cell_start(cfg, *cells[i], cfg.n_steps)
+        return run([starts[cells[i]][0] for i in indices], cfg.problem,
+                   [starts[cells[i]][1] for i in indices],
+                   mode if isinstance(mode, str)
+                   else [mode[i] for i in indices], **run_options)
+
+    pending = [None] * len(cells)
+    worker = ThreadPoolExecutor(max_workers=1)
+    try:
+        for g, group in enumerate(groups):
+            c0 = time.perf_counter()
+            try:
+                results = step(group)
+            except EksError:
+                worker.shutdown(wait=False, cancel_futures=True)
+                # the groups before this one stepped cleanly, but a later
+                # cell may fail at an earlier step: one lockstep run over
+                # this group and the later ones raises what one run over
+                # every cell would
+                later = [i for rest in groups[g + 1:] for i in rest]
+                if later:
+                    step(sorted(group + later))
+                raise
+            run_ms = (time.perf_counter() - c0) * 1e3
+            for i, res in zip(group, results):
+                pending[i] = (res, run_ms, worker.submit(
+                    _timed, measure, res, cells[i][0]))
+        out = []
+        for res, run_ms, future in pending:
+            value, measure_ms = future.result()
+            out.append((res, value, run_ms + measure_ms))
+        return out
+    finally:
+        worker.shutdown(wait=True, cancel_futures=True)
 
 
 # per sweep kind: the cell metric, its per-J mean, the slope fit and the
@@ -946,9 +1007,11 @@ def run_study(cfg, out_dir=None, threads=1):
     """Run a parsed config's study and, given out_dir, write its report
     files there; returns the StudyReport.
 
-    threads is accepted and ignored: every study runs on the calling
-    thread.  It stays only because the benchmark calls
-    run_study(cfg, out, threads=1) and its rerun check compares
+    threads is accepted and ignored: a study steps on the calling thread
+    and measures its cells on one worker thread (_run_cells), a count
+    that does not change, and the worker is joined before run_study
+    returns or raises.  The keyword stays only because the benchmark
+    calls run_study(cfg, out, threads=1) and its rerun check compares
     threads=1 with threads=2."""
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)

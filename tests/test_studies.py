@@ -10,14 +10,17 @@ report.json.
 import json
 import platform
 import re
+import threading
 
 import numpy as np
 import pytest
 import scipy
 
 from eks_lab import dynamics, studies
+from eks_lab.cli import EXIT_RUNTIME, main
 from eks_lab.dynamics import SdeConfig, sample_gaussian
 from eks_lab.ensemble import Ensemble, load_csv, particle_moments
+from eks_lab.errors import Diverged, EksError, NonFinite
 from eks_lab.metrics import gaussian_w2
 from eks_lab.model import GaussianMoments, posterior_moments, precision_matrix
 from eks_lab.noise import derive_seed
@@ -866,6 +869,94 @@ class TestSweepDriver:
         cfg = parse_config(sweep_doc("study-coupling"))
         run_study(cfg)
         assert len(calls) == cfg.n_steps
+
+    def test_study_j_report_equals_cells_run_alone_and_measured_inline(
+            self, tmp_path, monkeypatch):
+        """Stepping per J group and measuring on the worker moves no bit:
+        the report body equals one whose cells each ran alone through
+        run() and were measured on the calling thread."""
+        def cells_alone(cfg, cells, mode, measure, **run_options):
+            out = []
+            for seed, j in cells:
+                ens, sde = studies._cell_start(cfg, seed, j, cfg.n_steps)
+                res = dynamics.run(ens, cfg.problem, sde, mode,
+                                   **run_options)
+                out.append((res, measure(res, seed), 0.0))
+            return out
+
+        cfg = parse_config(sweep_doc("study-j"))
+        threads_before = threading.active_count()
+        report = run_study(cfg, out_dir=tmp_path / "grouped")
+        assert threading.active_count() == threads_before
+        monkeypatch.setattr(studies, "_run_cells", cells_alone)
+        run_study(cfg, out_dir=tmp_path / "alone")
+
+        bodies = [split_generated((tmp_path / name / "report.json")
+                                  .read_text())[1]
+                  for name in ("grouped", "alone")]
+        assert bodies[0] == bodies[1]
+        cells = [c for c in report.cells if c.metric == "w2_vs_mean_field"]
+        assert [(c.j, c.repeat) for c in cells] == [
+            (j, rep) for j in (8, 16, 32) for rep in range(2)]
+
+    def test_measure_error_in_second_group_ends_study_and_joins_worker(
+            self, tmp_path, monkeypatch, capsys):
+        """A measure that raises in the second J group (J = 16, after
+        J = 32) ends the study with its own error, from run_study and
+        through the CLI, and leaves no worker thread behind."""
+        w2 = studies.w2_ensemble_vs_gaussian
+
+        def failing(x, g, seed):
+            if x.j_particles == 16:
+                raise NonFinite("measured a non-finite W2 at J = 16")
+            return w2(x, g, seed)
+
+        monkeypatch.setattr(studies, "w2_ensemble_vs_gaussian", failing)
+        doc = sweep_doc("study-j")
+        threads_before = threading.active_count()
+        with pytest.raises(NonFinite, match="at J = 16"):
+            run_study(parse_config(doc))
+        assert threading.active_count() == threads_before
+
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(doc))
+        code = main(["study-j", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        assert ("eks-lab: NonFinite: measured a non-finite W2 at J = 16"
+                in capsys.readouterr().err)
+        assert threading.active_count() == threads_before
+
+    def test_stepping_error_is_the_one_lockstep_run_over_all_cells_raises(
+            self):
+        """Each J of this diverging problem fails at its own step: J = 9,
+        stepped first, at step 31 and J = 5 at step 7.  The study raises
+        what one run() over every cell raises, as if no cell were stepped
+        ahead of another."""
+        rng = np.random.default_rng(0)
+        a = 3 * rng.normal(size=(10, 8))
+        doc = sweep_doc("study-j", sweep={"j_values": [3, 5, 9]},
+                        sde={"h": 0.05, "n_steps": 40}, problem={
+                            "a": a.tolist(),
+                            "gamma": (0.1 * np.eye(10)).tolist(),
+                            "gamma0": np.eye(8).tolist(),
+                            "y": rng.normal(size=10).tolist(),
+                            "u0": [0.0] * 8})
+        cfg = parse_config(doc)
+        starts = [studies._cell_start(
+                      cfg, derive_seed(cfg.seed, "study-j", j, rep), j,
+                      cfg.n_steps)
+                  for j in cfg.j_values for rep in range(cfg.repeats)]
+        with pytest.raises(EksError) as lockstep:
+            dynamics.run([ens for ens, _ in starts], cfg.problem,
+                         [sde for _, sde in starts], "eks")
+        threads_before = threading.active_count()
+        with pytest.raises(EksError) as study:
+            run_study(cfg)
+        assert threading.active_count() == threads_before
+        assert type(study.value) is type(lockstep.value) is Diverged
+        assert str(study.value) == str(lockstep.value)
+        assert str(study.value).startswith("step 7:")
 
 
 # ------------------------------------------------------- demo-nonlinear
