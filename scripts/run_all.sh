@@ -9,6 +9,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 OUT_ROOT="${OUT_ROOT:-results}"
 
+# one BLAS thread unless the caller set a count, as benchmarks/run.py
+# does: the studies step from one thread on small matrices, where a BLAS
+# thread pool only contends with them (see README)
+export OPENBLAS_NUM_THREADS="${OPENBLAS_NUM_THREADS-1}"
+export OMP_NUM_THREADS="${OMP_NUM_THREADS-1}"
+export MKL_NUM_THREADS="${MKL_NUM_THREADS-1}"
+
 # runs argv[2:] as a child and prints argv[1]'s wall seconds, the
 # child's CPU seconds (user + system; above wall when it ran on more
 # than one core) and its peak RSS (ru_maxrss, KiB on Linux) in MiB;

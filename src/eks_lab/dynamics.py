@@ -41,21 +41,33 @@ of its (L, J) result, so the next step's transpose costs nothing.
 
 run() advances one ensemble, or the cells of a sweep in lockstep: every
 cell takes step k before any cell takes step k + 1.  The cells share one
-clock, so what depends only on that clock is computed once per step for
-all of them: rho(t_k) from the moment flow and the mean-field drive
-(C(t_k) B, u* and sqrt(2 h C(t_k))).  Cells may mix the two Kalman
-steps, so the gradient and the plain sampler can run side by side from
-one ensemble.  Noise comes from a draw table kept per step and keyed by
-(seed, J): since a block is a pure function of (seed, step, J, L), each
-distinct key is drawn once and handed to every update that reads it —
-the Kalman and the mean-field update of a shared-noise coupled cell, or
-two cells on the same seed.  The block is stored component-major, so no
-consumer copies it.  Everything else — statistics, implicit solve and
-seeds — stays per cell, so a cell's numbers are bitwise those of running
-it alone.
+clock, so each step's shared work is done once for all of them:
+
+* rho(t_k) from the moment flow and the mean-field drive (C(t_k) B, u*
+  and sqrt(2 h C(t_k))).
+* One normal conversion.  A draw table keyed by (seed, J) takes each
+  distinct key's Philox words for the step (a block is a pure function
+  of (seed, step, J, L), so a key is drawn once however many updates
+  read it), converts all of them in one pass in (sum J, L) order, and
+  transposes the result once to (L, sum J).  Each update reads its
+  key's columns.  With one key this is the work of one normal_block.
+* One reference update.  A coupled run keeps every cell's mean-field
+  reference particles as one (sum J, L) ensemble, stepped by one
+  mean_field_step call; with shared noise and distinct keys its noise is
+  the step's whole normal array.  Per-cell row views serve the coupling
+  errors and v_final.
+
+Within a step the Kalman updates run in cell order, then the one
+reference update, so a Kalman error in any cell wins over a reference
+overflow in the same step.  Cells may mix the two Kalman steps, so the
+gradient and the plain sampler can run side by side from one ensemble.
+Everything else — statistics, implicit solve and seeds — stays per cell,
+and every conversion and reference update is elementwise or per
+particle, so a cell's numbers are bitwise those of running it alone.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -71,7 +83,7 @@ from .errors import (
     SingularMatrix,
 )
 from .model import posterior_moments, precision_matrix
-from .noise import NoiseSource, derive_seed
+from .noise import NoiseSource, derive_seed, to_normals
 from .reference import rho_at
 from .spd import general_solve, lambda_min, spd_sqrt
 
@@ -146,7 +158,8 @@ def _draw(noise, step, j, l):
     # noise is a NoiseSource (anything with normal_block) or the (J, L)
     # block already drawn for this step, which run()'s draw table hands
     # to every update on the same seed; either way it comes back as its
-    # contiguous (L, J) transpose, free for a table block
+    # contiguous (L, J) transpose, free when the block is all of a
+    # table's columns
     if isinstance(noise, np.ndarray):
         if noise.shape != (j, l):
             raise DimensionMismatch(
@@ -339,32 +352,46 @@ def _check_cells(initials, cfgs, problem):
 
 
 class _DrawTable:
-    """The noise blocks of one step, keyed by (seed, J).  A block is drawn
-    on its first use and handed to every later update that reads that
-    key, so each distinct key is drawn once per step; start() drops the
-    previous step's blocks."""
+    """The noise of every step, for a fixed list of (seed, J) keys.
+
+    draw(step) takes each distinct key's Philox words for the step, in
+    first-use order, converts all of them to normals in one to_normals
+    pass over the stacked (sum J, L) words, and keeps the contiguous
+    (L, sum J) transpose.  A key owns one run of its columns, so each
+    distinct key is drawn once per step however many updates read it;
+    take(columns) hands out the (n, L) view of some columns."""
 
     def __init__(self, keys, n_components):
         self._sources = {seed: NoiseSource(seed=seed) for seed, _ in keys}
         self._l = n_components
-        self._blocks = {}
+        self._spans = {}
+        n = 0
+        for key in keys:
+            if key not in self._spans:
+                self._spans[key] = slice(n, n + key[1])
+                n += key[1]
 
-    def start(self, step):
-        self._step = step
-        self._blocks.clear()
+    def columns(self, keys):
+        """The columns of several keys' blocks, one after another: a slice
+        when they are the table's own runs in order, else an index array."""
+        spans = [self._spans[key] for key in keys]
+        if all(a.stop == b.start for a, b in zip(spans, spans[1:])):
+            return slice(spans[0].start, spans[-1].stop)
+        return np.concatenate([np.arange(s.start, s.stop) for s in spans])
 
-    def take(self, key):
-        block = self._blocks.get(key)
-        if block is None:
-            seed, j = key
-            xi = self._sources[seed].normal_block(self._step, j, self._l)
-            # the (J, L) view of a C-contiguous (L, J) array: every
-            # step's component-major transpose of it is free
-            block = np.ascontiguousarray(xi.T).T
-            # every update on this key must see the same numbers
-            block.flags.writeable = False
-            self._blocks[key] = block
-        return block
+    def draw(self, step):
+        xi = to_normals([
+            self._sources[seed].word_block(step, j, self._l)
+            for seed, j in self._spans])
+        self._normals = np.ascontiguousarray(xi.T)
+        # every update on a key must see the same numbers
+        self._normals.flags.writeable = False
+
+    def take(self, columns):
+        # the (n, L) view of an (L, n) block: free to transpose back when
+        # the block is every column (one key, or a shared-noise reference
+        # over distinct keys), else the step's transpose copies it
+        return self._normals[:, columns].T
 
 
 def run(initial, problem, cfg, mode, flow=None, share_noise=True,
@@ -400,7 +427,11 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
     update the same seed with share_noise and a derived one without, and
     each distinct key is drawn once per step however many updates read
     it.  Cells that share a seed and a size (a sampler pair started from
-    one ensemble) therefore share one draw.
+    one ensemble) therefore share one draw.  The table converts all of a
+    step's words to normals in one pass.  The reference particles of
+    every coupled cell step as one ensemble, in one mean_field_step call
+    per step, after every cell's Kalman update: a Kalman error in any
+    cell is raised before a reference overflow in the same step.
     """
     single = isinstance(initial, Ensemble)
     initials = [initial] if single else list(initial)
@@ -416,8 +447,21 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
         for c in cfgs]
     draws = _DrawTable(u_keys + (v_keys if reference else []),
                        problem.dim_l)
+    u_columns = [draws.columns([key]) for key in u_keys]
     us = list(initials)
-    vs = list(initials) if reference else None
+    if reference:
+        # every cell's reference particles as one (sum J, L) ensemble in
+        # cell order, whose noise is the table's columns of the v keys
+        v = Ensemble._unchecked(
+            np.concatenate([ens.particles for ens in initials]),
+            initials[0].time, initials[0].step)
+        v_columns = draws.columns(v_keys)
+        ends = list(accumulate(c.j_particles for c in cfgs))
+        cell_rows = [slice(end - c.j_particles, end)
+                     for end, c in zip(ends, cfgs)]
+
+    def v_cell(i):
+        return v.particles[cell_rows[i]]
 
     diags = [{key: [] for key in ("step", "time", "coupling_error",
                                   "condition", "trace_cov_uu",
@@ -430,7 +474,7 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
             diag["step"].append(us[i].step)
             diag["time"].append(us[i].time)
             diag["coupling_error"].append(
-                _coupling_error(us[i].particles, vs[i].particles)
+                _coupling_error(us[i].particles, v_cell(i))
                 if reference else np.nan)
             diag["condition"].append(condition)
             # tr cov_uu is the second centered moment; no L x L pass
@@ -450,18 +494,21 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
             break
         drive = mean_field_drive(rho, problem, cfgs[0]) if reference \
             else None
-        draws.start(us[0].step)
+        draws.draw(us[0].step)
         for i in range(n_cells):
             step = eks_step if kalman[i] == "eks" else eks_gradient_step
-            us[i] = step(us[i], problem, cfgs[i], draws.take(u_keys[i]))
-            if reference:
-                vs[i] = mean_field_step(vs[i], drive, problem, cfgs[i],
-                                        draws.take(v_keys[i]))
+            us[i] = step(us[i], problem, cfgs[i], draws.take(u_columns[i]))
+        if reference:
+            # after every Kalman update, so a Kalman error in any cell
+            # wins over a reference overflow in the same step
+            v = mean_field_step(v, drive, problem, cfgs[0],
+                                draws.take(v_columns))
 
     results = [RunResult(
         final=us[i],
-        v_final=vs[i] if reference else None,
-        coupling_error=(_coupling_error(us[i].particles, vs[i].particles)
+        v_final=Ensemble._unchecked(v_cell(i), v.time, v.step)
+        if reference else None,
+        coupling_error=(_coupling_error(us[i].particles, v_cell(i))
                         if reference else None),
         diagnostics=None if diags is None else {
             key: np.asarray(vals) for key, vals in diags[i].items()})

@@ -77,6 +77,15 @@ class GaussianMoments:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
+    @classmethod
+    def _unchecked(cls, mean, cov):
+        # moments whose producers already checked them: a finite 1-d float
+        # mean and a finite, exactly symmetric cov of matching size (the
+        # validated constructor would return these same arrays' values)
+        moments = object.__new__(cls)
+        vars(moments).update(mean=mean, cov=cov)
+        return moments
+
     @property
     def dim(self):
         return self.mean.shape[0]
@@ -160,8 +169,8 @@ class InverseProblem:
     _precision: np.ndarray = field(init=False, repr=False, compare=False)
     _precision_lambda_min: float = field(init=False, repr=False,
                                          compare=False)
-    _linear_mean: np.ndarray = field(init=False, repr=False, compare=False)
-    _linear_cov: np.ndarray = field(init=False, repr=False, compare=False)
+    _posterior: GaussianMoments = field(init=False, repr=False,
+                                        compare=False)
     _gamma0_inv_u0: np.ndarray = field(init=False, repr=False, compare=False)
     _eye_l: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -204,12 +213,17 @@ class InverseProblem:
             raise NonFinite(
                 "posterior precision A^T gamma^-1 A + gamma0^-1 overflowed: "
                 "a is too large for gamma, or gamma0 too small") from None
+        # the closed-form posterior of the linear part, built once and
+        # handed out, read-only, by posterior_moments
+        posterior = GaussianMoments(mean=spd_solve(b, r), cov=spd_invert(b))
+        _frozen(posterior.mean)
+        _frozen(posterior.cov)
         vars(self).update(
             a=a, gamma=gamma, gamma0=gamma0, y=y, u0=u0, r=r,
             gamma_inv=gamma_inv, gamma0_inv=gamma0_inv, _precision=b,
             # B is constant, so the diagnostics' lambda_min(B) is taken once
             _precision_lambda_min=lambda_min(b),
-            _linear_mean=spd_solve(b, r), _linear_cov=spd_invert(b),
+            _posterior=posterior,
             # the constants of the Kalman step's semi-implicit prior treatment
             _gamma0_inv_u0=_frozen(np.einsum("ab,b->a", gamma0_inv, u0)),
             _eye_l=_frozen(np.eye(l)))
@@ -248,7 +262,8 @@ def precision_matrix(problem):
 def posterior_moments(problem):
     """Closed-form Gaussian posterior moments for a linear forward map.
 
-    Returns GaussianMoments(mean = B^{-1} r, cov = B^{-1}).  Raises
+    Returns GaussianMoments(mean = B^{-1} r, cov = B^{-1}), one read-only
+    object per problem, built when the problem is.  Raises
     NonlinearUnsupported when the problem carries a perturbation, because
     then the posterior is not Gaussian and has no closed form here; use
     quadrature_moments for small L instead.
@@ -256,7 +271,7 @@ def posterior_moments(problem):
     if problem.nonlinear is not None:
         raise NonlinearUnsupported(
             "closed-form posterior moments require a linear forward map")
-    return GaussianMoments(mean=problem._linear_mean, cov=problem._linear_cov)
+    return problem._posterior
 
 
 def make_perpendicular_perturbation(a, gamma, seed_direction, frequency,

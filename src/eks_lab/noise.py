@@ -12,11 +12,19 @@ counter is (block, 0, 0, step), where each particle owns ceil(L/4)
 consecutive 4-word blocks starting at block j*ceil(L/4).  Distinct
 (step, particle, component) triples therefore touch distinct counter
 values and are independent; identical triples reproduce the identical
-word.  Raw 64-bit words become uniforms via the top 53 bits offset by
-half an ulp, u = ((word >> 11) + 0.5) * 2^-53, which lies strictly inside
-(0, 1), and normals via scipy's ndtri (the Cephes rational approximation
-of the inverse normal CDF; bit-stable wherever the same scipy binaries
-are used).
+word.
+
+A draw has two parts.  word_block(step, J, L) returns the raw 64-bit
+words of particles 0..J-1 at one step as a (J, L) array.  to_normals
+converts words to normals one element at a time: uniforms via the top
+53 bits offset by half an ulp, u = ((word >> 11) + 0.5) * 2^-53, which
+lies strictly inside (0, 1), then scipy's ndtri (the Cephes rational
+approximation of the inverse normal CDF; bit-stable wherever the same
+scipy binaries are used).  normal_block is the two in sequence.  Since
+the conversion is elementwise, to_normals takes a list of word blocks,
+of several sources and sizes, and converts them stacked in one pass
+with no bit moved; the particle dynamics convert all of a step's words
+that way.
 
 A source builds one Philox on its first draw and reuses it: every later
 draw resets that generator's counter, which costs a fraction of building
@@ -36,7 +44,7 @@ from scipy.special import ndtri
 
 from .errors import NonPositive
 
-__all__ = ["NoiseSource", "derive_seed"]
+__all__ = ["NoiseSource", "derive_seed", "to_normals"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -66,7 +74,14 @@ def derive_seed(base, *parts):
     return x
 
 
-def _normals(words):
+def to_normals(blocks):
+    """Standard normals from raw uint64 Philox words, elementwise.
+
+    blocks is a sequence of word arrays with equal trailing shapes; the
+    result is one contiguous float array of them stacked along the first
+    axis, each word converted to the same bits as if alone.
+    """
+    words = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     # one contiguous float buffer, then converted in place
     u = (words >> np.uint64(11)).astype(np.float64)
     u += 0.5
@@ -108,6 +123,18 @@ class NoiseSource:
             self._gen.state = start
             return self._gen.random_raw(n_words)
 
+    def word_block(self, step, n_particles, n_components):
+        """The raw words behind normal_block(step, n_particles,
+        n_components), as a (J, L) uint64 view: row j holds particle j's
+        words."""
+        if step < 0:
+            raise NonPositive("step must be >= 0")
+        if n_particles < 1:
+            raise NonPositive("n_particles must be >= 1")
+        bpp = self._blocks_per_particle(n_components)
+        raw = self._raw(0, int(step), n_particles * bpp * 4)
+        return raw.reshape(n_particles, bpp * 4)[:, :n_components]
+
     def normal_block(self, step, n_particles, n_components):
         """Draws for particles 0..n_particles-1 at one step, shape (J, L).
 
@@ -115,13 +142,7 @@ class NoiseSource:
         n_particles, so growing the ensemble never reshuffles the noise
         of existing particles.
         """
-        if step < 0:
-            raise NonPositive("step must be >= 0")
-        if n_particles < 1:
-            raise NonPositive("n_particles must be >= 1")
-        bpp = self._blocks_per_particle(n_components)
-        raw = self._raw(0, int(step), n_particles * bpp * 4)
-        return _normals(raw.reshape(n_particles, bpp * 4)[:, :n_components])
+        return to_normals([self.word_block(step, n_particles, n_components)])
 
     def normal_rows(self, step, particle_indices, n_components):
         """Draws for an arbitrary list of particle indices at one step."""
@@ -133,6 +154,6 @@ class NoiseSource:
             j = int(j)
             if j < 0:
                 raise NonPositive("particle indices must be >= 0")
-            out[row] = _normals(
-                self._raw(j * bpp, int(step), bpp * 4)[:n_components])
+            out[row] = to_normals(
+                [self._raw(j * bpp, int(step), bpp * 4)[:n_components]])
         return out

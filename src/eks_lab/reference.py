@@ -77,6 +77,9 @@ class MomentFlow:
             raise NonPositive(
                 f"m0/c0 must have shapes ({l},)/({l},{l}), got "
                 f"{m0.shape}/{c0.shape}")
+        # rho_at(flow, 0) hands m0 out as it is
+        if not np.isfinite(m0).all():
+            raise NonFinite("m0 contains non-finite entries")
         if lambda_min(c0) <= 0.0:
             raise NotPSD("c0 must be strictly positive definite")
         if not (self.dt_ode > 0.0):
@@ -163,9 +166,11 @@ def integrate_moments(flow, t):
 
 def rho_at(flow, t):
     """Gaussian moments of the mean-field law at time t, both from their
-    closed forms."""
-    return GaussianMoments(mean=advance_mean(flow, flow.m0, 0.0, t),
-                           cov=covariance_closed_form(flow, t))
+    closed forms.  advance_mean returns a finite mean and spd_invert a
+    finite, exactly symmetric covariance, so they are not validated a
+    second time."""
+    return GaussianMoments._unchecked(advance_mean(flow, flow.m0, 0.0, t),
+                                      covariance_closed_form(flow, t))
 
 
 def w2_decay_curve(flow, t_grid):

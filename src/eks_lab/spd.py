@@ -85,6 +85,15 @@ def spd_sqrt(m, tol=1e-12):
     return 0.5 * (root + root.T)
 
 
+def _cholesky_solve(m, rhs):
+    # m is already symmetrized and rhs finite, with matching leading size
+    try:
+        factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError as err:
+        raise SingularMatrix(f"Cholesky factorization failed: {err}") from None
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+
+
 def spd_solve(m, rhs):
     """Solve M x = rhs for symmetric positive definite M via Cholesky.
 
@@ -97,18 +106,17 @@ def spd_solve(m, rhs):
             f"rhs leading dimension {rhs.shape[0]} != matrix size {m.shape[0]}")
     if not np.isfinite(rhs).all():
         raise NonFinite("rhs contains non-finite entries")
-    try:
-        factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as err:
-        raise SingularMatrix(f"Cholesky factorization failed: {err}") from None
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    return _cholesky_solve(m, rhs)
 
 
 def spd_invert(m):
-    """Inverse of a symmetric positive definite matrix, symmetrized."""
+    """Inverse of a symmetric positive definite matrix, symmetrized.
+
+    M is symmetrized once on entry; an inverse that overflows (a finite M
+    with a vanishing eigenvalue) raises NonFinite, so the result is always
+    a finite, exactly symmetric matrix."""
     m = symmetrize(m)
-    inv = spd_solve(m, np.eye(m.shape[0]))
-    return 0.5 * (inv + inv.T)
+    return symmetrize(_cholesky_solve(m, np.eye(m.shape[0])))
 
 
 def lambda_min(m):

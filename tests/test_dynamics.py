@@ -1031,6 +1031,37 @@ def test_lockstep_cells_equal_cells_run_alone(mode, share_noise):
                                           err_msg=key)
 
 
+@pytest.mark.parametrize("share_noise", [True, False],
+                         ids=["shared", "independent"])
+def test_coupled_cells_with_a_repeated_key_equal_cells_run_alone(
+        share_noise):
+    # cells 0 and 2 share (seed, J) but not their start, so the one
+    # reference ensemble reads one table block twice, out of table order
+    problem = default_problem()
+    moments0, initials, cfgs = lockstep_cells(n_steps=6)
+    initials.append(sample_gaussian(moments0, 8, 104))
+    cfgs.append(cfgs[0])
+    flow = flow_for(problem, moments0.mean, moments0.cov)
+    together = run(initials, problem, cfgs, "coupled", flow=flow,
+                   share_noise=share_noise, record_diagnostics=True)
+    for initial, cfg, res in zip(initials, cfgs, together):
+        alone = run(initial, problem, cfg, "coupled", flow=flow,
+                    share_noise=share_noise, record_diagnostics=True)
+        assert np.array_equal(res.final.particles, alone.final.particles)
+        assert np.array_equal(res.v_final.particles,
+                              alone.v_final.particles)
+        assert (res.v_final.time, res.v_final.step) == (
+            alone.v_final.time, alone.v_final.step)
+        assert res.coupling_error == alone.coupling_error
+        assert res.diagnostics.keys() == alone.diagnostics.keys()
+        for key, values in alone.diagnostics.items():
+            np.testing.assert_array_equal(res.diagnostics[key], values,
+                                          err_msg=key)
+    # the repeated key really drove two different cells
+    assert not np.array_equal(together[0].final.particles,
+                              together[3].final.particles)
+
+
 def test_lockstep_cells_must_share_clock_and_step():
     problem = default_problem()
     moments0, initials, cfgs = lockstep_cells()
@@ -1055,14 +1086,7 @@ def test_coupled_step_draws_noise_once_when_shared(monkeypatch, share_noise,
     flow = flow_for(problem, moments0.mean, moments0.cov)
     ens = sample_gaussian(moments0, 16, 9)
     cfg = SdeConfig(h=0.05, n_steps=7, j_particles=16, seed=9)
-    calls = []
-    draw = NoiseSource.normal_block
-
-    def counted(self, step, n_particles, n_components):
-        calls.append(step)
-        return draw(self, step, n_particles, n_components)
-
-    monkeypatch.setattr(NoiseSource, "normal_block", counted)
+    calls = count_draws(monkeypatch)
     run(ens, problem, cfg, "coupled", flow=flow, share_noise=share_noise)
     assert len(calls) == draws_per_step * cfg.n_steps
 
@@ -1117,15 +1141,17 @@ def perturbed_problem():
 
 
 def count_draws(monkeypatch):
-    """Record (seed, step, J) of every normal_block call from now on."""
+    """Record (seed, step, J) of every word_block call from now on: every
+    draw, whether normal_block's or the one conversion per step of
+    run()'s draw table."""
     calls = []
-    draw = NoiseSource.normal_block
+    draw = NoiseSource.word_block
 
     def counted(self, step, n_particles, n_components):
         calls.append((self.seed, step, n_particles))
         return draw(self, step, n_particles, n_components)
 
-    monkeypatch.setattr(NoiseSource, "normal_block", counted)
+    monkeypatch.setattr(NoiseSource, "word_block", counted)
     return calls
 
 

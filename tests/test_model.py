@@ -7,6 +7,7 @@ batched forward map, and the tensor-grid quadrature as an analytic-free
 route to the posterior moments.
 """
 
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -36,7 +37,7 @@ from eks_lab.model import (
     precision_matrix,
     quadrature_moments,
 )
-from eks_lab.spd import symmetrize
+from eks_lab.spd import spd_invert, spd_solve, symmetrize
 from eks_lab.studies import default_problem, parse_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -251,6 +252,27 @@ def test_precision_times_cov_is_identity():
 def test_posterior_moments_rejects_nonlinear():
     with pytest.raises(NonlinearUnsupported):
         posterior_moments(tanh_problem())
+
+
+def test_posterior_moments_is_one_read_only_object_per_problem():
+    problem = random_problem(38)
+    post = posterior_moments(problem)
+    assert posterior_moments(problem) is post
+    # the validated moments of B^{-1} r and B^{-1}, bit for bit
+    b = precision_matrix(problem)
+    fresh = GaussianMoments(mean=spd_solve(b, problem.r), cov=spd_invert(b))
+    assert np.array_equal(post.mean, fresh.mean)
+    assert np.array_equal(post.cov, fresh.cov)
+    # shared by every caller, so no caller may write into it
+    for array in (post.mean, post.cov):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] += 1.0
+    # the same linear part with a perturbation has no closed form
+    perturbed = tanh_problem()
+    linear = dataclasses.replace(perturbed, nonlinear=None)
+    assert posterior_moments(linear) is posterior_moments(linear)
+    with pytest.raises(NonlinearUnsupported):
+        posterior_moments(perturbed)
 
 
 def test_loss_minimized_at_posterior_mean():

@@ -14,7 +14,7 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 from eks_lab.errors import NonPositive
-from eks_lab.noise import NoiseSource, derive_seed
+from eks_lab.noise import NoiseSource, derive_seed, to_normals
 
 
 def test_bulk_matches_single_rows():
@@ -115,6 +115,19 @@ def test_reused_source_in_shuffled_order_matches_fresh_draws():
         assert np.array_equal(block, src.normal_rows(step, range(j), l))
         assert np.array_equal(block[::-1],
                               src.normal_rows(step, range(j)[::-1], l))
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 5])
+def test_stacked_conversion_equals_each_block_alone(l):
+    # several sources and sizes, one repeated, converted in one pass
+    draws = [(NoiseSource(seed=seed), j) for seed, j in
+             ((11, 7), (12, 64), (11, 7), (2**64 - 1, 1), (13, 300))]
+    stacked = to_normals([src.word_block(9, j, l) for src, j in draws])
+    assert stacked.flags.c_contiguous and stacked.shape == (379, l)
+    alone = np.concatenate([src.normal_block(9, j, l) for src, j in draws])
+    assert np.array_equal(stacked, alone)
+    assert np.array_equal(to_normals([draws[1][0].word_block(9, 64, l)]),
+                          draws[1][0].normal_block(9, 64, l))
 
 
 def test_source_shared_by_more_threads_than_cores():

@@ -9,7 +9,7 @@ commuting-case scalar profile.
 import numpy as np
 import pytest
 
-from eks_lab.errors import NonlinearUnsupported, NonPositive, NotPSD
+from eks_lab.errors import NonFinite, NonlinearUnsupported, NonPositive, NotPSD
 from eks_lab.metrics import gaussian_w2
 from eks_lab.model import (
     GaussianMoments,
@@ -67,6 +67,9 @@ def test_flow_validation():
                                nonlinear=pert)
     with pytest.raises(NonlinearUnsupported):
         MomentFlow(problem=nonlinear, m0=np.zeros(1), c0=np.eye(1))
+    # rho_at(flow, 0) returns m0 itself, so a bad m0 is refused up front
+    with pytest.raises(NonFinite):
+        MomentFlow(problem=problem, m0=[np.nan, 0.0], c0=np.eye(2))
 
 
 def test_covariance_at_zero_is_initial():
@@ -165,6 +168,19 @@ def test_rho_at_matches_full_integration():
     start = rho_at(flow, 0.0)
     assert np.array_equal(start.mean, flow.m0)
     assert np.max(np.abs(start.cov - flow.c0)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [37, 38])
+def test_rho_at_equals_validated_moments_bit_for_bit(seed):
+    flow = random_flow(seed)
+    for t in np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 23)]):
+        rho = rho_at(flow, float(t))
+        checked = GaussianMoments(mean=rho.mean, cov=rho.cov)
+        assert rho.mean.ndim == 1 and rho.mean.dtype == float
+        assert np.array_equal(rho.mean, checked.mean)
+        assert np.array_equal(rho.cov, checked.cov)
+        assert np.array_equal(rho.mean, advance_mean(flow, flow.m0, 0.0, t))
+        assert np.array_equal(rho.cov, covariance_closed_form(flow, t))
 
 
 def test_advance_mean_incremental_equals_direct():

@@ -133,6 +133,34 @@ def test_invert_multiplies_back():
     assert np.array_equal(inv, inv.T)
 
 
+def two_pass_invert(m):
+    # the inverse as spd_invert once computed it: symmetrized on entry,
+    # once more inside spd_solve, then the solve against I symmetrized
+    m = symmetrize(m)
+    inv = spd_solve(symmetrize(m), np.eye(m.shape[0]))
+    return 0.5 * (inv + inv.T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+def test_invert_equals_the_two_pass_inverse_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        m = random_psd(rng, n) + 0.1 * np.eye(n)
+        # asymmetric roundoff on entry, as from an accumulated product
+        m[0, -1] += 1e-13
+        assert np.array_equal(spd_invert(m), two_pass_invert(m))
+        # near singular: one eigenvalue 1e-12 of the largest
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        w = np.geomspace(1e-12, 1.0, n)
+        near = (q * w) @ q.T
+        assert np.array_equal(spd_invert(near), two_pass_invert(near))
+
+
+def test_invert_rejects_an_overflowing_inverse():
+    with pytest.raises(NonFinite):
+        spd_invert(np.diag([1.0, 1e-310]))
+
+
 def test_lambda_min_against_closed_form():
     assert lambda_min(np.diag([3.0, 1.0, 2.0])) == pytest.approx(1.0, abs=1e-14)
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
