@@ -8,6 +8,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 OUT_ROOT="${OUT_ROOT:-results}"
 
+# one BLAS thread unless the caller set a count, as in run_all.sh
+export OPENBLAS_NUM_THREADS="${OPENBLAS_NUM_THREADS-1}"
+export OMP_NUM_THREADS="${OMP_NUM_THREADS-1}"
+export MKL_NUM_THREADS="${MKL_NUM_THREADS-1}"
+
 for name in study_j study_coupling study_coupling_control; do
     echo "== ${name}"
     eks-lab "$(python3 -c "import json;print(json.load(open('configs/${name}.json'))['kind'])")" \

@@ -43,8 +43,8 @@ run() advances one ensemble, or the cells of a sweep in lockstep: every
 cell takes step k before any cell takes step k + 1.  The cells share one
 clock, so each step's shared work is done once for all of them:
 
-* rho(t_k) from the moment flow and the mean-field drive (C(t_k) B, u*
-  and sqrt(2 h C(t_k))).
+* rho(t_k) from the moment flow, and from it C(t_k) B, u* and
+  sqrt(2 h C(t_k)), built by the one reference update below.
 * One normal conversion.  A draw table keyed by (seed, J) takes each
   distinct key's Philox words for the step (a block is a pure function
   of (seed, step, J, L), so a key is drawn once however many updates
@@ -90,12 +90,10 @@ from .spd import general_solve, lambda_min, spd_sqrt
 __all__ = [
     "SdeConfig",
     "RunResult",
-    "MeanFieldDrive",
     "sample_gaussian",
     "eks_step",
     "eks_gradient_step",
     "mean_field_step",
-    "mean_field_drive",
     "run",
     "condition_check",
 ]
@@ -169,19 +167,32 @@ def _draw(noise, step, j, l):
     return np.ascontiguousarray(noise.T)
 
 
-def _kalman_step(ens, problem, cfg, noise, gradient):
-    """The one Kalman step both public steps run; gradient picks how the
-    misfit covectors z_j = gamma^{-1} (G(u_j) - y) are pulled back to the
-    drift: through cov_ug, or through cov_uu (A^T + grad m(u_j))."""
+def _check_dim(ens, problem):
     if ens.dim != problem.dim_l:
         raise DimensionMismatch(
             f"ensemble dimension {ens.dim} vs problem dimension "
             f"{problem.dim_l}")
+
+
+def _add_noise(ens, out, root, noise, h, overflowed):
+    """Every step's tail: add root @ xi to its (L, J) update out, check
+    the result once (naming what overflowed) and tick the clock."""
+    j, l = ens.particles.shape
+    out += np.einsum("ml,lj->mj", root, _draw(noise, ens.step, j, l))
+    if not np.isfinite(out).all():
+        raise NonFinite(f"step {ens.step}: {overflowed}")
+    return Ensemble._unchecked(out.T, ens.time + h, ens.step + 1)
+
+
+def _kalman_step(ens, problem, cfg, noise, gradient):
+    """The one Kalman step both public steps run; gradient picks how the
+    misfit covectors z_j = gamma^{-1} (G(u_j) - y) are pulled back to the
+    drift: through cov_ug, or through cov_uu (A^T + grad m(u_j))."""
+    _check_dim(ens, problem)
     h = cfg.h
     if h == 0.0:
         return Ensemble._unchecked(ens.particles, ens.time, ens.step + 1)
     stats = empirical_stats(ens, problem)
-    j, l = ens.particles.shape
     u = np.ascontiguousarray(ens.particles.T)
     g = np.ascontiguousarray(stats.forward.T)
     z = np.einsum("km,kj->mj", problem.gamma_inv, g - problem.y[:, None])
@@ -216,12 +227,8 @@ def _kalman_step(ens, problem, cfg, noise, gradient):
         raise SingularImplicitSystem(
             f"step {ens.step}: implicit system is singular ({err})") from None
     out = np.einsum("ml,lj->mj", solve_matrix, rhs)
-    root = spd_sqrt(2.0 * h * stats.cov_uu)
-    out += np.einsum("ml,lj->mj", root, _draw(noise, ens.step, j, l))
-    if not np.isfinite(out).all():
-        raise NonFinite(
-            f"step {ens.step}: particles overflowed (stepsize too large?)")
-    return Ensemble._unchecked(out.T, ens.time + h, ens.step + 1)
+    return _add_noise(ens, out, spd_sqrt(2.0 * h * stats.cov_uu), noise, h,
+                      "particles overflowed (stepsize too large?)")
 
 
 def eks_step(ens, problem, cfg, noise):
@@ -243,57 +250,26 @@ def eks_gradient_step(ens, problem, cfg, noise):
     return _kalman_step(ens, problem, cfg, noise, gradient=True)
 
 
-@dataclass(frozen=True)
-class MeanFieldDrive:
-    """The clock-only part of a mean-field step at one time t: the drift
-    matrix C(t) B, the posterior mean u*, and the noise root
-    sqrt(2 h C(t)) for one stepsize h.  Every ensemble stepped from time
-    t with that h shares it."""
-
-    pull: np.ndarray
-    u_star: np.ndarray
-    root: np.ndarray
-
-
-def mean_field_drive(rho_moments, problem, cfg):
-    """The MeanFieldDrive of the flow moments rho(t) under cfg's h, built
-    once for any number of steps taken from time t."""
-    return MeanFieldDrive(
-        pull=np.einsum("ab,bc->ac", rho_moments.cov,
-                       precision_matrix(problem)),
-        u_star=posterior_moments(problem).mean,
-        root=spd_sqrt(2.0 * cfg.h * rho_moments.cov))
-
-
 def mean_field_step(v_ens, rho_moments, problem, cfg, noise):
-    """Euler-Maruyama step of the decoupled mean-field particles, using the
-    Gaussian flow moments at the ensemble's current time.
-
-    rho_moments may also be the MeanFieldDrive built from those moments,
-    so that ensembles on one clock share the step's L x L work; noise is
-    a NoiseSource or the (J, L) block already drawn for this step."""
+    """Euler-Maruyama step of the decoupled mean-field particles under the
+    Gaussian flow moments at the ensemble's current time.  C(t) B, u* and
+    sqrt(2 h C(t)) are built once per call for all J particles; noise is a
+    NoiseSource or the (J, L) block already drawn for this step."""
     if problem.nonlinear is not None:
         raise NonlinearUnsupported(
             "the mean-field reference requires a linear forward map")
-    if v_ens.dim != problem.dim_l:
-        raise DimensionMismatch(
-            f"ensemble dimension {v_ens.dim} vs problem dimension "
-            f"{problem.dim_l}")
+    _check_dim(v_ens, problem)
     h = cfg.h
     if h == 0.0:
         return Ensemble._unchecked(v_ens.particles, v_ens.time,
                                    v_ens.step + 1)
-    drive = rho_moments if isinstance(rho_moments, MeanFieldDrive) \
-        else mean_field_drive(rho_moments, problem, cfg)
-    j, l = v_ens.particles.shape
+    pull = np.einsum("ab,bc->ac", rho_moments.cov, precision_matrix(problem))
+    u_star = posterior_moments(problem).mean
+    root = spd_sqrt(2.0 * h * rho_moments.cov)
     v = np.ascontiguousarray(v_ens.particles.T)
-    drift = np.einsum("ml,lj->mj", drive.pull, v - drive.u_star[:, None])
-    out = v - h * drift
-    out += np.einsum("ml,lj->mj", drive.root, _draw(noise, v_ens.step, j, l))
-    if not np.isfinite(out).all():
-        raise NonFinite(
-            f"step {v_ens.step}: reference particles overflowed")
-    return Ensemble._unchecked(out.T, v_ens.time + h, v_ens.step + 1)
+    drift = np.einsum("ml,lj->mj", pull, v - u_star[:, None])
+    return _add_noise(v_ens, v - h * drift, root, noise, h,
+                      "reference particles overflowed")
 
 
 def condition_check(problem, rho_moments):
@@ -337,10 +313,7 @@ def _check_cells(initials, cfgs, problem):
             f"{len(initials)} ensembles")
     first_ens, first_cfg = initials[0], cfgs[0]
     for ens, cfg in zip(initials, cfgs):
-        if ens.dim != problem.dim_l:
-            raise DimensionMismatch(
-                f"ensemble dimension {ens.dim} vs problem dimension "
-                f"{problem.dim_l}")
+        _check_dim(ens, problem)
         if ens.j_particles != cfg.j_particles:
             raise DimensionMismatch(
                 f"ensemble has {ens.j_particles} particles, config says "
@@ -492,8 +465,6 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
             record(rho)
         if n == n_steps:
             break
-        drive = mean_field_drive(rho, problem, cfgs[0]) if reference \
-            else None
         draws.draw(us[0].step)
         for i in range(n_cells):
             step = eks_step if kalman[i] == "eks" else eks_gradient_step
@@ -501,7 +472,7 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
         if reference:
             # after every Kalman update, so a Kalman error in any cell
             # wins over a reference overflow in the same step
-            v = mean_field_step(v, drive, problem, cfgs[0],
+            v = mean_field_step(v, rho, problem, cfgs[0],
                                 draws.take(v_columns))
 
     results = [RunResult(

@@ -32,7 +32,7 @@ import scipy.linalg
 
 from .errors import NonFinite, NonlinearUnsupported, NonPositive, NotPSD
 from .metrics import gaussian_w2
-from .model import GaussianMoments, posterior_moments, precision_matrix
+from .model import GaussianMoments, posterior_moments
 from .spd import lambda_min, spd_invert, symmetrize
 
 __all__ = [
@@ -57,8 +57,6 @@ class MomentFlow:
     m0: np.ndarray
     c0: np.ndarray
     dt_ode: float = 1e-3
-    _b: np.ndarray = field(init=False, repr=False, compare=False)
-    _r: np.ndarray = field(init=False, repr=False, compare=False)
     _c0_inv: np.ndarray = field(init=False, repr=False, compare=False)
     # eigendecomposition of C0^{-1} - B in the B metric: V^T B V = I and
     # V^T (C0^{-1} - B) V = diag(_lam), the basis in which the mean flow
@@ -86,10 +84,9 @@ class MomentFlow:
             raise NonPositive(f"dt_ode must be positive, got {self.dt_ode}")
         object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "c0", c0)
-        object.__setattr__(self, "_b", precision_matrix(self.problem))
-        object.__setattr__(self, "_r", self.problem.r)
         object.__setattr__(self, "_c0_inv", spd_invert(c0))
-        lam, v = scipy.linalg.eigh(self._c0_inv - self._b, self._b)
+        b = self.problem._precision
+        lam, v = scipy.linalg.eigh(self._c0_inv - b, b)
         object.__setattr__(self, "_v", v)
         # lam > -1 exactly, since C0^{-1} is positive definite; when B
         # dwarfs C0^{-1} the solver may return lam just below -1, which
@@ -102,7 +99,7 @@ def covariance_closed_form(flow, t):
     if t < 0.0:
         raise NonPositive(f"t must be >= 0, got {t}")
     decay = np.exp(-2.0 * t)
-    mat = (1.0 - decay) * flow._b + decay * flow._c0_inv
+    mat = (1.0 - decay) * flow.problem._precision + decay * flow._c0_inv
     return spd_invert(mat)
 
 
@@ -126,7 +123,8 @@ def advance_mean(flow, m_start, t_start, t_end):
         (1.0 + lam * np.exp(-2.0 * t_start))
         / (1.0 + lam * np.exp(-2.0 * t_end)))
     v, m_star = flow._v, posterior_moments(flow.problem).mean
-    m = m_star + v @ (gain * (v.T @ (flow._b @ (m - m_star))))
+    b = flow.problem._precision
+    m = m_star + v @ (gain * (v.T @ (b @ (m - m_star))))
     if not np.all(np.isfinite(m)):
         raise NonFinite("mean flow map gave non-finite entries "
                         "(non-finite m_start?)")
@@ -141,7 +139,7 @@ def integrate_moments(flow, t):
     """
     if t < 0.0:
         raise NonPositive(f"t must be >= 0, got {t}")
-    b, r = flow._b, flow._r
+    b, r = flow.problem._precision, flow.problem.r
 
     def rhs(state):
         m, c = state

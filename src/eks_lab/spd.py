@@ -21,6 +21,8 @@ __all__ = [
     "general_solve",
 ]
 
+SQRT_TOL = 1e-12
+
 
 def _as_square(m):
     m = np.asarray(m, dtype=float)
@@ -47,18 +49,16 @@ def symmetrize(m):
     return out
 
 
-def spd_sqrt(m, tol=1e-12):
+def spd_sqrt(m):
     """Symmetric PSD square root via a full eigendecomposition.
 
     Parameters
     ----------
     m : (n, n) array_like
         Symmetric positive semidefinite matrix.  It is symmetrized on
-        entry, so mild asymmetry from accumulated roundoff is fine.
-    tol : float
-        Relative eigenvalue tolerance.  Eigenvalues below ``tol * lam_max``
-        are clamped to zero; an eigenvalue below ``-tol * lam_max`` means
-        the matrix is genuinely indefinite and raises NotPSD.
+        entry, so mild asymmetry from accumulated roundoff is fine.  An
+        eigenvalue below ``-SQRT_TOL * lam_max`` raises NotPSD; those
+        below ``SQRT_TOL * lam_max`` are clamped to zero.
 
     Returns
     -------
@@ -76,10 +76,11 @@ def spd_sqrt(m, tol=1e-12):
     m = symmetrize(m)
     w, v = np.linalg.eigh(m)
     lam_max = w[-1] if w.size else 0.0
-    floor = tol * lam_max if lam_max > 0.0 else 0.0
+    floor = SQRT_TOL * lam_max if lam_max > 0.0 else 0.0
     if w.size and w[0] < -floor:
         raise NotPSD(
-            f"eigenvalue {w[0]:.3e} below -{tol:g} * lam_max ({lam_max:.3e})")
+            f"eigenvalue {w[0]:.3e} below -{SQRT_TOL:g} * lam_max "
+            f"({lam_max:.3e})")
     w = np.where(w < floor, 0.0, w)
     root = (v * np.sqrt(w)) @ v.T
     return 0.5 * (root + root.T)

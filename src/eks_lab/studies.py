@@ -877,23 +877,15 @@ def _validation_checks(seed):
                               u0=np.zeros(5))
         initial = Ensemble(particles=rng.normal(size=(3, 5)),
                            time=0.0, step=0)
-        cfg = SdeConfig(h=0.05, n_steps=1, j_particles=3, seed=seed)
-        src = NoiseSource(seed=seed)
-        ens = initial
-        for _ in range(20):
-            ens = dynamics.eks_step(ens, wide, cfg, src)
+        cfg = SdeConfig(h=0.05, n_steps=20, j_particles=3, seed=seed)
+        ens = run(initial, wide, cfg, "eks").final
         if ensemble.affine_span_distance(ens, initial) > 1e-8:
             return "iterates left the initial affine span"
 
     def check_rerun_determinism():
         cfg = SdeConfig(h=0.05, n_steps=10, j_particles=8, seed=seed)
-        outs = []
-        for _ in range(2):
-            ens = sample_gaussian(rho0, 8, seed)
-            src = NoiseSource(seed=seed)
-            for _ in range(cfg.n_steps):
-                ens = dynamics.eks_step(ens, problem, cfg, src)
-            outs.append(ens.particles)
+        outs = [run(sample_gaussian(rho0, 8, seed), problem, cfg,
+                    "eks").final.particles for _ in range(2)]
         if not np.array_equal(outs[0], outs[1]):
             return "reruns are not bit-identical"
 
@@ -901,9 +893,7 @@ def _validation_checks(seed):
         cfg = SdeConfig(h=0.05, n_steps=80, j_particles=256,
                         seed=derive_seed(seed, "moments"))
         ens = sample_gaussian(rho0, 256, derive_seed(seed, "moments-init"))
-        src = NoiseSource(seed=cfg.seed)
-        for _ in range(cfg.n_steps):
-            ens = dynamics.eks_step(ens, problem, cfg, src)
+        ens = run(ens, problem, cfg, "eks").final
         stats = ensemble.empirical_stats(ens, problem)
         target = posterior_moments(problem)
         if (np.linalg.norm(stats.mean_u - target.mean) > 0.5

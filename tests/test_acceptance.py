@@ -3,12 +3,14 @@ tolerance and wall-clock budget.
 
 Every test prints one [PASS]/[FAIL] line (visible under pytest -s); a
 criterion fails loudly rather than being skipped or loosened.  Rate
-criteria drive the study layer end to end with pre-registered bands;
-structural and oracle criteria call the library directly.
+criteria drive the study layer end to end on the shipped configs and
+their pre-registered bands; structural and oracle criteria call the
+library directly.
 """
 
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,9 +45,11 @@ from eks_lab.reference import (
 from eks_lab.studies import (
     default_problem,
     default_rho0,
-    parse_config,
+    load_config,
     run_study,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class Criterion:
@@ -150,14 +154,7 @@ def test_criterion_4_mean_field_j_rate():
     """W2(ensemble, mean-field Gaussian) at T=2 over J in {64..1024},
     20 repeats: fitted log-log slope inside [-0.70, -0.30]."""
     with Criterion(4, "J^{-1/2}-type mean-field rate", 600.0):
-        doc = {
-            "kind": "study-j", "seed": 777,
-            "sweep": {"j_values": [64, 128, 256, 512, 1024]},
-            "sde": {"h": 0.01, "n_steps": 200},
-            "repeats": 20,
-            "bands": {"slope_j": [-0.70, -0.30]},
-        }
-        report = run_study(parse_config(doc))
+        report = run_study(load_config(CONFIGS / "study_j.json"))
         slope = report.fits["w2_vs_j"].slope
         assert report.flags["slope_j"], f"slope {slope:.4f}"
 
@@ -167,20 +164,12 @@ def test_criterion_5_coupling_rate_with_control():
     [-1.25, -0.70] with shared noise, and inside [-0.2, 0.2] when the
     coupling is deliberately broken (independent noise)."""
     with Criterion(5, "J^{-1} coupling rate plus negative control", 600.0):
-        doc = {
-            "kind": "study-coupling", "seed": 12345,
-            "sweep": {"j_values": [64, 128, 256, 512, 1024]},
-            "sde": {"h": 0.01, "n_steps": 200},
-            "repeats": 20,
-            "bands": {"slope_coupling": [-1.25, -0.70]},
-        }
-        shared = run_study(parse_config(doc))
+        shared = run_study(load_config(CONFIGS / "study_coupling.json"))
         slope = shared.fits["coupling_vs_j"].slope
         assert shared.flags["slope_coupling"], f"shared slope {slope:.4f}"
 
-        control_doc = dict(doc, share_noise=False,
-                           bands={"slope_coupling": [-0.2, 0.2]})
-        control = run_study(parse_config(control_doc))
+        control = run_study(
+            load_config(CONFIGS / "study_coupling_control.json"))
         c_slope = control.fits["coupling_vs_j"].slope
         assert control.flags["slope_coupling"], \
             f"control slope {c_slope:.4f}"
@@ -215,24 +204,7 @@ def test_criterion_7_nonlinear_consistency_split():
     at least 4 of 5 paired seeds at amplitude 2."""
     with Criterion(7, "gradient variant consistent, plain variant biased",
                    120.0):
-        doc = {
-            "kind": "demo-nonlinear", "seed": 42,
-            "problem": {
-                "a": [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]],
-                "gamma": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0],
-                          [0.0, 0.0, 0.5]],
-                "gamma0": [[1.0, 0.0], [0.0, 1.0]],
-                "y": [1.0, 1.0, 1.5],
-                "u0": [0.0, 0.0],
-                "nonlinear": {"seed_direction": [0.0, 0.0, 1.0],
-                              "frequency": [0.7, -0.4],
-                              "amplitude": 2.0},
-            },
-            "sde": {"h": 0.01, "n_steps": 600, "j_particles": 4000},
-            "repeats": 5,
-            "bands": {"alg2_mean_error": 0.2, "min_alg1_worse_count": 4},
-        }
-        report = run_study(parse_config(doc))
+        report = run_study(load_config(CONFIGS / "demo_nonlinear.json"))
         worst_alg2 = max(report.summary["alg2_mean_errors"])
         wins = report.summary["alg1_worse_count"]
         assert report.flags["alg2_mean_error"], \

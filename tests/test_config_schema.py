@@ -115,7 +115,8 @@ def table_docs(draw, kinds=STUDY_KINDS):
     if kind == "study-time" and not doc.get("with_particles"):
         del doc["sde"]              # read only to step particles
     if kind == "demo-nonlinear":
-        doc["problem"] = SHIPPED[kind]["problem"]
+        # a copy: edited_docs may write into the drawn doc's sections
+        doc["problem"] = json.loads(json.dumps(SHIPPED[kind]["problem"]))
     own = [name for name, band in BANDS.items() if kind in band.kinds]
     if own:
         doc["bands"] = {name: draw(band_value(name))

@@ -4,6 +4,7 @@ permutation equivariance, bit-reproducibility), and the coupled run
 driver."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from eks_lab.dynamics import (
     condition_check,
     eks_gradient_step,
     eks_step,
-    mean_field_drive,
     mean_field_step,
     run,
     sample_gaussian,
@@ -940,13 +940,21 @@ def test_condition_check_takes_lambda_min_of_b_once(monkeypatch):
 # ------------------------------------------------------------- failures
 
 
-def test_overflow_raises_nonfinite_with_step_index():
+@pytest.mark.parametrize("step, spread, message", [
+    (eks_step, 1e150, "particles overflowed (stepsize too large?)"),
+    (eks_gradient_step, 1e150, "particles overflowed (stepsize too large?)"),
+    (mean_field_step, 1e308, "reference particles overflowed"),
+], ids=["eks_step", "eks_gradient_step", "mean_field_step"])
+def test_overflow_raises_nonfinite_with_step_index(step, spread, message):
     problem = scalar_problem()
-    ens = Ensemble(particles=[[-1e150], [1e150]], time=0.0, step=0)
+    ens = Ensemble(particles=[[-spread], [spread]], time=0.3, step=3)
     cfg = SdeConfig(h=0.1, n_steps=1, j_particles=2, seed=0)
+    rho = (GaussianMoments(mean=[0.0], cov=[[1.0]]),) \
+        if step is mean_field_step else ()
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFinite, match="step 0"):
-            eks_step(ens, problem, cfg, NoiseSource(seed=0))
+        with pytest.raises(NonFinite,
+                           match=f"^{re.escape('step 3: ' + message)}$"):
+            step(ens, *rho, problem, cfg, NoiseSource(seed=0))
 
 
 def test_singular_implicit_system_reports_step(monkeypatch):
@@ -1109,7 +1117,7 @@ def test_lockstep_run_computes_reference_once_per_step(monkeypatch):
     assert times == sorted(set(times))
 
 
-def test_steps_accept_a_drawn_block_and_a_shared_drive():
+def test_steps_accept_a_drawn_block():
     problem = default_problem()
     flow = flow_for(problem, [2.0, -2.0], np.eye(2))
     ens = random_ensemble(40, j=12, l=2, time=0.3, step=6)
@@ -1119,9 +1127,8 @@ def test_steps_accept_a_drawn_block_and_a_shared_drive():
     assert np.array_equal(eks_step(ens, problem, cfg, xi).particles,
                           eks_step(ens, problem, cfg, src).particles)
     rho = rho_at(flow, ens.time)
-    drive = mean_field_drive(rho, problem, cfg)
     assert np.array_equal(
-        mean_field_step(ens, drive, problem, cfg, xi).particles,
+        mean_field_step(ens, rho, problem, cfg, xi).particles,
         mean_field_step(ens, rho, problem, cfg, src).particles)
     with pytest.raises(DimensionMismatch, match="noise block"):
         eks_step(ens, problem, cfg, xi[:-1])
