@@ -21,6 +21,17 @@ Three evolutions share one discretization skeleton:
   output for finiteness once, and returns it without re-validating the
   Ensemble it builds.
 
+  The kernel steps a batch: one Ensemble whose rows are several cells'
+  particles, one block after another, with one SdeConfig per cell (h
+  shared) and the step's (sum J, L) noise block; one Ensemble with one
+  SdeConfig is a batch of one.  It runs in three stages.  Statistics
+  stay per cell (empirical_stats on each cell's (J, L) rows, forward
+  evaluation included).  One L x L stage serves every cell: the systems
+  and prior pulls, the implicit solve and the noise root run as stacked
+  (C, L, L) calls of general_solve and spd_sqrt.  The misfit, drift,
+  rhs, apply and noise einsums run once per run of consecutive equal-J
+  cells, over an (R, L, J) stack ("rml,rlj->rmj").
+
 * mean_field_step — Euler-Maruyama for the decoupled reference particles
   v_{n+1} = v_n - h C(t) B (v_n - u_star) + sqrt(2 h C(t)) xi, with C(t)
   supplied by the moment flow.  Drawing xi at the same (step, particle)
@@ -32,12 +43,18 @@ transpose of the particles (free for a step's own output) and of the
 noise block, and every per-particle operation is an einsum that applies a
 frozen L x L or L x K step-level matrix to contiguous length-J rows
 ("ml,lj->mj"), summing over the short axis in a fixed order for each
-particle.  A particle's update therefore depends only on its own column
-and on statistics that are themselves particle-order-invariant; permuting
-particles (and their noise) permutes trajectories bit-for-bit, the input's
-memory layout does not matter, and reruns on any thread count reproduce
-the same bytes.  Each step returns Ensemble.particles as the (J, L) view
-of its (L, J) result, so the next step's transpose costs nothing.
+particle.  A batch copies each run's columns into a contiguous
+(R, L, J) stack, so every cell's slice has the layout of a cell stepped
+alone and each einsum sums in the same order (a strided view would not
+at J = 1); numpy's stacked eigh, solve and matmul run the 2-D kernel
+slice by slice.  A particle's update therefore depends only on its own
+column and on its cell's statistics, which are themselves
+particle-order-invariant; permuting particles (and their noise) permutes
+trajectories bit-for-bit, the input's memory layout does not matter, a
+cell's rows are bitwise the same in any batch, and reruns on any thread
+count reproduce the same bytes.  Each step returns Ensemble.particles as
+the (n, L) view of its (L, n) result, so the next step's transpose costs
+nothing.
 
 run() advances one ensemble, or the cells of a sweep in lockstep: every
 cell takes step k before any cell takes step k + 1.  The cells share one
@@ -50,24 +67,30 @@ clock, so each step's shared work is done once for all of them:
   of (seed, step, J, L), so a key is drawn once however many updates
   read it), converts all of them in one pass in (sum J, L) order, and
   transposes the result once to (L, sum J).  Each update reads its
-  key's columns.  With one key this is the work of one normal_block.
+  keys' columns.  With one key this is the work of one normal_block.
+* One Kalman update per mode.  run() keeps each Kalman mode's cells as
+  one batch ensemble between steps, stepped by one eks_step or
+  eks_gradient_step call per step: one L x L stage for all of them, one
+  stack per run of equal J.
 * One reference update.  A coupled run keeps every cell's mean-field
   reference particles as one (sum J, L) ensemble, stepped by one
   mean_field_step call; with shared noise and distinct keys its noise is
   the step's whole normal array.  Per-cell row views serve the coupling
   errors and v_final.
 
-Within a step the Kalman updates run in cell order, then the one
-reference update, so a Kalman error in any cell wins over a reference
-overflow in the same step.  Cells may mix the two Kalman steps, so the
-gradient and the plain sampler can run side by side from one ensemble.
-Everything else — statistics, implicit solve and seeds — stays per cell,
-and every conversion and reference update is elementwise or per
-particle, so a cell's numbers are bitwise those of running it alone.
+Within a step the Kalman updates run first, then the one reference
+update, so a Kalman error in any cell wins over a reference overflow in
+the same step.  When a Kalman batch raises, run() replays the step's
+Kalman updates one cell at a time, in cell order, and raises what the
+first failing cell raises: the error of a loop over the cells.  Cells
+may mix the two Kalman steps, so the gradient and the plain sampler can
+run side by side from one ensemble.  Statistics and seeds stay per cell,
+and every other operation is per slice, elementwise or per particle, so
+a cell's numbers are bitwise those of running it alone.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from typing import Optional
 
 import numpy as np
@@ -152,19 +175,16 @@ def sample_gaussian(moments, j_particles, seed):
     return Ensemble(particles=particles, time=0.0, step=0)
 
 
-def _draw(noise, step, j, l):
-    # noise is a NoiseSource (anything with normal_block) or the (J, L)
+def _draw(noise, step, n, l):
+    # noise is a NoiseSource (anything with normal_block) or the (n, L)
     # block already drawn for this step, which run()'s draw table hands
-    # to every update on the same seed; either way it comes back as its
-    # contiguous (L, J) transpose, free when the block is all of a
-    # table's columns
+    # to every update on the same seed
     if isinstance(noise, np.ndarray):
-        if noise.shape != (j, l):
+        if noise.shape != (n, l):
             raise DimensionMismatch(
-                f"noise block has shape {noise.shape}, step needs {(j, l)}")
-    else:
-        noise = noise.normal_block(step, j, l)
-    return np.ascontiguousarray(noise.T)
+                f"noise block has shape {noise.shape}, step needs {(n, l)}")
+        return noise
+    return noise.normal_block(step, n, l)
 
 
 def _check_dim(ens, problem):
@@ -174,46 +194,131 @@ def _check_dim(ens, problem):
             f"{problem.dim_l}")
 
 
-def _add_noise(ens, out, root, noise, h, overflowed):
-    """Every step's tail: add root @ xi to its (L, J) update out, check
-    the result once (naming what overflowed) and tick the clock."""
-    j, l = ens.particles.shape
-    out += np.einsum("ml,lj->mj", root, _draw(noise, ens.step, j, l))
+def _finish(ens, out, h, overflowed):
+    """Every step's tail: check its (L, n) result once (naming what
+    overflowed) and return it as the (n, L) particles one tick later."""
     if not np.isfinite(out).all():
         raise NonFinite(f"step {ens.step}: {overflowed}")
     return Ensemble._unchecked(out.T, ens.time + h, ens.step + 1)
 
 
-def _kalman_step(ens, problem, cfg, noise, gradient):
-    """The one Kalman step both public steps run; gradient picks how the
-    misfit covectors z_j = gamma^{-1} (G(u_j) - y) are pulled back to the
-    drift: through cov_ug, or through cov_uu (A^T + grad m(u_j))."""
+def _batch_sizes(ens, problem, cfg, noise):
+    """The cell sizes of a step's batch and their shared h, checked before
+    any compute.  One SdeConfig is a batch of one, whatever its
+    j_particles; a sequence gives one cell per config, the ensemble's
+    rows one cell after another."""
     _check_dim(ens, problem)
-    h = cfg.h
+    if isinstance(cfg, SdeConfig):
+        return [ens.j_particles], cfg.h
+    cfgs = list(cfg)
+    sizes = [c.j_particles for c in cfgs]
+    if sum(sizes) != ens.j_particles:
+        raise DimensionMismatch(
+            f"batch configs hold {sum(sizes)} particles, ensemble has "
+            f"{ens.j_particles}")
+    if any(c.h != cfgs[0].h for c in cfgs):
+        raise DimensionMismatch(
+            f"batch cells must share h, got {[c.h for c in cfgs]}")
+    if not isinstance(noise, np.ndarray):
+        raise DimensionMismatch(
+            "a batch takes its step's (sum J, L) noise block, not a "
+            "NoiseSource")
+    return sizes, cfgs[0].h
+
+
+def _cell_rows(sizes):
+    """Each cell's rows when cells of these sizes stack in order."""
+    return [slice(end - j, end) for j, end in zip(sizes, accumulate(sizes))]
+
+
+def _equal_j_runs(sizes):
+    """(cells, columns) slices of each run of consecutive equal-J cells."""
+    runs, cell, column = [], 0, 0
+    for j, group in groupby(sizes):
+        r = len(list(group))
+        runs.append((slice(cell, cell + r), slice(column, column + r * j)))
+        cell, column = cell + r, column + r * j
+    return runs
+
+
+def _stack(a, columns, r):
+    # the contiguous (R, rows, J) stack of R equal-J cells' columns of a
+    # component-major array: each slice is laid out as the contiguous
+    # (rows, J) array a cell alone would use, which keeps every einsum's
+    # summation order (a strided view does not at J = 1)
+    return np.ascontiguousarray(
+        a[:, columns].reshape(a.shape[0], r, -1).transpose(1, 0, 2))
+
+
+def _cell_stack(arrays):
+    # the cells' arrays as one contiguous (R, ...) stack; one cell's
+    # contiguous array is wrapped, not copied
+    if len(arrays) == 1:
+        return np.ascontiguousarray(arrays[0])[None]
+    return np.array(arrays)
+
+
+def _unstack(stacks, n):
+    """The (L, n) component-major array whose columns are the runs'
+    (R, L, J) stacks, one after another; a lone stack of one cell is
+    returned as a view."""
+    if len(stacks) == 1:
+        return stacks[0].transpose(1, 0, 2).reshape(-1, n)
+    out = np.empty((stacks[0].shape[1], n))
+    end = 0
+    for stack in stacks:
+        r, l, j = stack.shape
+        out[:, end:end + r * j].reshape(l, r, j)[...] = \
+            stack.transpose(1, 0, 2)
+        end += r * j
+    return out
+
+
+def _kalman_step(ens, problem, cfg, noise, gradient):
+    """The one Kalman step both public steps run, on a batch of cells;
+    gradient picks how the misfit covectors z_j = gamma^{-1} (G(u_j) - y)
+    are pulled back to the drift: through cov_ug, or through
+    cov_uu (A^T + grad m(u_j))."""
+    sizes, h = _batch_sizes(ens, problem, cfg, noise)
     if h == 0.0:
         return Ensemble._unchecked(ens.particles, ens.time, ens.step + 1)
-    stats = empirical_stats(ens, problem)
-    u = np.ascontiguousarray(ens.particles.T)
-    g = np.ascontiguousarray(stats.forward.T)
-    z = np.einsum("km,kj->mj", problem.gamma_inv, g - problem.y[:, None])
-    if gradient:
-        pulled = np.einsum("kl,kj->lj", problem.a, z)
-        if problem.nonlinear is not None:
-            pulled += problem.nonlinear.grad_apply_batch(u, z)
-        drift = np.einsum("ml,lj->mj", stats.cov_uu, pulled)
-    else:
-        drift = np.einsum("lk,kj->lj", stats.cov_ug, z)
+    n, l = ens.particles.shape
+    xi = _draw(noise, ens.step, n, l).T
+    parts = [ens] if len(sizes) == 1 else [
+        Ensemble._unchecked(ens.particles[rows], ens.time, ens.step)
+        for rows in _cell_rows(sizes)]
+    stats = [empirical_stats(part, problem) for part in parts]
+    cov_uu = _cell_stack([s.cov_uu for s in stats])
     eye = problem._eye_l
-    # not bit-equal to fold the prior pull in as one more column of
-    # gamma0^{-1}: that column sums in another order from L = 3 on
-    system = eye + h * np.einsum("ab,bc->ac", stats.cov_uu,
-                                 problem.gamma0_inv)
-    prior_pull = h * np.einsum("ab,b->a", stats.cov_uu,
-                               problem._gamma0_inv_u0)
-    rhs = u - h * drift + prior_pull[:, None]
+    # one L x L stage for the whole batch.  Not bit-equal to fold the
+    # prior pull in as one more column of gamma0^{-1}: that column sums
+    # in another order from L = 3 on
+    system = eye + h * np.einsum("cab,bd->cad", cov_uu, problem.gamma0_inv)
+    prior_pull = h * np.einsum("cab,b->ca", cov_uu, problem._gamma0_inv_u0)
+    u = np.ascontiguousarray(ens.particles.T)
+    runs = _equal_j_runs(sizes)
+    rhs = []
+    for cells, columns in runs:
+        r = cells.stop - cells.start
+        u_run = _stack(u, columns, r)
+        g = _cell_stack([s.forward.T for s in stats[cells]])
+        z = np.einsum("km,rkj->rmj", problem.gamma_inv,
+                      g - problem.y[:, None])
+        if gradient:
+            pulled = np.einsum("kl,rkj->rlj", problem.a, z)
+            if problem.nonlinear is not None:
+                # per cell, like the forward map in the statistics
+                pulled += _cell_stack([
+                    problem.nonlinear.grad_apply_batch(uc, zc)
+                    for uc, zc in zip(u_run, z)])
+            drift = np.einsum("rml,rlj->rmj", cov_uu[cells], pulled)
+        else:
+            cov_ug = _cell_stack([s.cov_ug for s in stats[cells]])
+            drift = np.einsum("rlk,rkj->rlj", cov_ug, z)
+        rhs.append(u_run - h * drift + prior_pull[cells, :, None])
     try:
-        # one factorization per step: the system matrix is particle
-        # independent, so its inverse is applied to every particle
+        # one factorization per cell and step: the system matrix is
+        # particle independent, so its inverse is applied to every particle
         solve_matrix = general_solve(system, eye)
     except SingularMatrix as err:
         # I + h cov_uu gamma0^{-1} is never singular in exact arithmetic;
@@ -226,9 +331,15 @@ def _kalman_step(ens, problem, cfg, noise, gradient):
                 f"gamma0^-1| = {growth:.3e} (stepsize too large?)") from None
         raise SingularImplicitSystem(
             f"step {ens.step}: implicit system is singular ({err})") from None
-    out = np.einsum("ml,lj->mj", solve_matrix, rhs)
-    return _add_noise(ens, out, spd_sqrt(2.0 * h * stats.cov_uu), noise, h,
-                      "particles overflowed (stepsize too large?)")
+    root = spd_sqrt(2.0 * h * cov_uu)
+    moved = []
+    for (cells, columns), b in zip(runs, rhs):
+        run_out = np.einsum("rml,rlj->rmj", solve_matrix[cells], b)
+        run_out += np.einsum("rml,rlj->rmj", root[cells],
+                             _stack(xi, columns, cells.stop - cells.start))
+        moved.append(run_out)
+    return _finish(ens, _unstack(moved, n), h,
+                   "particles overflowed (stepsize too large?)")
 
 
 def eks_step(ens, problem, cfg, noise):
@@ -239,6 +350,12 @@ def eks_step(ens, problem, cfg, noise):
     step, inside empirical_stats; the misfit reuses those rows.  noise is
     a NoiseSource or the (J, L) standard-normal block already drawn for
     this step.
+
+    cfg may also be a sequence of SdeConfigs sharing h, one per cell of a
+    batch: ens then holds the cells' particles one block of rows after
+    another (the config's j_particles each), noise must be the step's
+    (sum J, L) block, and each cell's rows come back bitwise as stepping
+    the cell alone.
     """
     return _kalman_step(ens, problem, cfg, noise, gradient=False)
 
@@ -246,30 +363,42 @@ def eks_step(ens, problem, cfg, noise):
 def eks_gradient_step(ens, problem, cfg, noise):
     """One step of the gradient-based variant: the misfit drift is
     h cov_uu (A^T + grad m(u_j)) gamma^{-1} (G(u_j) - y) per particle;
-    prior treatment and noise are identical to eks_step."""
+    prior treatment, noise and batches are as in eks_step."""
     return _kalman_step(ens, problem, cfg, noise, gradient=True)
 
 
 def mean_field_step(v_ens, rho_moments, problem, cfg, noise):
     """Euler-Maruyama step of the decoupled mean-field particles under the
     Gaussian flow moments at the ensemble's current time.  C(t) B, u* and
-    sqrt(2 h C(t)) are built once per call for all J particles; noise is a
-    NoiseSource or the (J, L) block already drawn for this step."""
+    sqrt(2 h C(t)) are built once per call for all particles; noise is a
+    NoiseSource or the (J, L) block already drawn for this step.  cfg may
+    be a sequence of configs, one per cell, as in eks_step: the cells
+    then share the matrices, and each run of equal-J cells is one
+    (R, L, J) stack, so a cell's rows are bitwise those of stepping it
+    alone."""
     if problem.nonlinear is not None:
         raise NonlinearUnsupported(
             "the mean-field reference requires a linear forward map")
-    _check_dim(v_ens, problem)
-    h = cfg.h
+    sizes, h = _batch_sizes(v_ens, problem, cfg, noise)
     if h == 0.0:
         return Ensemble._unchecked(v_ens.particles, v_ens.time,
                                    v_ens.step + 1)
+    n, l = v_ens.particles.shape
+    xi = _draw(noise, v_ens.step, n, l).T
     pull = np.einsum("ab,bc->ac", rho_moments.cov, precision_matrix(problem))
     u_star = posterior_moments(problem).mean
     root = spd_sqrt(2.0 * h * rho_moments.cov)
     v = np.ascontiguousarray(v_ens.particles.T)
-    drift = np.einsum("ml,lj->mj", pull, v - u_star[:, None])
-    return _add_noise(v_ens, v - h * drift, root, noise, h,
-                      "reference particles overflowed")
+    moved = []
+    for cells, columns in _equal_j_runs(sizes):
+        r = cells.stop - cells.start
+        v_run = _stack(v, columns, r)
+        drift = np.einsum("ml,rlj->rmj", pull, v_run - u_star[:, None])
+        run_out = v_run - h * drift
+        run_out += np.einsum("ml,rlj->rmj", root, _stack(xi, columns, r))
+        moved.append(run_out)
+    return _finish(v_ens, _unstack(moved, n), h,
+                   "reference particles overflowed")
 
 
 def condition_check(problem, rho_moments):
@@ -401,10 +530,15 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
     each distinct key is drawn once per step however many updates read
     it.  Cells that share a seed and a size (a sampler pair started from
     one ensemble) therefore share one draw.  The table converts all of a
-    step's words to normals in one pass.  The reference particles of
-    every coupled cell step as one ensemble, in one mean_field_step call
-    per step, after every cell's Kalman update: a Kalman error in any
-    cell is raised before a reference overflow in the same step.
+    step's words to normals in one pass.  Each Kalman mode's cells step
+    as one batch, in one eks_step or eks_gradient_step call per step
+    (statistics per cell, one L x L stage for the batch); when a batch
+    raises, the step's Kalman updates are replayed one cell at a time in
+    cell order, and the first failing cell's error is raised.  The
+    reference particles of every coupled cell step as one ensemble, in
+    one mean_field_step call per step, after the Kalman updates: a Kalman
+    error in any cell is raised before a reference overflow in the same
+    step.
     """
     single = isinstance(initial, Ensemble)
     initials = [initial] if single else list(initial)
@@ -420,8 +554,19 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
         for c in cfgs]
     draws = _DrawTable(u_keys + (v_keys if reference else []),
                        problem.dim_l)
-    u_columns = [draws.columns([key]) for key in u_keys]
-    us = list(initials)
+    cell_rows = _cell_rows([c.j_particles for c in cfgs])
+    # each Kalman mode's cells as one batch ensemble, rows in cell order,
+    # stepped by one call per step on its cells' columns of the table
+    groups = [[i for i in range(n_cells) if kalman[i] == m]
+              for m in KALMAN_MODES if m in kalman]
+    batches = [initials[g[0]] if len(g) == 1 else Ensemble._unchecked(
+        np.concatenate([initials[i].particles for i in g]),
+        initials[0].time, initials[0].step) for g in groups]
+    batch_cfgs = [[cfgs[i] for i in g] for g in groups]
+    batch_columns = [draws.columns([u_keys[i] for i in g]) for g in groups]
+    place = {i: (b, rows) for b, g in enumerate(groups)
+             for i, rows in zip(g, _cell_rows([cfgs[k].j_particles
+                                                for k in g]))}
     if reference:
         # every cell's reference particles as one (sum J, L) ensemble in
         # cell order, whose noise is the table's columns of the v keys
@@ -429,12 +574,19 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
             np.concatenate([ens.particles for ens in initials]),
             initials[0].time, initials[0].step)
         v_columns = draws.columns(v_keys)
-        ends = list(accumulate(c.j_particles for c in cfgs))
-        cell_rows = [slice(end - c.j_particles, end)
-                     for end, c in zip(ends, cfgs)]
+
+    def u_cell(i):
+        b, rows = place[i]
+        ens = batches[b]
+        if len(groups[b]) == 1:
+            return ens
+        return Ensemble._unchecked(ens.particles[rows], ens.time, ens.step)
 
     def v_cell(i):
         return v.particles[cell_rows[i]]
+
+    def kalman_step(i):
+        return eks_step if kalman[i] == "eks" else eks_gradient_step
 
     diags = [{key: [] for key in ("step", "time", "coupling_error",
                                   "condition", "trace_cov_uu",
@@ -444,42 +596,55 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
     def record(rho):
         condition = np.nan if rho is None else condition_check(problem, rho)
         for i, diag in enumerate(diags):
-            diag["step"].append(us[i].step)
-            diag["time"].append(us[i].time)
+            u = u_cell(i)
+            diag["step"].append(u.step)
+            diag["time"].append(u.time)
             diag["coupling_error"].append(
-                _coupling_error(us[i].particles, v_cell(i))
+                _coupling_error(u.particles, v_cell(i))
                 if reference else np.nan)
             diag["condition"].append(condition)
             # tr cov_uu is the second centered moment; no L x L pass
-            second, fourth = centered_moments(us[i])
+            second, fourth = centered_moments(u)
             diag["trace_cov_uu"].append(second)
             diag["fourth_moment"].append(fourth)
 
     for n in range(n_steps + 1):
+        clock = batches[0]
         # rho at the shared clock, once for all cells, where a step or a
         # diagnostic reads it
         wanted = (reference and n < n_steps) or diags is not None
-        rho = rho_at(flow, us[0].time) if flow is not None and wanted \
+        rho = rho_at(flow, clock.time) if flow is not None and wanted \
             else None
         if diags is not None:
             record(rho)
         if n == n_steps:
             break
-        draws.draw(us[0].step)
-        for i in range(n_cells):
-            step = eks_step if kalman[i] == "eks" else eks_gradient_step
-            us[i] = step(us[i], problem, cfgs[i], draws.take(u_columns[i]))
+        draws.draw(clock.step)
+        try:
+            stepped = [kalman_step(g[0])(ens, problem, c, draws.take(cols))
+                       for ens, g, c, cols in zip(batches, groups,
+                                                  batch_cfgs, batch_columns)]
+        except Exception:
+            # whatever a batch raised (a warning turned error too), the
+            # cells are replayed alone from the step's start, in cell
+            # order: the first failing cell raises its own error, the one
+            # a loop over the cells would raise
+            for i in range(n_cells):
+                kalman_step(i)(u_cell(i), problem, cfgs[i],
+                               draws.take(draws.columns([u_keys[i]])))
+            raise
+        batches = stepped
         if reference:
             # after every Kalman update, so a Kalman error in any cell
             # wins over a reference overflow in the same step
-            v = mean_field_step(v, rho, problem, cfgs[0],
+            v = mean_field_step(v, rho, problem, cfgs,
                                 draws.take(v_columns))
 
     results = [RunResult(
-        final=us[i],
+        final=u_cell(i),
         v_final=Ensemble._unchecked(v_cell(i), v.time, v.step)
         if reference else None,
-        coupling_error=(_coupling_error(us[i].particles, v_cell(i))
+        coupling_error=(_coupling_error(u_cell(i).particles, v_cell(i))
                         if reference else None),
         diagnostics=None if diags is None else {
             key: np.asarray(vals) for key, vals in diags[i].items()})

@@ -69,9 +69,10 @@ class GaussianMoments:
         if mean.ndim != 1:
             raise DimensionMismatch(f"mean must be 1-d, got shape {mean.shape}")
         cov = symmetrize(self.cov)
-        if cov.shape[0] != mean.shape[0]:
+        if cov.shape != (mean.shape[0],) * 2:
             raise DimensionMismatch(
-                f"cov size {cov.shape[0]} does not match mean size {mean.shape[0]}")
+                f"cov shape {cov.shape} does not match mean size "
+                f"{mean.shape[0]}")
         if not np.all(np.isfinite(mean)):
             raise NonFinite("mean contains non-finite entries")
         object.__setattr__(self, "mean", mean)

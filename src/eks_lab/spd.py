@@ -5,12 +5,25 @@ roots for noise, solves against precision matrices, smallest eigenvalues
 for the spectral condition diagnostic.  Symmetry is enforced by explicit
 symmetrization at the boundary rather than by a wrapper type, and PSD-ness
 is policed with a relative eigenvalue tolerance.
+
+symmetrize, spd_sqrt and general_solve also take a (C, n, n) stack of
+matrices, which the particle dynamics use to serve every cell of a batch
+in one call.  Each slice of the result is bitwise the 2-D call on that
+slice (numpy's LAPACK and matmul loops run the same kernel slice by
+slice), and a stack that fails raises what the 2-D call raises on its
+first failing slice.
 """
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NonFinite, NotPSD, SingularMatrix
+from .errors import (
+    DimensionMismatch,
+    EksError,
+    NonFinite,
+    NotPSD,
+    SingularMatrix,
+)
 
 __all__ = [
     "symmetrize",
@@ -24,23 +37,43 @@ __all__ = [
 SQRT_TOL = 1e-12
 
 
-def _as_square(m):
+def _as_square(m, stack=False):
+    # a square float matrix; with stack, a (C, n, n) stack of them too
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(
-            f"matrix must be square 2-d, got shape {m.shape}")
+    if m.ndim not in ((2, 3) if stack else (2,)) or \
+            m.shape[-1] != m.shape[-2]:
+        kind = "square 2-d or a (C, n, n) stack" if stack else "square 2-d"
+        raise DimensionMismatch(f"matrix must be {kind}, got shape {m.shape}")
     return m
 
 
+def _per_slice(kernel, m, *args):
+    # a stack runs in one call, but its checks see every slice at once
+    # (a non-finite slice is found before an earlier singular one, and
+    # LAPACK does not say which slice failed): on failure the slices are
+    # replayed in order, so the error is the first failing slice's
+    try:
+        return kernel(m, *args)
+    except EksError:
+        if m.ndim == 3:
+            for matrix in m:
+                kernel(matrix, *args)
+        raise
+
+
 def symmetrize(m):
-    """Return (M + M^T)/2 after validating that M is square and that the
-    result is finite: a non-finite entry of M, or a sum that overflows,
-    raises NonFinite."""
-    m = _as_square(m)
+    """Return (M + M^T)/2 after validating that M is square (or a
+    (C, n, n) stack, symmetrized slice by slice) and that the result is
+    finite: a non-finite entry of M, or a sum that overflows, raises
+    NonFinite."""
+    return _symmetrize(_as_square(m, stack=True))
+
+
+def _symmetrize(m):
     # an overflowing sum is reported by the check below, as NonFinite,
     # not by a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        out = 0.5 * (m + m.T)
+        out = 0.5 * (m + m.swapaxes(-1, -2))
     # a non-finite entry of M is non-finite in the result too, so this
     # one check covers the input as well as an overflowing sum
     if not np.isfinite(out).all():
@@ -54,16 +87,17 @@ def spd_sqrt(m):
 
     Parameters
     ----------
-    m : (n, n) array_like
-        Symmetric positive semidefinite matrix.  It is symmetrized on
-        entry, so mild asymmetry from accumulated roundoff is fine.  An
-        eigenvalue below ``-SQRT_TOL * lam_max`` raises NotPSD; those
-        below ``SQRT_TOL * lam_max`` are clamped to zero.
+    m : (n, n) or (C, n, n) array_like
+        Symmetric positive semidefinite matrix, or a stack of them, each
+        treated on its own.  It is symmetrized on entry, so mild asymmetry
+        from accumulated roundoff is fine.  An eigenvalue below
+        ``-SQRT_TOL * lam_max`` raises NotPSD; those below
+        ``SQRT_TOL * lam_max`` are clamped to zero.
 
     Returns
     -------
-    (n, n) ndarray
-        Symmetric PSD matrix S with S @ S ~= M.
+    ndarray of m's shape
+        Symmetric PSD matrix S with S @ S ~= M, slice by slice.
 
     Notes
     -----
@@ -73,17 +107,28 @@ def spd_sqrt(m):
     zero eigenvalues here and therefore inject exactly zero noise in that
     direction.
     """
-    m = symmetrize(m)
-    w, v = np.linalg.eigh(m)
-    lam_max = w[-1] if w.size else 0.0
-    floor = SQRT_TOL * lam_max if lam_max > 0.0 else 0.0
-    if w.size and w[0] < -floor:
-        raise NotPSD(
-            f"eigenvalue {w[0]:.3e} below -{SQRT_TOL:g} * lam_max "
-            f"({lam_max:.3e})")
-    w = np.where(w < floor, 0.0, w)
-    root = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (root + root.T)
+    return _per_slice(_sqrt, _as_square(m, stack=True))
+
+
+def _sqrt(m):
+    # every expression acts on the last two axes alone; lam_max and the
+    # floor keep a length-1 (length-0 for an empty matrix) last axis
+    w, v = np.linalg.eigh(_symmetrize(m))
+    lam_max = w[..., -1:]
+    floor = SQRT_TOL * np.maximum(lam_max, 0.0)
+    low = w < floor
+    # an eigenvalue below -floor is also below floor: a matrix with none
+    # to clamp skips both checks
+    if np.count_nonzero(low):
+        if (w[..., :1] < -floor).any():
+            # a failing stack is replayed, so only a matrix's own message
+            # is ever raised
+            raise NotPSD(
+                f"eigenvalue {w[..., 0].min():.3e} below -{SQRT_TOL:g} * "
+                f"lam_max ({lam_max.max():.3e})")
+        w = np.where(low, 0.0, w)
+    root = (v * np.sqrt(w[..., None, :])) @ v.swapaxes(-1, -2)
+    return 0.5 * (root + root.swapaxes(-1, -2))
 
 
 def _cholesky_solve(m, rhs):
@@ -100,7 +145,7 @@ def spd_solve(m, rhs):
 
     Raises SingularMatrix if the factorization fails.
     """
-    m = symmetrize(m)
+    m = _symmetrize(_as_square(m))
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[0] != m.shape[0]:
         raise DimensionMismatch(
@@ -116,13 +161,13 @@ def spd_invert(m):
     M is symmetrized once on entry; an inverse that overflows (a finite M
     with a vanishing eigenvalue) raises NonFinite, so the result is always
     a finite, exactly symmetric matrix."""
-    m = symmetrize(m)
-    return symmetrize(_cholesky_solve(m, np.eye(m.shape[0])))
+    m = _symmetrize(_as_square(m))
+    return _symmetrize(_cholesky_solve(m, np.eye(m.shape[0])))
 
 
 def lambda_min(m):
     """Smallest eigenvalue of the symmetrized input."""
-    m = symmetrize(m)
+    m = _symmetrize(_as_square(m))
     if m.shape[0] == 0:
         raise DimensionMismatch("empty matrix has no eigenvalues")
     return float(np.linalg.eigvalsh(m)[0])
@@ -135,15 +180,20 @@ def general_solve(a, rhs):
     is the whole point: the implicit half step of the particle dynamics
     solves the same (generally nonsymmetric) matrix against every particle
     at once.  numpy's gesv factors and solves in one call, without
-    scipy's per-call wrapper cost.
+    scipy's per-call wrapper cost.  A may also be a (C, n, n) stack, each
+    slice solved against the same rhs.
     """
-    a = _as_square(a)
+    return _per_slice(_solve, _as_square(a, stack=True),
+                      np.asarray(rhs, dtype=float))
+
+
+def _solve(a, rhs):
     if not np.isfinite(a).all():
         raise NonFinite("matrix contains non-finite entries")
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != a.shape[0]:
+    if rhs.shape[0] != a.shape[-1]:
         raise DimensionMismatch(
-            f"rhs leading dimension {rhs.shape[0]} != matrix size {a.shape[0]}")
+            f"rhs leading dimension {rhs.shape[0]} != matrix size "
+            f"{a.shape[-1]}")
     try:
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:

@@ -1001,6 +1001,72 @@ def test_step_dim_mismatch():
         mean_field_step(ens, rho, problem, cfg, NoiseSource(seed=0))
 
 
+# ---------------------------------------------------------------- batches
+
+
+def batch_cells(l, sizes, seed=0):
+    """Cells of one clock, their configs, their stacked (sum J, L)
+    ensemble and the step's noise block, one cell's rows after another."""
+    cells = [random_ensemble(seed + i, j=j, l=l, step=5, time=0.25)
+             for i, j in enumerate(sizes)]
+    cfgs = [SdeConfig(h=0.1, n_steps=1, j_particles=j, seed=seed + i)
+            for i, j in enumerate(sizes)]
+    blocks = [NoiseSource(seed=c.seed).normal_block(5, c.j_particles, l)
+              for c in cfgs]
+    batch = Ensemble(particles=np.concatenate([c.particles for c in cells]),
+                     time=0.25, step=5)
+    return cells, cfgs, batch, blocks
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 8])
+@pytest.mark.parametrize("sizes", [[5], [1, 1, 1], [4, 4, 1, 7, 7, 7, 4]],
+                         ids=["one", "j1", "runs"])
+def test_batch_step_equals_each_cell_stepped_alone(l, sizes):
+    problem = (perturbed_problem() if l == 2
+               else random_problem(l, l=l, k=l + 1))
+    rho = GaussianMoments(mean=np.ones(l), cov=0.5 * np.eye(l))
+    cells, cfgs, batch, blocks = batch_cells(l, sizes)
+    noise = np.concatenate(blocks)
+    steps = [(eks_step, ()), (eks_gradient_step, ())]
+    if problem.nonlinear is None:
+        steps.append((mean_field_step, (rho,)))
+    for step, args in steps:
+        out = step(batch, *args, problem, cfgs, noise)
+        assert (out.time, out.step) == (0.25 + 0.1, 6)
+        rows = 0
+        for cell, cfg, block in zip(cells, cfgs, blocks):
+            alone = step(cell, *args, problem, cfg, block)
+            assert np.array_equal(
+                out.particles[rows:rows + cfg.j_particles], alone.particles)
+            rows += cfg.j_particles
+
+
+@pytest.mark.parametrize("step", [eks_step, eks_gradient_step])
+@pytest.mark.parametrize("case, message", [
+    ("sizes", "batch configs hold 6 particles, ensemble has 7"),
+    ("h", "batch cells must share h, got [0.1, 0.2]"),
+    ("noise_source",
+     "a batch takes its step's (sum J, L) noise block, not a NoiseSource"),
+])
+def test_malformed_batch_raises_one_named_line_before_any_compute(
+        monkeypatch, step, case, message):
+    problem = default_problem()
+    _, cfgs, batch, blocks = batch_cells(2, [4, 3])
+    noise = np.concatenate(blocks)
+    if case == "sizes":
+        cfgs[1] = dataclasses.replace(cfgs[1], j_particles=2)
+    elif case == "h":
+        cfgs[1] = dataclasses.replace(cfgs[1], h=0.2)
+    else:
+        noise = NoiseSource(seed=0)
+    stats = []
+    monkeypatch.setattr(dynamics, "empirical_stats",
+                        lambda *args: stats.append(args))
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        step(batch, problem, cfgs, noise)
+    assert stats == []
+
+
 # ------------------------------------------------------- lockstep cells
 
 

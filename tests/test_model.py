@@ -125,6 +125,9 @@ def test_construction_validates():
 def test_gaussian_moments_validates():
     with pytest.raises(DimensionMismatch):
         GaussianMoments(mean=np.zeros(2), cov=np.eye(3))
+    # symmetrize takes a stack of matrices; a covariance is one matrix
+    with pytest.raises(DimensionMismatch):
+        GaussianMoments(mean=np.zeros(2), cov=np.stack([np.eye(2)] * 2))
     g = GaussianMoments(mean=np.zeros(2), cov=np.eye(2))
     assert g.dim == 2
     # finite entries, but their symmetrized sum overflows: a named error,

@@ -225,3 +225,90 @@ def test_sqrt_preserves_rank_one(seed, n):
     # rank-1 input: square root is the same projector, rank stays 1
     assert np.max(np.abs(s - m)) <= 1e-10
     assert np.linalg.matrix_rank(s, tol=1e-8) == 1
+
+
+# ------------------------------------------------------------- stacks
+
+
+def stack_of(rng, n, c=5):
+    # covariance-like slices of mixed rank, as the particle dynamics
+    # stack them, including a zero slice
+    slices = [random_psd(rng, n, rank=max(1, n - i)) for i in range(c - 1)]
+    return np.stack(slices + [np.zeros((n, n))])
+
+
+@pytest.mark.parametrize("n", [2, 8, 32])
+def test_stacked_forms_equal_the_2d_call_slice_by_slice(n):
+    rng = np.random.default_rng(n)
+    m = stack_of(rng, n)
+    m[1, 0, -1] += 1e-13  # asymmetric roundoff
+    system = np.eye(n) + 0.1 * m
+    rhs = rng.standard_normal((n, 3))
+    outs = (symmetrize(m), spd_sqrt(m), general_solve(system, np.eye(n)),
+            general_solve(system, rhs))
+    for i in range(m.shape[0]):
+        expected = (symmetrize(m[i]), spd_sqrt(m[i]),
+                    general_solve(system[i], np.eye(n)),
+                    general_solve(system[i], rhs))
+        for got, want in zip(outs, expected):
+            assert got.shape[0] == m.shape[0]
+            assert np.array_equal(got[i], want)
+
+
+def bad_slice(kind, n):
+    if kind == "nonfinite":
+        m = np.eye(n)
+        m[0, -1] = np.inf
+        return m
+    if kind == "indefinite":
+        return np.diag(np.r_[-1e-3, np.ones(n - 1)])
+    return np.zeros((n, n))  # singular
+
+
+@pytest.mark.parametrize("fn, kind, error", [
+    (symmetrize, "nonfinite", NonFinite),
+    (spd_sqrt, "nonfinite", NonFinite),
+    (spd_sqrt, "indefinite", NotPSD),
+    (general_solve, "nonfinite", NonFinite),
+    (general_solve, "singular", SingularMatrix),
+])
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_a_bad_slice_raises_what_the_2d_call_raises(fn, kind, error,
+                                                     position):
+    n = 3
+    rng = np.random.default_rng(position)
+    m = np.eye(n) + stack_of(rng, n)
+    m[position] = bad_slice(kind, n)
+    args = (np.eye(n),) if fn is general_solve else ()
+    with pytest.raises(error) as alone:
+        fn(m[position], *args)
+    with pytest.raises(error) as stacked:
+        fn(m, *args)
+    assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("fn, first, later, error", [
+    (general_solve, "singular", "nonfinite", SingularMatrix),
+    (spd_sqrt, "indefinite", "nonfinite", NotPSD),
+])
+def test_the_first_failing_slice_names_the_error(fn, first, later, error):
+    # the stack's own checks would meet the non-finite slice first
+    n = 3
+    m = np.stack([np.eye(n), bad_slice(first, n), bad_slice(later, n)])
+    args = (np.eye(n),) if fn is general_solve else ()
+    with pytest.raises(error):
+        fn(m, *args)
+
+
+def test_stacks_are_square_and_only_where_documented():
+    for fn in (symmetrize, spd_sqrt):
+        with pytest.raises(DimensionMismatch, match="stack"):
+            fn(np.ones((2, 2, 3)))
+    with pytest.raises(DimensionMismatch, match="stack"):
+        general_solve(np.ones((2, 3, 3, 3)), np.eye(3))
+    # the single-matrix kernels keep their 2-d rule
+    stack = np.stack([np.eye(2)] * 2)
+    for call in (lambda: lambda_min(stack), lambda: spd_invert(stack),
+                 lambda: spd_solve(stack, np.ones(2))):
+        with pytest.raises(DimensionMismatch, match="square 2-d, got"):
+            call()
