@@ -3,14 +3,15 @@
 #
 #     scripts/compare_rev.sh REV
 #
-# checks REV out into a temporary git worktree (removed on exit), runs
-# that tree's scripts/run_all.sh and the working tree's into two result
-# roots, each against its own src/, then compares the roots with
-# scripts/report_diff.py --exact.  The exit status is report_diff.py's:
-# 0 when every report body, ensemble CSV and diagnostics CSV is bitwise
-# equal, 1 when any differs or the trees differ in structure.  A study
-# that fails its bands on either side stops the script first, with
-# run_all.sh's status; a bad argument exits 2.
+# exports REV with git archive into a temporary directory (removed on
+# exit), runs that tree's scripts/run_all.sh and the working tree's into
+# two result roots, each against its own src/, then compares the roots
+# with scripts/report_diff.py --exact.  The exit status is
+# report_diff.py's: 0 when every report body, ensemble CSV and
+# diagnostics CSV is bitwise equal, 1 when any differs or the trees
+# differ in structure.  A study that fails its bands on either side
+# stops the script first, with run_all.sh's status; a bad argument
+# exits 2.
 set -euo pipefail
 
 if [ "$#" -ne 1 ]; then
@@ -25,13 +26,9 @@ if ! rev="$(git rev-parse --verify --quiet "$1^{commit}")"; then
 fi
 
 tmp="$(mktemp -d)"
-cleanup() {
-    git -C "$here" worktree remove --force "$tmp/rev" 2>/dev/null || true
-    git -C "$here" worktree prune
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-git worktree add --detach --quiet "$tmp/rev" "$rev"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/rev"
+git archive "$rev" | tar -x -C "$tmp/rev"
 
 # run_all.sh calls eks-lab; this launcher runs the package found first on
 # PYTHONPATH, which run_tree points at the tree being run

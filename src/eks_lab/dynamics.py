@@ -71,7 +71,9 @@ clock, so each step's shared work is done once for all of them:
 * One Kalman update per mode.  run() keeps each Kalman mode's cells as
   one batch ensemble between steps, stepped by one eks_step or
   eks_gradient_step call per step: one L x L stage for all of them, one
-  stack per run of equal J.
+  stack per run of equal J.  Each batch's layout (its cells' rows and
+  runs of equal J) is worked out once per run() call and handed to
+  every step as the batch's config sequence.
 * One reference update.  A coupled run keeps every cell's mean-field
   reference particles as one (sum J, L) ensemble, stepped by one
   mean_field_step call; with shared noise and distinct keys its noise is
@@ -82,11 +84,13 @@ Within a step the Kalman updates run first, then the one reference
 update, so a Kalman error in any cell wins over a reference overflow in
 the same step.  When a Kalman batch raises, run() replays the step's
 Kalman updates one cell at a time, in cell order, and raises what the
-first failing cell raises: the error of a loop over the cells.  Cells
-may mix the two Kalman steps, so the gradient and the plain sampler can
-run side by side from one ensemble.  Statistics and seeds stay per cell,
-and every other operation is per slice, elementwise or per particle, so
-a cell's numbers are bitwise those of running it alone.
+first failing cell raises: the error of a loop over the cells, with
+"(cell i: J = ..., seed ...)" added to the end of its message when the
+run steps several cells.  Cells may mix the two Kalman steps, so the
+gradient and the plain sampler can run side by side from one ensemble.
+Statistics and seeds stay per cell, and every other operation is per
+slice, elementwise or per particle, so a cell's numbers are bitwise
+those of running it alone.
 """
 
 from dataclasses import dataclass
@@ -99,6 +103,7 @@ from .ensemble import Ensemble, centered_moments, empirical_stats
 from .errors import (
     DimensionMismatch,
     Diverged,
+    EksError,
     NonFinite,
     NonlinearUnsupported,
     NonPositive,
@@ -202,33 +207,47 @@ def _finish(ens, out, h, overflowed):
     return Ensemble._unchecked(out.T, ens.time + h, ens.step + 1)
 
 
-def _batch_sizes(ens, problem, cfg, noise):
-    """The cell sizes of a step's batch and their shared h, checked before
-    any compute.  One SdeConfig is a batch of one, whatever its
-    j_particles; a sequence gives one cell per config, the ensemble's
-    rows one cell after another."""
+class _Batch(tuple):
+    """A batch's SdeConfigs, one per cell in row order, with the layout
+    every step of the batch reads, worked out once: the shared h, the
+    particle count n, each cell's rows, and each run of consecutive
+    equal-J cells as (cells, columns) slices.  run() builds one per batch
+    per call and hands it to every step as the batch's config sequence;
+    a step handed plain configs builds its own."""
+
+    def __new__(cls, cfgs, sizes=None):
+        batch = super().__new__(cls, cfgs)
+        if any(c.h != batch[0].h for c in batch):
+            raise DimensionMismatch(
+                f"batch cells must share h, got {[c.h for c in batch]}")
+        if sizes is None:
+            sizes = [c.j_particles for c in batch]
+        batch.h = batch[0].h if batch else 0.0
+        batch.n = sum(sizes)
+        batch.rows = [slice(end - j, end)
+                      for j, end in zip(sizes, accumulate(sizes))]
+        batch.runs = _equal_j_runs(sizes)
+        return batch
+
+
+def _batch_layout(ens, problem, cfg, noise):
+    """The _Batch a step runs on, checked before any compute.  One
+    SdeConfig is a batch of one, whatever its j_particles; a sequence
+    gives one cell per config, the ensemble's rows one cell after
+    another."""
     _check_dim(ens, problem)
     if isinstance(cfg, SdeConfig):
-        return [ens.j_particles], cfg.h
-    cfgs = list(cfg)
-    sizes = [c.j_particles for c in cfgs]
-    if sum(sizes) != ens.j_particles:
+        return _Batch([cfg], [ens.j_particles])
+    batch = cfg if isinstance(cfg, _Batch) else _Batch(cfg)
+    if batch.n != ens.j_particles:
         raise DimensionMismatch(
-            f"batch configs hold {sum(sizes)} particles, ensemble has "
+            f"batch configs hold {batch.n} particles, ensemble has "
             f"{ens.j_particles}")
-    if any(c.h != cfgs[0].h for c in cfgs):
-        raise DimensionMismatch(
-            f"batch cells must share h, got {[c.h for c in cfgs]}")
     if not isinstance(noise, np.ndarray):
         raise DimensionMismatch(
             "a batch takes its step's (sum J, L) noise block, not a "
             "NoiseSource")
-    return sizes, cfgs[0].h
-
-
-def _cell_rows(sizes):
-    """Each cell's rows when cells of these sizes stack in order."""
-    return [slice(end - j, end) for j, end in zip(sizes, accumulate(sizes))]
+    return batch
 
 
 def _equal_j_runs(sizes):
@@ -279,14 +298,15 @@ def _kalman_step(ens, problem, cfg, noise, gradient):
     gradient picks how the misfit covectors z_j = gamma^{-1} (G(u_j) - y)
     are pulled back to the drift: through cov_ug, or through
     cov_uu (A^T + grad m(u_j))."""
-    sizes, h = _batch_sizes(ens, problem, cfg, noise)
+    batch = _batch_layout(ens, problem, cfg, noise)
+    h = batch.h
     if h == 0.0:
         return Ensemble._unchecked(ens.particles, ens.time, ens.step + 1)
     n, l = ens.particles.shape
     xi = _draw(noise, ens.step, n, l).T
-    parts = [ens] if len(sizes) == 1 else [
+    parts = [ens] if len(batch) == 1 else [
         Ensemble._unchecked(ens.particles[rows], ens.time, ens.step)
-        for rows in _cell_rows(sizes)]
+        for rows in batch.rows]
     stats = [empirical_stats(part, problem) for part in parts]
     cov_uu = _cell_stack([s.cov_uu for s in stats])
     eye = problem._eye_l
@@ -296,9 +316,8 @@ def _kalman_step(ens, problem, cfg, noise, gradient):
     system = eye + h * np.einsum("cab,bd->cad", cov_uu, problem.gamma0_inv)
     prior_pull = h * np.einsum("cab,b->ca", cov_uu, problem._gamma0_inv_u0)
     u = np.ascontiguousarray(ens.particles.T)
-    runs = _equal_j_runs(sizes)
     rhs = []
-    for cells, columns in runs:
+    for cells, columns in batch.runs:
         r = cells.stop - cells.start
         u_run = _stack(u, columns, r)
         g = _cell_stack([s.forward.T for s in stats[cells]])
@@ -333,7 +352,7 @@ def _kalman_step(ens, problem, cfg, noise, gradient):
             f"step {ens.step}: implicit system is singular ({err})") from None
     root = spd_sqrt(2.0 * h * cov_uu)
     moved = []
-    for (cells, columns), b in zip(runs, rhs):
+    for (cells, columns), b in zip(batch.runs, rhs):
         run_out = np.einsum("rml,rlj->rmj", solve_matrix[cells], b)
         run_out += np.einsum("rml,rlj->rmj", root[cells],
                              _stack(xi, columns, cells.stop - cells.start))
@@ -379,7 +398,8 @@ def mean_field_step(v_ens, rho_moments, problem, cfg, noise):
     if problem.nonlinear is not None:
         raise NonlinearUnsupported(
             "the mean-field reference requires a linear forward map")
-    sizes, h = _batch_sizes(v_ens, problem, cfg, noise)
+    batch = _batch_layout(v_ens, problem, cfg, noise)
+    h = batch.h
     if h == 0.0:
         return Ensemble._unchecked(v_ens.particles, v_ens.time,
                                    v_ens.step + 1)
@@ -390,7 +410,7 @@ def mean_field_step(v_ens, rho_moments, problem, cfg, noise):
     root = spd_sqrt(2.0 * h * rho_moments.cov)
     v = np.ascontiguousarray(v_ens.particles.T)
     moved = []
-    for cells, columns in _equal_j_runs(sizes):
+    for cells, columns in batch.runs:
         r = cells.stop - cells.start
         v_run = _stack(v, columns, r)
         drift = np.einsum("ml,rlj->rmj", pull, v_run - u_star[:, None])
@@ -534,11 +554,13 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
     as one batch, in one eks_step or eks_gradient_step call per step
     (statistics per cell, one L x L stage for the batch); when a batch
     raises, the step's Kalman updates are replayed one cell at a time in
-    cell order, and the first failing cell's error is raised.  The
-    reference particles of every coupled cell step as one ensemble, in
-    one mean_field_step call per step, after the Kalman updates: a Kalman
-    error in any cell is raised before a reference overflow in the same
-    step.
+    cell order, and the first failing cell's error is raised; with
+    several cells, an EksError is re-raised as the same type with
+    "(cell i: J = ..., seed ...)" at the end of its message, which still
+    starts "step N:".  The reference particles of every coupled cell
+    step as one ensemble, in one mean_field_step call per step, after
+    the Kalman updates: a Kalman error in any cell is raised before a
+    reference overflow in the same step.
     """
     single = isinstance(initial, Ensemble)
     initials = [initial] if single else list(initial)
@@ -554,25 +576,25 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
         for c in cfgs]
     draws = _DrawTable(u_keys + (v_keys if reference else []),
                        problem.dim_l)
-    cell_rows = _cell_rows([c.j_particles for c in cfgs])
     # each Kalman mode's cells as one batch ensemble, rows in cell order,
-    # stepped by one call per step on its cells' columns of the table
+    # stepped by one call per step on its cells' columns of the table;
+    # every batch's layout is worked out here, once for all steps
     groups = [[i for i in range(n_cells) if kalman[i] == m]
               for m in KALMAN_MODES if m in kalman]
     batches = [initials[g[0]] if len(g) == 1 else Ensemble._unchecked(
         np.concatenate([initials[i].particles for i in g]),
         initials[0].time, initials[0].step) for g in groups]
-    batch_cfgs = [[cfgs[i] for i in g] for g in groups]
+    batch_cfgs = [_Batch([cfgs[i] for i in g]) for g in groups]
     batch_columns = [draws.columns([u_keys[i] for i in g]) for g in groups]
-    place = {i: (b, rows) for b, g in enumerate(groups)
-             for i, rows in zip(g, _cell_rows([cfgs[k].j_particles
-                                                for k in g]))}
+    place = {i: (b, rows) for b, (g, c) in enumerate(zip(groups, batch_cfgs))
+             for i, rows in zip(g, c.rows)}
     if reference:
         # every cell's reference particles as one (sum J, L) ensemble in
         # cell order, whose noise is the table's columns of the v keys
         v = Ensemble._unchecked(
             np.concatenate([ens.particles for ens in initials]),
             initials[0].time, initials[0].step)
+        v_cfgs = _Batch(cfgs)
         v_columns = draws.columns(v_keys)
 
     def u_cell(i):
@@ -583,7 +605,7 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
         return Ensemble._unchecked(ens.particles[rows], ens.time, ens.step)
 
     def v_cell(i):
-        return v.particles[cell_rows[i]]
+        return v.particles[v_cfgs.rows[i]]
 
     def kalman_step(i):
         return eks_step if kalman[i] == "eks" else eks_gradient_step
@@ -628,16 +650,24 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
             # whatever a batch raised (a warning turned error too), the
             # cells are replayed alone from the step's start, in cell
             # order: the first failing cell raises its own error, the one
-            # a loop over the cells would raise
+            # a loop over the cells would raise, naming the cell when
+            # there are several
             for i in range(n_cells):
-                kalman_step(i)(u_cell(i), problem, cfgs[i],
-                               draws.take(draws.columns([u_keys[i]])))
+                try:
+                    kalman_step(i)(u_cell(i), problem, cfgs[i],
+                                   draws.take(draws.columns([u_keys[i]])))
+                except EksError as err:
+                    if n_cells == 1:
+                        raise
+                    raise type(err)(
+                        f"{err} (cell {i}: J = {cfgs[i].j_particles}, "
+                        f"seed {cfgs[i].seed})") from err
             raise
         batches = stepped
         if reference:
             # after every Kalman update, so a Kalman error in any cell
             # wins over a reference overflow in the same step
-            v = mean_field_step(v, rho, problem, cfgs,
+            v = mean_field_step(v, rho, problem, v_cfgs,
                                 draws.take(v_columns))
 
     results = [RunResult(

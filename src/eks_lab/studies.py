@@ -24,14 +24,17 @@ rho0 and its noise seed.  sample, study-j, study-coupling and
 demo-nonlinear step their cells through one driver (_run_cells): in
 lockstep, on the calling thread, in one dynamics.run call when the run
 reads the mean-field flow (so the per-step reference work is done once
-per study step rather than once per cell) and in one call per J,
-largest J first, otherwise.  Each call's cells are then measured on one
-worker thread while the next call steps, so study-j's exact W2 solves
-overlap the stepping of its smaller J; results are collected in cell
-order.  A demo repeat's two samplers share one start and its noise
-draws.  study-time steps its particle cell's start in segments between
-checkpoints.  A cell's wall_ms is the time of the run call it stepped
-in plus its own measurement.
+per study step rather than once per cell) or its cells share one J.
+Otherwise (study-j's sweep) the largest J's cells step first, in one
+call, and every other cell in a second.  Each call's cells are then
+measured on one worker thread, so study-j's slowest exact W2 solves
+overlap the stepping of its smaller J; once every cell has stepped, the
+calling thread measures the queued cells the worker has not started,
+from the last queued backwards, until it meets the worker.  Results are
+collected in cell order.  A demo repeat's two samplers share one start
+and its noise draws.  study-time steps its particle cell's start in
+segments between checkpoints.  A cell's wall_ms is the time of the run
+call it stepped in plus its own measurement.
 """
 
 import difflib
@@ -40,7 +43,7 @@ import json
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -535,35 +538,52 @@ def _timed(measure, res, cell_seed):
     return value, (time.perf_counter() - c0) * 1e3
 
 
+def _measured_here(measure, res, cell_seed):
+    """A finished future holding _timed(measure, res, cell_seed), run on
+    the calling thread, or what it raised: read in cell order like the
+    worker's futures."""
+    future = Future()
+    try:
+        future.set_result(_timed(measure, res, cell_seed))
+    except Exception as err:
+        future.set_exception(err)
+    return future
+
+
 def _run_cells(cfg, cells, mode, measure, **run_options):
     """Step (cell seed, J) cells from their starts and return
     (RunResult, measure(result, cell seed), wall_ms) per cell, in cell
     order, each bitwise that of running the cell alone.  Cells with equal
     seed and J share one start (a demo's sampler pair).
 
-    The cells step in lockstep groups, one run() call each: all cells in
-    one group when the run reads a flow (its per-step clock work is then
-    shared), otherwise one group per J, largest J first.  As each group's
-    run() returns, its measure calls go to one worker thread (a fixed
-    count; run_study's threads keyword does not change it), so the
-    largest cells are measured while the smaller ones step; measure must
-    therefore be safe to run beside run().  On one core the overlap
-    gains nothing (not measured).  A cell's wall_ms is its group's run time plus its
-    own measurement.
+    The cells step in lockstep groups, one run() call each.  A run that
+    reads a flow steps every cell in one call (its per-step clock work is
+    then shared), and so does a run whose cells share one J.  Otherwise
+    the largest J's cells step first, alone, and then every other cell
+    in one call.  As each group's run() returns, its measure calls queue
+    on one worker thread (a fixed count; run_study's threads keyword
+    does not change it), so the largest cells, the slowest to measure,
+    are measured while the others step.  Once every group has stepped,
+    the calling thread helps: it runs the queued measures the worker has
+    not started, the last one queued first, until it meets the worker,
+    which works forward from the first.  measure must therefore be safe
+    to run beside run() and beside itself.  Pinned to one core, the
+    benchmark's j-sweep study still took 404-454 ms against 476-495 ms
+    with one call per J and no helping; the split carries that gain.  A
+    cell's wall_ms is its group's run time plus its own measurement.
 
     Errors are those of stepping every cell in one run() call and then
     measuring them in cell order: a stepping error wins over any measuring
-    error, and the first measuring error in cell order is raised.  Queued
-    measures are cancelled and the worker is joined before any error
-    leaves, so no thread outlives the call.
+    error, and the first measuring error in cell order is raised, on
+    whichever thread it was measured.  Queued measures are cancelled and
+    the worker is joined before any error leaves, so no thread outlives
+    the call.
     """
-    if run_options.get("flow") is not None:
-        groups = [list(range(len(cells)))]
-    else:
-        by_j = {}
-        for i, (_, j) in enumerate(cells):
-            by_j.setdefault(j, []).append(i)
-        groups = [by_j[j] for j in sorted(by_j, reverse=True)]
+    top = max(j for _, j in cells)
+    groups = [list(range(len(cells)))]
+    if run_options.get("flow") is None and any(j != top for _, j in cells):
+        groups = [[i for i, (_, j) in enumerate(cells) if j == top],
+                  [i for i, (_, j) in enumerate(cells) if j != top]]
     starts = {}
 
     def step(indices):
@@ -575,29 +595,34 @@ def _run_cells(cfg, cells, mode, measure, **run_options):
                    mode if isinstance(mode, str)
                    else [mode[i] for i in indices], **run_options)
 
-    pending = [None] * len(cells)
+    stepped, futures = [None] * len(cells), [None] * len(cells)
     worker = ThreadPoolExecutor(max_workers=1)
     try:
-        for g, group in enumerate(groups):
+        for group in groups:
             c0 = time.perf_counter()
             try:
                 results = step(group)
             except EksError:
                 worker.shutdown(wait=False, cancel_futures=True)
-                # the groups before this one stepped cleanly, but a later
-                # cell may fail at an earlier step: one lockstep run over
-                # this group and the later ones raises what one run over
-                # every cell would
-                later = [i for rest in groups[g + 1:] for i in rest]
-                if later:
-                    step(sorted(group + later))
+                # a cell of the other group may fail at an earlier step,
+                # and a message names a cell by its place in the call:
+                # one lockstep run over every cell raises what it raises
+                if len(group) < len(cells):
+                    step(range(len(cells)))
                 raise
             run_ms = (time.perf_counter() - c0) * 1e3
             for i, res in zip(group, results):
-                pending[i] = (res, run_ms, worker.submit(
-                    _timed, measure, res, cells[i][0]))
+                stepped[i] = res, run_ms
+                futures[i] = worker.submit(_timed, measure, res, cells[i][0])
+        # the calling thread helps: it measures the queued cells the
+        # worker has not started, the last queued first, until it meets
+        # the worker, which has taken every measure queued before that one
+        for i in reversed([i for group in groups for i in group]):
+            if not futures[i].cancel():
+                break
+            futures[i] = _measured_here(measure, stepped[i][0], cells[i][0])
         out = []
-        for res, run_ms, future in pending:
+        for (res, run_ms), future in zip(stepped, futures):
             value, measure_ms = future.result()
             out.append((res, value, run_ms + measure_ms))
         return out
@@ -998,11 +1023,11 @@ def run_study(cfg, out_dir=None, threads=1):
     files there; returns the StudyReport.
 
     threads is accepted and ignored: a study steps on the calling thread
-    and measures its cells on one worker thread (_run_cells), a count
-    that does not change, and the worker is joined before run_study
-    returns or raises.  The keyword stays only because the benchmark
-    calls run_study(cfg, out, threads=1) and its rerun check compares
-    threads=1 with threads=2."""
+    and measures its cells on one worker thread and the calling thread
+    (_run_cells), a count that does not change, and the worker is joined
+    before run_study returns or raises.  The keyword stays only because
+    the benchmark calls run_study(cfg, out, threads=1) and its rerun
+    check compares threads=1 with threads=2."""
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()

@@ -988,6 +988,29 @@ def test_diverging_ensemble_is_reported_as_divergence():
     assert 1 <= ens.step < cfg.n_steps
 
 
+def test_lockstep_error_names_the_failing_cell():
+    """A cell that diverges inside a lockstep run raises its own error
+    type and message, still starting "step N:", with its index in the
+    call, its J and its seed added; run on its own ensemble, the same
+    cell raises the bare message."""
+    rng = np.random.default_rng(0)
+    a = 3 * rng.normal(size=(10, 8))
+    problem = InverseProblem(a=a, gamma=0.1 * np.eye(10), gamma0=np.eye(8),
+                             y=rng.normal(size=10), u0=np.zeros(8))
+    # a collapsed cell stays frozen; the second cell diverges
+    cells = [Ensemble(particles=np.zeros((3, 8))),
+             Ensemble(particles=rng.normal(size=(5, 8)))]
+    cfgs = [SdeConfig(h=0.05, n_steps=40, j_particles=j, seed=seed)
+            for j, seed in ((3, 7), (5, 9))]
+    with pytest.raises(Diverged) as alone:
+        run(cells[1], problem, cfgs[1], "eks")
+    with pytest.raises(Diverged) as lockstep:
+        run(cells, problem, cfgs, "eks")
+    assert re.match(r"step \d+: ensemble diverged", str(alone.value))
+    assert str(lockstep.value) == \
+        f"{alone.value} (cell 1: J = 5, seed 9)"
+
+
 def test_step_dim_mismatch():
     problem = default_problem()
     ens = random_ensemble(0, j=4, l=3)

@@ -10,7 +10,8 @@ Each drawn case also runs as a batch of three lockstep cells: the drawn
 cell plus two cells of one other J and their own seeds.  Every cell's
 RunResult must be bitwise that of run() on the cell alone, and when a
 cell alone raises, the batch must raise what the first failing cell
-raises.
+raises, a Kalman error with the cell's index, J and seed at the end of
+its message.
 """
 
 from dataclasses import replace
@@ -116,10 +117,15 @@ def check_batch_against_cells(cells, problem, mode, flow):
               if isinstance(o, tuple)]
     initials, cfgs = zip(*cells)
     if errors:
-        first = outcomes[min(errors)[2]][0]
+        i = min(errors)[2]
+        first, _, from_reference = outcomes[i]
         with pytest.raises(type(first)) as raised:
             run(list(initials), problem, list(cfgs), mode, flow=flow)
-        assert str(raised.value) == str(first)
+        # a Kalman error names its cell; the one reference update of all
+        # cells raises its own message
+        named = "" if from_reference or not isinstance(first, EksError) \
+            else f" (cell {i}: J = {cfgs[i].j_particles}, seed {cfgs[i].seed})"
+        assert str(raised.value) == str(first) + named
         return
     batch = run(list(initials), problem, list(cfgs), mode, flow=flow)
     for got, want in zip(batch, outcomes):

@@ -959,6 +959,132 @@ class TestSweepDriver:
         assert str(study.value).startswith("step 7:")
 
 
+class TestCellSchedule:
+    """How _run_cells splits a study into run() calls, and which thread
+    measures which cell."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Record the (J, run seed) cells of every run() call a study
+        makes."""
+        calls = []
+
+        def recorded(initial, problem, cfg, mode, **options):
+            calls.append([(c.j_particles, c.seed) for c in cfg])
+            return dynamics.run(initial, problem, cfg, mode, **options)
+
+        monkeypatch.setattr(studies, "run", recorded)
+        return calls
+
+    @staticmethod
+    def run_seeds(seed, kind, cells):
+        return [(j, derive_seed(derive_seed(seed, kind, j, rep), "run"))
+                for j, rep in cells]
+
+    def test_study_j_steps_the_largest_j_first_then_the_rest(self, calls):
+        run_study(parse_config(sweep_doc("study-j")))
+        assert calls == [
+            self.run_seeds(17, "study-j", [(32, 0), (32, 1)]),
+            self.run_seeds(17, "study-j",
+                           [(8, 0), (8, 1), (16, 0), (16, 1)])]
+
+    @pytest.mark.parametrize("doc, n_cells", [
+        (sweep_doc("study-coupling"), 6),
+        (sweep_doc("study-j", sweep={"j_values": [16]}), 2),
+        (sample_doc(), 1),
+        (demo_doc(sde={"j_particles": 40, "n_steps": 5, "h": 0.01}), 4)],
+        ids=["study_coupling", "study_j_one_size", "sample", "demo"])
+    def test_one_call_when_a_flow_is_read_or_the_cells_share_j(
+            self, calls, doc, n_cells):
+        run_study(parse_config(doc))
+        assert [len(cells) for cells in calls] == [n_cells]
+
+    @staticmethod
+    def patch_measure(monkeypatch, doc, plan):
+        """Replace study-j's measure: plan[(J, repeat)] is "fail" (raise
+        NonFinite naming the cell), "hold" (wait until the calling thread
+        measures the first cell in cell order, which it takes after the
+        second call's other cells, then return 1.0) or absent (the real
+        W2).
+        The calling thread waits before its first measure until the
+        worker has begun one, so the worker always measures the first
+        cell queued.  Returns {(J, repeat): "worker" or "caller"}."""
+        cell_of = {derive_seed(derive_seed(doc["seed"], "study-j", j, rep),
+                               "reference"): (j, rep)
+                   for j in doc["sweep"]["j_values"]
+                   for rep in range(doc["repeats"])}
+        first = (doc["sweep"]["j_values"][0], 0)
+        caller = threading.current_thread()
+        worker_began, release = threading.Event(), threading.Event()
+        measured_by = {}
+        w2 = studies.w2_ensemble_vs_gaussian
+
+        def measure(x, g, seed):
+            cell = cell_of[seed]
+            here = threading.current_thread()
+            measured_by[cell] = "caller" if here is caller else "worker"
+            if here is caller:
+                assert worker_began.wait(30)
+                if cell == first:
+                    release.set()
+            else:
+                worker_began.set()
+            action = plan.get(cell)
+            if action == "fail":
+                raise NonFinite(f"measured a non-finite W2 at {cell}")
+            if action == "hold":
+                assert release.wait(30)
+                return 1.0
+            return w2(x, g, seed)
+
+        monkeypatch.setattr(studies, "w2_ensemble_vs_gaussian", measure)
+        return measured_by
+
+    def test_first_failing_cell_in_cell_order_wins_across_threads(
+            self, tmp_path, monkeypatch, capsys):
+        """The worker fails on (32, 0), the first cell queued, at once;
+        the calling thread fails on (8, 1) after two real W2 solves,
+        later in time but earlier in cell order, and that is the error
+        raised, from run_study and through the CLI."""
+        doc = sweep_doc("study-j")
+        plan = {(32, 0): "fail", (32, 1): "hold", (8, 1): "fail"}
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(doc))
+        threads_before = threading.active_count()
+
+        measured_by = self.patch_measure(monkeypatch, doc, plan)
+        with pytest.raises(NonFinite, match=r"at \(8, 1\)"):
+            run_study(parse_config(doc))
+        assert threading.active_count() == threads_before
+        assert measured_by[32, 0] == "worker"
+        assert measured_by[8, 1] == "caller"
+
+        measured_by = self.patch_measure(monkeypatch, doc, plan)
+        code = main(["study-j", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        assert ("eks-lab: NonFinite: measured a non-finite W2 at (8, 1)"
+                in capsys.readouterr().err)
+        assert threading.active_count() == threads_before
+        assert measured_by[32, 0] == "worker"
+        assert measured_by[8, 1] == "caller"
+
+    def test_failure_on_the_calling_thread_while_the_worker_measures(
+            self, monkeypatch):
+        """The worker holds (32, 0) while the calling thread fails on
+        (16, 1), the first cell it takes, and measures on.  The error
+        leaves only once the worker is joined."""
+        doc = sweep_doc("study-j")
+        measured_by = self.patch_measure(
+            monkeypatch, doc, {(32, 0): "hold", (16, 1): "fail"})
+        threads_before = threading.active_count()
+        with pytest.raises(NonFinite, match=r"at \(16, 1\)"):
+            run_study(parse_config(doc))
+        assert threading.active_count() == threads_before
+        assert measured_by[32, 0] == "worker"
+        assert measured_by[16, 1] == "caller"
+
+
 # ------------------------------------------------------- demo-nonlinear
 
 
