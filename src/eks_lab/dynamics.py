@@ -25,12 +25,13 @@ Three evolutions share one discretization skeleton:
   particles, one block after another, with one SdeConfig per cell (h
   shared) and the step's (sum J, L) noise block; one Ensemble with one
   SdeConfig is a batch of one.  It runs in three stages.  Statistics
-  stay per cell (empirical_stats on each cell's (J, L) rows, forward
-  evaluation included).  One L x L stage serves every cell: the systems
-  and prior pulls, the implicit solve and the noise root run as stacked
-  (C, L, L) calls of general_solve and spd_sqrt.  The misfit, drift,
-  rhs, apply and noise einsums run once per run of consecutive equal-J
-  cells, over an (R, L, J) stack ("rml,rlj->rmj").
+  (forward evaluation included) run once per run of consecutive equal-J
+  cells: stacked_stats on the run's (R, L, J) stack, or empirical_stats
+  on a lone cell's (J, L) rows; either is bitwise per cell.  One L x L
+  stage serves every cell: the systems and prior pulls, the implicit
+  solve and the noise root run as stacked (C, L, L) calls of
+  general_solve and spd_sqrt.  The misfit, drift, rhs, apply and noise
+  einsums run once per run, over the same stack ("rml,rlj->rmj").
 
 * mean_field_step — Euler-Maruyama for the decoupled reference particles
   v_{n+1} = v_n - h C(t) B (v_n - u_star) + sqrt(2 h C(t)) xi, with C(t)
@@ -88,9 +89,9 @@ first failing cell raises: the error of a loop over the cells, with
 "(cell i: J = ..., seed ...)" added to the end of its message when the
 run steps several cells.  Cells may mix the two Kalman steps, so the
 gradient and the plain sampler can run side by side from one ensemble.
-Statistics and seeds stay per cell, and every other operation is per
-slice, elementwise or per particle, so a cell's numbers are bitwise
-those of running it alone.
+Seeds stay per cell, statistics are bitwise per cell, and every other
+operation is per slice, elementwise or per particle, so a cell's numbers
+are bitwise those of running it alone.
 """
 
 from dataclasses import dataclass
@@ -99,7 +100,8 @@ from typing import Optional
 
 import numpy as np
 
-from .ensemble import Ensemble, centered_moments, empirical_stats
+from .ensemble import (Ensemble, centered_moments, empirical_stats,
+                       stacked_stats)
 from .errors import (
     DimensionMismatch,
     Diverged,
@@ -269,14 +271,6 @@ def _stack(a, columns, r):
         a[:, columns].reshape(a.shape[0], r, -1).transpose(1, 0, 2))
 
 
-def _cell_stack(arrays):
-    # the cells' arrays as one contiguous (R, ...) stack; one cell's
-    # contiguous array is wrapped, not copied
-    if len(arrays) == 1:
-        return np.ascontiguousarray(arrays[0])[None]
-    return np.array(arrays)
-
-
 def _unstack(stacks, n):
     """The (L, n) component-major array whose columns are the runs'
     (R, L, J) stacks, one after another; a lone stack of one cell is
@@ -304,35 +298,37 @@ def _kalman_step(ens, problem, cfg, noise, gradient):
         return Ensemble._unchecked(ens.particles, ens.time, ens.step + 1)
     n, l = ens.particles.shape
     xi = _draw(noise, ens.step, n, l).T
-    parts = [ens] if len(batch) == 1 else [
-        Ensemble._unchecked(ens.particles[rows], ens.time, ens.step)
-        for rows in batch.rows]
-    stats = [empirical_stats(part, problem) for part in parts]
-    cov_uu = _cell_stack([s.cov_uu for s in stats])
+    u = np.ascontiguousarray(ens.particles.T)
+    runs = []
+    for cells, columns in batch.runs:
+        u_run = _stack(u, columns, cells.stop - cells.start)
+        if len(u_run) > 1:
+            s = stacked_stats(u_run, problem)
+            runs.append((u_run, s.cov_uu, s.cov_ug, s.forward))
+        else:  # a lone cell's statistics stay empirical_stats on its rows
+            s = empirical_stats(
+                Ensemble._unchecked(u_run[0].T, ens.time, ens.step), problem)
+            runs.append((u_run, s.cov_uu[None], s.cov_ug[None],
+                         s.forward.T[None]))
+    cov_uu = np.concatenate([run[1] for run in runs])
     eye = problem._eye_l
     # one L x L stage for the whole batch.  Not bit-equal to fold the
     # prior pull in as one more column of gamma0^{-1}: that column sums
     # in another order from L = 3 on
     system = eye + h * np.einsum("cab,bd->cad", cov_uu, problem.gamma0_inv)
     prior_pull = h * np.einsum("cab,b->ca", cov_uu, problem._gamma0_inv_u0)
-    u = np.ascontiguousarray(ens.particles.T)
     rhs = []
-    for cells, columns in batch.runs:
-        r = cells.stop - cells.start
-        u_run = _stack(u, columns, r)
-        g = _cell_stack([s.forward.T for s in stats[cells]])
+    for (cells, _), (u_run, run_cov, cov_ug, g) in zip(batch.runs, runs):
         z = np.einsum("km,rkj->rmj", problem.gamma_inv,
                       g - problem.y[:, None])
         if gradient:
             pulled = np.einsum("kl,rkj->rlj", problem.a, z)
             if problem.nonlinear is not None:
                 # per cell, like the forward map in the statistics
-                pulled += _cell_stack([
-                    problem.nonlinear.grad_apply_batch(uc, zc)
-                    for uc, zc in zip(u_run, z)])
-            drift = np.einsum("rml,rlj->rmj", cov_uu[cells], pulled)
+                for pc, uc, zc in zip(pulled, u_run, z):
+                    pc += problem.nonlinear.grad_apply_batch(uc, zc)
+            drift = np.einsum("rml,rlj->rmj", run_cov, pulled)
         else:
-            cov_ug = _cell_stack([s.cov_ug for s in stats[cells]])
             drift = np.einsum("rlk,rkj->rlj", cov_ug, z)
         rhs.append(u_run - h * drift + prior_pull[cells, :, None])
     try:
@@ -366,7 +362,7 @@ def eks_step(ens, problem, cfg, noise):
 
     Works for linear and nonlinear forward maps alike: the misfit drift
     uses cov_ug, which only needs G evaluations.  G is evaluated once per
-    step, inside empirical_stats; the misfit reuses those rows.  noise is
+    step, inside the statistics; the misfit reuses those rows.  noise is
     a NoiseSource or the (J, L) standard-normal block already drawn for
     this step.
 
@@ -551,16 +547,16 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
     it.  Cells that share a seed and a size (a sampler pair started from
     one ensemble) therefore share one draw.  The table converts all of a
     step's words to normals in one pass.  Each Kalman mode's cells step
-    as one batch, in one eks_step or eks_gradient_step call per step
-    (statistics per cell, one L x L stage for the batch); when a batch
-    raises, the step's Kalman updates are replayed one cell at a time in
-    cell order, and the first failing cell's error is raised; with
-    several cells, an EksError is re-raised as the same type with
-    "(cell i: J = ..., seed ...)" at the end of its message, which still
-    starts "step N:".  The reference particles of every coupled cell
-    step as one ensemble, in one mean_field_step call per step, after
-    the Kalman updates: a Kalman error in any cell is raised before a
-    reference overflow in the same step.
+    as one batch, in one eks_step or eks_gradient_step call per step (one
+    statistics pass per run of equal J, one L x L stage for the batch);
+    when a batch raises, the step's Kalman updates are replayed one cell
+    at a time in cell order, and the first failing cell's error is
+    raised; with several cells, an EksError is re-raised as the same
+    type with "(cell i: J = ..., seed ...)" at the end of its message,
+    which still starts "step N:".  The reference particles of every
+    coupled cell step as one ensemble, in one mean_field_step call per
+    step, after the Kalman updates: a Kalman error in any cell is raised
+    before a reference overflow in the same step.
     """
     single = isinstance(initial, Ensemble)
     initials = [initial] if single else list(initial)

@@ -27,6 +27,22 @@ subtracts the componentwise minimum, an exact pivot, before any
 arithmetic, so an ensemble whose particles all coincide produces exactly
 zero covariance, not merely a small one — the degenerate-freeze invariant
 of the dynamics depends on that exactness.
+
+stacked_stats takes R cells of equal J at once, as the (R, L, J) stack of
+their particles' columns.  Each cell is still sorted and gathered on its
+own, through the same canonical order and take, into one (R, L+K, J)
+block; the forward map is one stacked einsum (apply_forward_stack, the
+perturbation per cell), and the pivot, mean, centring and both
+covariances run once over the block.  Their loops run along the same
+contiguous length-J rows as a cell's own block, so every slice is bitwise
+empirical_stats on its cell; empirical_stats is the same pass on a stack
+of one.  A block that leaves the cache costs more than the cells one at
+a time, so a long run goes through in chunks of whole cells of at most
+STATS_STACK_BUDGET entries each (a cell larger than that goes alone).
+The budget, 2^15 float64 entries (256 KiB), was measured on a 2-core Xeon
+(48 KiB L1d and 2 MiB L2 per core) at L = K = 2 and R = 20: the chunked
+pass took 0.2-0.3x the per-cell time at J = 64 and 256, 0.5-0.7x at
+J = 1024 and 0.8-0.9x at J = 4000, where one unchunked pass took 1.2-1.6x.
 """
 
 from dataclasses import dataclass
@@ -34,12 +50,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite, NonPositive
-from .model import apply_forward_batch
+from .model import apply_forward_batch, apply_forward_stack
 
 __all__ = [
     "Ensemble",
     "EnsembleStats",
     "empirical_stats",
+    "stacked_stats",
     "particle_moments",
     "centered_moments",
     "affine_span_distance",
@@ -122,6 +139,34 @@ def _mean_rows(rows):
     return pivot + np.einsum("lj->l", rows - pivot[:, None]) / rows.shape[1]
 
 
+# the largest (R, L+K, J) block, in float64 entries, that one statistics
+# pass runs over; a longer run of cells goes in chunks under it (see the
+# module docstring for its measurement)
+STATS_STACK_BUDGET = 1 << 15
+
+
+def _block_stats(u, g):
+    """(mean, cov_uu, cov_ug) of R equal-J cells, one pass over their
+    (R, L+K, J) block, from the (R, L, J) stack of their particles'
+    columns and the (R, K, J) stack of their forward columns, both in
+    particle order; mean stacks mean_u and mean_g."""
+    if not np.isfinite(g).all():
+        raise NonFinite("forward map produced non-finite values")
+    r, l, j = u.shape
+    rows = np.empty((r, l + g.shape[1], j))
+    for block, u_c, g_c in zip(rows, u, g):
+        # every row reduces exactly as if gathered alone; order is a
+        # permutation, so "clip" never clips ("raise" would buffer the copy)
+        order = _canonical_order(u_c.T)
+        u_c.take(order, axis=1, out=block[:l], mode="clip")
+        g_c.take(order, axis=1, out=block[l:], mode="clip")
+    mean = _mean_rows(rows.reshape(-1, j)).reshape(r, -1)
+    rows -= mean[:, :, None]
+    cov_uu = np.einsum("rlj,rmj->rlm", rows[:, :l], rows[:, :l]) / j
+    cov_ug = np.einsum("rlj,rmj->rlm", rows[:, :l], rows[:, l:]) / j
+    return mean, cov_uu, cov_ug
+
+
 def empirical_stats(ens, problem):
     """Empirical means and covariances of an ensemble under a problem's
     forward map, 1/J normalization.
@@ -130,21 +175,33 @@ def empirical_stats(ens, problem):
     particles both covariances are exactly zero.
     """
     u = ens.particles
-    j, l = u.shape
     g = apply_forward_batch(problem, u)
-    if not np.isfinite(g).all():
-        raise NonFinite("forward map produced non-finite values")
-    order = _canonical_order(u)
-    # every row reduces exactly as if gathered alone; order is a
-    # permutation, so "clip" never clips ("raise" would buffer the copy)
-    rows = np.empty((l + g.shape[1], j))
-    u.T.take(order, axis=1, out=rows[:l], mode="clip")
-    g.T.take(order, axis=1, out=rows[l:], mode="clip")
-    mean = _mean_rows(rows)
-    rows -= mean[:, None]
-    cov_uu = np.einsum("lj,mj->lm", rows[:l], rows[:l]) / j
-    cov_ug = np.einsum("lj,mj->lm", rows[:l], rows[l:]) / j
-    return EnsembleStats(mean_u=mean[:l], mean_g=mean[l:],
+    mean, cov_uu, cov_ug = _block_stats(u.T[None], g.T[None])
+    l = u.shape[1]
+    return EnsembleStats(mean_u=mean[0, :l], mean_g=mean[0, l:],
+                         cov_uu=cov_uu[0], cov_ug=cov_ug[0], forward=g)
+
+
+def stacked_stats(u_stack, problem):
+    """empirical_stats of R cells of equal J at once, from the (R, L, J)
+    stack of their particles' columns (cell c's particle j is the column
+    u_stack[c, :, j]).  Every field carries a leading R axis, and forward
+    is the (R, K, J) stack of G(u_j) columns in particle order; slice c is
+    bitwise empirical_stats on cell c's (J, L) rows, with forward
+    transposed."""
+    u_stack = np.asarray(u_stack, dtype=float)
+    if u_stack.ndim != 3 or not u_stack.shape[0] or not u_stack.shape[2]:
+        raise DimensionMismatch(
+            f"stack must have shape (R >= 1, L, J >= 1), got "
+            f"{u_stack.shape}")
+    g = apply_forward_stack(problem, u_stack)
+    r, l, j = u_stack.shape
+    chunk = max(1, STATS_STACK_BUDGET // ((l + g.shape[1]) * j))
+    parts = [_block_stats(u_stack[c:c + chunk], g[c:c + chunk])
+             for c in range(0, r, chunk)]
+    mean, cov_uu, cov_ug = parts[0] if len(parts) == 1 else (
+        np.concatenate(field) for field in zip(*parts))
+    return EnsembleStats(mean_u=mean[:, :l], mean_g=mean[:, l:],
                          cov_uu=cov_uu, cov_ug=cov_ug, forward=g)
 
 

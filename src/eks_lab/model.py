@@ -36,6 +36,7 @@ __all__ = [
     "NonlinearPerturbation",
     "InverseProblem",
     "apply_forward_batch",
+    "apply_forward_stack",
     "precision_matrix",
     "posterior_moments",
     "make_perpendicular_perturbation",
@@ -245,14 +246,31 @@ def apply_forward_batch(problem, u_all):
     if u_all.ndim != 2 or u_all.shape[1] != problem.dim_l:
         raise DimensionMismatch(
             f"batch must have shape (J, {problem.dim_l}), got {u_all.shape}")
-    # A applied to the contiguous (L, J) transpose sums over l in one
-    # fixed order for every particle, whatever its position, the input's
-    # layout or the thread count
-    u_t = np.ascontiguousarray(u_all.T)
-    out = np.einsum("kl,lj->kj", problem.a, u_t)
+    return _forward(problem, np.ascontiguousarray(u_all.T)[None])[0].T
+
+
+def apply_forward_stack(problem, u_stack):
+    """Evaluate the forward map on R cells at once: the (R, L, J) stack of
+    their particles' columns -> the C-contiguous (R, K, J) stack of their
+    G(u_j) columns.  Each slice is bitwise apply_forward_batch on the
+    cell's rows."""
+    u_stack = np.asarray(u_stack, dtype=float)
+    if u_stack.ndim != 3 or u_stack.shape[1] != problem.dim_l:
+        raise DimensionMismatch(
+            f"stack must have shape (R, {problem.dim_l}, J), got "
+            f"{u_stack.shape}")
+    return _forward(problem, np.ascontiguousarray(u_stack))
+
+
+def _forward(problem, u):
+    # A applied to the contiguous (R, L, J) stack sums over l in one fixed
+    # order for every particle, whatever its position, cell, the input's
+    # layout or the thread count; the perturbation runs per cell
+    out = np.einsum("kl,rlj->rkj", problem.a, u)
     if problem.nonlinear is not None:
-        out += problem.nonlinear.eval_batch(u_t)
-    return out.T
+        for out_c, u_c in zip(out, u):
+            out_c += problem.nonlinear.eval_batch(u_c)
+    return out
 
 
 def precision_matrix(problem):

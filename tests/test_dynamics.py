@@ -11,7 +11,7 @@ import pytest
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from eks_lab import dynamics
+from eks_lab import dynamics, ensemble
 from eks_lab.dynamics import (
     SdeConfig,
     condition_check,
@@ -1011,6 +1011,32 @@ def test_lockstep_error_names_the_failing_cell():
         f"{alone.value} (cell 1: J = 5, seed 9)"
 
 
+def test_stacked_run_names_its_failing_cell(monkeypatch):
+    """A non-finite forward map in the middle cell of a run of three
+    equal-J cells fails their one stacked statistics call; run()'s replay
+    raises that cell's own error with the cell named."""
+    problem = default_problem()
+    cells = [random_ensemble(seed, j=4, l=2) for seed in (1, 2, 3)]
+    # A doubles the second component: 1e308 maps to inf
+    middle = cells[1].particles.copy()
+    middle[2, 1] = 1e308
+    cells[1] = Ensemble(particles=middle)
+    cfgs = [SdeConfig(h=0.05, n_steps=3, j_particles=4, seed=seed)
+            for seed in (7, 9, 11)]
+    with pytest.raises(NonFinite) as alone:
+        run(cells[1], problem, cfgs[1], "eks")
+    stacked = []
+    monkeypatch.setattr(dynamics, "stacked_stats",
+                        lambda u, p: stacked.append(u.shape)
+                        or ensemble.stacked_stats(u, p))
+    with pytest.raises(NonFinite) as lockstep:
+        run(cells, problem, cfgs, "eks")
+    assert stacked == [(3, 2, 4)]
+    assert str(alone.value) == "forward map produced non-finite values"
+    assert str(lockstep.value) == \
+        f"{alone.value} (cell 1: J = 4, seed 9)"
+
+
 def test_step_dim_mismatch():
     problem = default_problem()
     ens = random_ensemble(0, j=4, l=3)
@@ -1062,6 +1088,20 @@ def test_batch_step_equals_each_cell_stepped_alone(l, sizes):
             assert np.array_equal(
                 out.particles[rows:rows + cfg.j_particles], alone.particles)
             rows += cfg.j_particles
+
+
+@pytest.mark.parametrize("step", [eks_step, eks_gradient_step])
+def test_batch_step_over_the_stats_chunk_budget_equals_cells_alone(step):
+    # one equal-J run a cell longer than one statistics pass holds
+    problem = random_problem(5, l=2, k=3)
+    j = 16
+    r = ensemble.STATS_STACK_BUDGET // ((2 + 3) * j) + 1
+    cells, cfgs, batch, blocks = batch_cells(2, [j] * r)
+    out = step(batch, problem, cfgs, np.concatenate(blocks))
+    for c, (cell, cfg, block) in enumerate(zip(cells, cfgs, blocks)):
+        alone = step(cell, problem, cfg, block)
+        assert np.array_equal(out.particles[c * j:(c + 1) * j],
+                              alone.particles)
 
 
 @pytest.mark.parametrize("step", [eks_step, eks_gradient_step])

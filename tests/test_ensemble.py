@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eks_lab import ensemble
 from eks_lab.ensemble import (
     Ensemble,
     _canonical_order,
@@ -15,11 +16,13 @@ from eks_lab.ensemble import (
     load_csv,
     particle_moments,
     save_csv,
+    stacked_stats,
 )
 from eks_lab.errors import DimensionMismatch, NonFinite, NonPositive
 from eks_lab.model import (
     InverseProblem,
     apply_forward_batch,
+    apply_forward_stack,
     make_perpendicular_perturbation,
 )
 
@@ -310,6 +313,106 @@ def test_stats_bitwise_equal_separate_rows_copy(problem, j):
     stats = empirical_stats(Ensemble(particles=ensembles[1]), problem)
     assert not stats.cov_uu.any() and not stats.cov_ug.any()
     assert np.array_equal(stats.mean_u, row)
+
+
+# ------------------------------------------------------ stacked statistics
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_slices_are_cells(u, problem):
+    """Every slice of stacked_stats on the (R, L, J) stack u is bitwise
+    empirical_stats on that cell's (J, L) rows, forward transposed."""
+    stacked = stacked_stats(u, problem)
+    for c, cell in enumerate(u):
+        alone = empirical_stats(
+            Ensemble(particles=np.ascontiguousarray(cell.T)), problem)
+        for name in ("mean_u", "mean_g", "cov_uu", "cov_ug"):
+            assert bitwise_equal(getattr(stacked, name)[c],
+                                 getattr(alone, name)), (name, c)
+        assert bitwise_equal(stacked.forward[c], alone.forward.T), c
+    return stacked
+
+
+@pytest.mark.parametrize("r", [2, 3, 20])
+@pytest.mark.parametrize("j", [1, 2, 3, 64, 1024])
+@pytest.mark.parametrize("problem", [
+    random_linear_problem(50, l=1, k=1), random_linear_problem(51, l=2, k=3),
+    random_linear_problem(52, l=3, k=2), random_linear_problem(53, l=8, k=10),
+    random_linear_problem(54, l=32, k=32), shipped_nonlinear_problem()],
+    ids=["L1_K1", "L2_K3", "L3_K2", "L8_K10", "L32_K32", "shipped_nonlinear"])
+def test_stacked_stats_slices_bitwise_equal_cells(problem, j, r):
+    rng = np.random.default_rng(100 * r + j + problem.dim_l)
+    u = 2.0 + rng.standard_normal((r, problem.dim_l, j))
+    assert_slices_are_cells(u, problem)
+
+
+def test_stacked_stats_tied_cell_beside_untied():
+    # the middle cell ties in the first column, so its order comes from
+    # np.lexsort; the cells around it sort by their first column alone
+    rng = np.random.default_rng(60)
+    problem = random_linear_problem(61, l=3, k=4)
+    tied = with_ties(rng, 64, 3)
+    assert len(np.unique(tied[:, 0])) < 64
+    u = 2.0 + rng.standard_normal((3, 3, 64))
+    u[1] = tied.T
+    assert_slices_are_cells(u, problem)
+
+
+@pytest.mark.parametrize("problem", [
+    random_linear_problem(62, l=3, k=2), shipped_nonlinear_problem()],
+    ids=["linear_L3_K2", "shipped_nonlinear"])
+def test_stacked_stats_collapsed_cell_beside_spread(problem):
+    rng = np.random.default_rng(63)
+    l = problem.dim_l
+    u = rng.standard_normal((2, l, 32))
+    row = rng.standard_normal(l)
+    u[0] = row[:, None]
+    stats = assert_slices_are_cells(u, problem)
+    assert not stats.cov_uu[0].any() and not stats.cov_ug[0].any()
+    assert bitwise_equal(stats.mean_u[0], row)
+    assert stats.cov_uu[1].any() and stats.cov_ug[1].any()
+
+
+def test_stacked_stats_non_finite_forward_row_raises():
+    problem = InverseProblem(a=[[2.0, 0.0]], gamma=np.eye(1),
+                             gamma0=np.eye(2), y=[0.0], u0=[0.0, 0.0])
+    u = np.random.default_rng(64).standard_normal((3, 2, 16))
+    u[1, 0, 5] = 1e308
+    assert np.isfinite(u).all()
+    with pytest.raises(NonFinite,
+                       match="^forward map produced non-finite values$"):
+        stacked_stats(u, problem)
+
+
+def test_stacked_stats_run_just_over_the_chunk_budget():
+    # one cell more than a chunk holds: two passes, slices still bitwise
+    # the cells
+    problem = random_linear_problem(65, l=2, k=2)
+    j = 64
+    r = ensemble.STATS_STACK_BUDGET // (4 * j) + 1
+    u = np.random.default_rng(66).standard_normal((r, 2, j))
+    assert_slices_are_cells(u, problem)
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 4), (2, 2, 0), (4, 2), (2, 3, 4)])
+def test_stacked_stats_rejects_malformed_stacks(shape):
+    with pytest.raises(DimensionMismatch, match="^stack must have shape"):
+        stacked_stats(np.zeros(shape), identity_problem(2))
+
+
+def test_apply_forward_stack_slices_equal_batch():
+    problem = shipped_nonlinear_problem()
+    u = np.random.default_rng(67).standard_normal((3, 2, 5))
+    out = apply_forward_stack(problem, u)
+    assert out.shape == (3, 3, 5) and out.flags.c_contiguous
+    for c, cell in enumerate(u):
+        assert bitwise_equal(out[c], apply_forward_batch(problem, cell.T).T)
+    with pytest.raises(DimensionMismatch, match=r"\(R, 2, J\)"):
+        apply_forward_stack(problem, u[0])
 
 
 def test_cov_psd_on_random_ensembles():

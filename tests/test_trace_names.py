@@ -7,11 +7,13 @@ dynamics.eks_step, ensemble.empirical_stats, spd.spd_sqrt and
 spd.general_solve (plus eks_gradient_step and mean_field_step where the
 workload runs them).  Its counters read a step's first argument and the
 statistics' ensemble through ens.particles, the latter as one cell's
-(J, L) rows.  The default test run does not collect
-benchmarks/test_smoke.py, so a refactor that stops reaching one of these
-names through its module attribute would otherwise pass.  This test
-installs counting shims the same way on a toy three-cell coupled sweep
-and a toy demo pair.
+(J, L) rows.  A run of several equal-J cells takes its statistics in one
+ensemble.stacked_stats call on their (R, L, J) stack; a run of one cell
+still calls empirical_stats on its rows.  The default test run does not
+collect benchmarks/test_smoke.py, so a refactor that stops reaching one
+of these names through its module attribute would otherwise pass.  This
+test installs counting shims the same way on a toy three-cell coupled
+sweep and a toy demo pair.
 
 It goes when the benchmark reads phase records from inside the step
 instead of wrapping public names.
@@ -33,7 +35,7 @@ from eks_lab.reference import MomentFlow
 
 WRAPPED = ("dynamics.eks_step", "dynamics.eks_gradient_step",
            "dynamics.mean_field_step", "ensemble.empirical_stats",
-           "spd.spd_sqrt", "spd.general_solve")
+           "ensemble.stacked_stats", "spd.spd_sqrt", "spd.general_solve")
 
 
 @pytest.fixture
@@ -88,6 +90,10 @@ def test_a_coupled_sweep_and_a_demo_pair_reach_every_wrapped_name(seen):
         assert seen[name], f"{name} was not reached through its module"
     for name in WRAPPED[:3]:
         assert all(isinstance(ens, Ensemble) for ens in seen[name]), name
-    # the statistics see one cell's rows at a time
+    # empirical_stats sees one cell's rows at a time, for runs of one
+    # cell; the run of two J = 16 cells is one stacked call per step
     cells = {ens.particles.shape for ens in seen["ensemble.empirical_stats"]}
-    assert cells == {(8, 2), (16, 2), (12, 2)}
+    assert cells == {(8, 2), (12, 2)}
+    stacks = {u.shape for u in seen["ensemble.stacked_stats"]}
+    assert stacks == {(2, 2, 16)}
+    assert len(seen["ensemble.stacked_stats"]) == 3
