@@ -55,7 +55,9 @@ trajectories bit-for-bit, the input's memory layout does not matter, a
 cell's rows are bitwise the same in any batch, and reruns on any thread
 count reproduce the same bytes.  Each step returns Ensemble.particles as
 the (n, L) view of its (L, n) result, so the next step's transpose costs
-nothing.
+nothing.  The einsums and LAPACK calls of a step go to numpy's and
+LAPACK's compiled kernels directly (_kernels), without the Python
+wrappers around them: the same kernels, so the same bits.
 
 run() advances one ensemble, or the cells of a sweep in lockstep: every
 cell takes step k before any cell takes step k + 1.  The cells share one
@@ -100,6 +102,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._kernels import einsum
 from .ensemble import (Ensemble, centered_moments, empirical_stats,
                        stacked_stats)
 from .errors import (
@@ -178,7 +181,7 @@ def sample_gaussian(moments, j_particles, seed):
     """
     xi = NoiseSource(seed=seed).normal_block(0, j_particles, moments.dim)
     root = spd_sqrt(moments.cov)
-    particles = moments.mean[None, :] + np.einsum("jl,ml->jm", xi, root)
+    particles = moments.mean[None, :] + einsum("jl,ml->jm", xi, root)
     return Ensemble(particles=particles, time=0.0, step=0)
 
 
@@ -315,21 +318,20 @@ def _kalman_step(ens, problem, cfg, noise, gradient):
     # one L x L stage for the whole batch.  Not bit-equal to fold the
     # prior pull in as one more column of gamma0^{-1}: that column sums
     # in another order from L = 3 on
-    system = eye + h * np.einsum("cab,bd->cad", cov_uu, problem.gamma0_inv)
-    prior_pull = h * np.einsum("cab,b->ca", cov_uu, problem._gamma0_inv_u0)
+    system = eye + h * einsum("cab,bd->cad", cov_uu, problem.gamma0_inv)
+    prior_pull = h * einsum("cab,b->ca", cov_uu, problem._gamma0_inv_u0)
     rhs = []
     for (cells, _), (u_run, run_cov, cov_ug, g) in zip(batch.runs, runs):
-        z = np.einsum("km,rkj->rmj", problem.gamma_inv,
-                      g - problem.y[:, None])
+        z = einsum("km,rkj->rmj", problem.gamma_inv, g - problem.y[:, None])
         if gradient:
-            pulled = np.einsum("kl,rkj->rlj", problem.a, z)
+            pulled = einsum("kl,rkj->rlj", problem.a, z)
             if problem.nonlinear is not None:
                 # per cell, like the forward map in the statistics
                 for pc, uc, zc in zip(pulled, u_run, z):
                     pc += problem.nonlinear.grad_apply_batch(uc, zc)
-            drift = np.einsum("rml,rlj->rmj", run_cov, pulled)
+            drift = einsum("rml,rlj->rmj", run_cov, pulled)
         else:
-            drift = np.einsum("rlk,rkj->rlj", cov_ug, z)
+            drift = einsum("rlk,rkj->rlj", cov_ug, z)
         rhs.append(u_run - h * drift + prior_pull[cells, :, None])
     try:
         # one factorization per cell and step: the system matrix is
@@ -349,9 +351,9 @@ def _kalman_step(ens, problem, cfg, noise, gradient):
     root = spd_sqrt(2.0 * h * cov_uu)
     moved = []
     for (cells, columns), b in zip(batch.runs, rhs):
-        run_out = np.einsum("rml,rlj->rmj", solve_matrix[cells], b)
-        run_out += np.einsum("rml,rlj->rmj", root[cells],
-                             _stack(xi, columns, cells.stop - cells.start))
+        run_out = einsum("rml,rlj->rmj", solve_matrix[cells], b)
+        run_out += einsum("rml,rlj->rmj", root[cells],
+                          _stack(xi, columns, cells.stop - cells.start))
         moved.append(run_out)
     return _finish(ens, _unstack(moved, n), h,
                    "particles overflowed (stepsize too large?)")
@@ -401,7 +403,7 @@ def mean_field_step(v_ens, rho_moments, problem, cfg, noise):
                                    v_ens.step + 1)
     n, l = v_ens.particles.shape
     xi = _draw(noise, v_ens.step, n, l).T
-    pull = np.einsum("ab,bc->ac", rho_moments.cov, precision_matrix(problem))
+    pull = einsum("ab,bc->ac", rho_moments.cov, precision_matrix(problem))
     u_star = posterior_moments(problem).mean
     root = spd_sqrt(2.0 * h * rho_moments.cov)
     v = np.ascontiguousarray(v_ens.particles.T)
@@ -409,9 +411,9 @@ def mean_field_step(v_ens, rho_moments, problem, cfg, noise):
     for cells, columns in batch.runs:
         r = cells.stop - cells.start
         v_run = _stack(v, columns, r)
-        drift = np.einsum("ml,rlj->rmj", pull, v_run - u_star[:, None])
+        drift = einsum("ml,rlj->rmj", pull, v_run - u_star[:, None])
         run_out = v_run - h * drift
-        run_out += np.einsum("ml,rlj->rmj", root, _stack(xi, columns, r))
+        run_out += einsum("ml,rlj->rmj", root, _stack(xi, columns, r))
         moved.append(run_out)
     return _finish(v_ens, _unstack(moved, n), h,
                    "reference particles overflowed")
@@ -428,7 +430,7 @@ def _coupling_error(u, v):
     # (1/J) sum_j |u_j - v_j|^2, reduced in canonical order like all
     # other particle statistics
     d = u - v
-    sq = np.einsum("jl,jl->j", d, d)
+    sq = einsum("jl,jl->j", d, d)
     return float(np.sum(np.sort(sq)) / sq.shape[0])
 
 

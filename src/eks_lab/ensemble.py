@@ -12,10 +12,11 @@ argsort of it (stable or not, whatever its algorithm) returns exactly that
 order; only a tie sends the order to np.lexsort.  One gather writes u and
 G in that order as the rows of one C-contiguous (L+K, J) block, whatever
 the input's layout; one pivot, mean and centring pass runs along its
-length-J rows, and the covariances are fixed-order np.einsum contractions
-of its row slices, O(J L^2).  einsum's loops are built for the baseline
-instruction set (their grouping depends on J and the binaries, not on
-run-time CPU features) and use no threads, so the result is bit-stable
+length-J rows, and the covariances are fixed-order einsum contractions
+of its row slices, O(J L^2), through numpy's C einsum without the
+np.einsum wrapper (see _kernels).  einsum's loops are built for the
+baseline instruction set (their grouping depends on J and the binaries,
+not on run-time CPU features) and use no threads, so the result is bit-stable
 across runs and thread counts.  Two particles tie in the key only if they
 are the same point, so they carry the same G row and the order among them
 cannot change a sum: statistics are bitwise independent of particle order,
@@ -49,6 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import einsum
 from .errors import DimensionMismatch, NonFinite, NonPositive
 from .model import apply_forward_batch, apply_forward_stack
 
@@ -136,7 +138,7 @@ def _mean_rows(rows):
     # rows (n, J), particles in canonical order along axis 1; the pivot
     # is exact, the sum fixed-order along each contiguous row
     pivot = np.minimum.reduce(rows, axis=1)
-    return pivot + np.einsum("lj->l", rows - pivot[:, None]) / rows.shape[1]
+    return pivot + einsum("lj->l", rows - pivot[:, None]) / rows.shape[1]
 
 
 # the largest (R, L+K, J) block, in float64 entries, that one statistics
@@ -162,8 +164,8 @@ def _block_stats(u, g):
         g_c.take(order, axis=1, out=block[l:], mode="clip")
     mean = _mean_rows(rows.reshape(-1, j)).reshape(r, -1)
     rows -= mean[:, :, None]
-    cov_uu = np.einsum("rlj,rmj->rlm", rows[:, :l], rows[:, :l]) / j
-    cov_ug = np.einsum("rlj,rmj->rlm", rows[:, :l], rows[:, l:]) / j
+    cov_uu = einsum("rlj,rmj->rlm", rows[:, :l], rows[:, :l]) / j
+    cov_ug = einsum("rlj,rmj->rlm", rows[:, :l], rows[:, l:]) / j
     return mean, cov_uu, cov_ug
 
 
@@ -212,7 +214,7 @@ def particle_moments(ens):
     us = np.take(u.T, _canonical_order(u), axis=1)
     mean_u = _mean_rows(us)
     cu = us - mean_u[:, None]
-    return mean_u, np.einsum("lj,mj->lm", cu, cu) / us.shape[1]
+    return mean_u, einsum("lj,mj->lm", cu, cu) / us.shape[1]
 
 
 def centered_moments(ens):
@@ -220,10 +222,10 @@ def centered_moments(ens):
     p = 2 and 4, from one canonical ordering; the second is tr cov_uu."""
     us = np.take(ens.particles.T, _canonical_order(ens.particles), axis=1)
     cu = us - _mean_rows(us)[:, None]
-    sq = np.einsum("lj,lj->j", cu, cu)
+    sq = einsum("lj,lj->j", cu, cu)
     j = us.shape[1]
-    return (float(np.einsum("j->", sq) / j),
-            float(np.einsum("j->", sq ** 2) / j))
+    return (float(einsum("j->", sq) / j),
+            float(einsum("j->", sq ** 2) / j))
 
 
 def affine_span_distance(ens, reference):
@@ -238,7 +240,7 @@ def affine_span_distance(ens, reference):
     rhs = ens.particles.T - ref_mean[:, None]
     coef, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
     residual = rhs - basis @ coef
-    dists = np.sqrt(np.einsum("lj,lj->j", residual, residual))
+    dists = np.sqrt(einsum("lj,lj->j", residual, residual))
     return float(np.max(dists))
 
 
@@ -246,12 +248,16 @@ def save_csv(ens, path):
     """Write one row per particle; header comments carry time and step.
 
     The %.17g format round-trips float64 exactly, so save/load is lossless
-    and same-seed runs produce byte-identical files.
+    and same-seed runs produce byte-identical files.  The bytes are
+    np.savetxt's with fmt="%.17g", delimiter="," and the header below,
+    written in one format call instead of savetxt's loop over rows.
     """
-    names = ",".join(f"u{i}" for i in range(ens.dim))
-    header = f"time={ens.time:.17g} step={ens.step}\n{names}"
-    np.savetxt(path, ens.particles, delimiter=",", fmt="%.17g",
-               header=header, comments="# ")
+    j, l = ens.particles.shape
+    names = ",".join(f"u{i}" for i in range(l))
+    row = ",".join(["%.17g"] * l) + "\n"
+    with open(path, "w") as fh:
+        fh.write(f"# time={ens.time:.17g} step={ens.step}\n# {names}\n")
+        fh.write((row * j) % tuple(ens.particles.ravel().tolist()))
 
 
 def load_csv(path):

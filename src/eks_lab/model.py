@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._kernels import einsum
 from .errors import (
     DegenerateDirection,
     DimensionMismatch,
@@ -126,7 +127,7 @@ class NonlinearPerturbation:
         if not np.isfinite(out).all():
             raise NonFinite("perturbation produced non-finite values")
         # sqrt is monotone: one sqrt of the largest squared column norm, not J
-        peak = float(np.sqrt(np.einsum("kj,kj->j", out, out).max())) \
+        peak = float(np.sqrt(einsum("kj,kj->j", out, out).max())) \
             if out.size else 0.0
         if peak > self.amplitude_bound * (1.0 + 1e-9) + 1e-12:
             raise EksError(
@@ -227,7 +228,7 @@ class InverseProblem:
             _precision_lambda_min=lambda_min(b),
             _posterior=posterior,
             # the constants of the Kalman step's semi-implicit prior treatment
-            _gamma0_inv_u0=_frozen(np.einsum("ab,b->a", gamma0_inv, u0)),
+            _gamma0_inv_u0=_frozen(einsum("ab,b->a", gamma0_inv, u0)),
             _eye_l=_frozen(np.eye(l)))
 
     @property
@@ -266,7 +267,7 @@ def _forward(problem, u):
     # A applied to the contiguous (R, L, J) stack sums over l in one fixed
     # order for every particle, whatever its position, cell, the input's
     # layout or the thread count; the perturbation runs per cell
-    out = np.einsum("kl,rlj->rkj", problem.a, u)
+    out = einsum("kl,rlj->rkj", problem.a, u)
     if problem.nonlinear is not None:
         for out_c, u_c in zip(out, u):
             out_c += problem.nonlinear.eval_batch(u_c)
@@ -363,13 +364,13 @@ def make_perpendicular_perturbation(a, gamma, seed_direction, frequency,
     # each einsum sums over the short axis in one fixed order per
     # particle, and tanh runs once over a contiguous length-J row
     def evaluate_batch(u):
-        t = np.tanh(np.einsum("l,lj->j", frequency, u))
+        t = np.tanh(einsum("l,lj->j", frequency, u))
         return b[:, None] * (amplitude * t)[None, :]
 
     def gradient_apply_batch(u, z):
-        t = np.tanh(np.einsum("l,lj->j", frequency, u))
+        t = np.tanh(einsum("l,lj->j", frequency, u))
         s = amplitude * (1.0 - t**2)
-        return frequency[:, None] * (s * np.einsum("k,kj->j", b, z))[None, :]
+        return frequency[:, None] * (s * einsum("k,kj->j", b, z))[None, :]
 
     return NonlinearPerturbation(
         evaluate=evaluate,
@@ -381,15 +382,26 @@ def make_perpendicular_perturbation(a, gamma, seed_direction, frequency,
     )
 
 
+def _quadratic_form(x, m):
+    """x_n^T M x_n for every row x_n of x, bitwise
+    einsum("nk,km,nm->n", x, m, x) without its generic three-operand
+    loop: each term is (x_k M_km) x_m, added into a zero start with k
+    outer and m inner, as that loop adds them (m outer is not bitwise)."""
+    cols = np.ascontiguousarray(x.T)
+    acc = np.zeros(x.shape[0])
+    for k, x_k in enumerate(cols):
+        for x_m, m_km in zip(cols, m[k]):
+            acc += (x_k * m_km) * x_m
+    return acc
+
+
 def _log_density_batch(problem, points):
     """-phi_r on all rows of points, vectorized; used by the quadrature."""
     g_all = apply_forward_batch(problem, points)
     misfit = problem.y[None, :] - g_all
-    data_term = 0.5 * np.einsum(
-        "nk,km,nm->n", misfit, problem.gamma_inv, misfit)
+    data_term = 0.5 * _quadratic_form(misfit, problem.gamma_inv)
     shift = points - problem.u0[None, :]
-    prior_term = 0.5 * np.einsum(
-        "nl,lm,nm->n", shift, problem.gamma0_inv, shift)
+    prior_term = 0.5 * _quadratic_form(shift, problem.gamma0_inv)
     return -(data_term + prior_term)
 
 
@@ -413,7 +425,7 @@ def _grid_moments(problem, center, widths):
         del xx, yy
     # blocks move no bit: every operation of the log density acts on one
     # point at a time (the forward map, the perturbation and its bound
-    # check, the two three-operand einsums), and each reduction below
+    # check, the two quadratic forms), and each reduction below
     # still runs over the whole grid in the same expression form
     logw = np.empty(points.shape[0])
     for start in range(0, points.shape[0], QUADRATURE_BLOCK):

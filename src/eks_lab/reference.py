@@ -125,7 +125,7 @@ def advance_mean(flow, m_start, t_start, t_end):
     v, m_star = flow._v, posterior_moments(flow.problem).mean
     b = flow.problem._precision
     m = m_star + v @ (gain * (v.T @ (b @ (m - m_star))))
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NonFinite("mean flow map gave non-finite entries "
                         "(non-finite m_start?)")
     return m

@@ -12,11 +12,18 @@ in one call.  Each slice of the result is bitwise the 2-D call on that
 slice (numpy's LAPACK and matmul loops run the same kernel slice by
 slice), and a stack that fails raises what the 2-D call raises on its
 first failing slice.
+
+The kernels are called through _kernels, without the Python wrappers
+of numpy.linalg and scipy.linalg: numpy's LAPACK gufuncs behind
+np.linalg.eigh, eigvalsh and solve, and LAPACK's potrf and potrs as
+scipy.linalg.cho_factor and cho_solve call them.  They are the same
+kernels with the same arguments, so every result is bitwise the
+wrapper's and every failure raises the error it raised.
 """
 
 import numpy as np
-import scipy.linalg
 
+from . import _kernels
 from .errors import (
     DimensionMismatch,
     EksError,
@@ -69,11 +76,16 @@ def symmetrize(m):
     return _symmetrize(_as_square(m, stack=True))
 
 
+# an overflowing sum is reported by _symmetrize's check, as NonFinite,
+# not by a numpy warning.  As a decorator np.errstate costs a fifth of
+# what a with block costs per call
+@np.errstate(over="ignore", invalid="ignore")
+def _half_sum(m):
+    return 0.5 * (m + m.swapaxes(-1, -2))
+
+
 def _symmetrize(m):
-    # an overflowing sum is reported by the check below, as NonFinite,
-    # not by a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = 0.5 * (m + m.swapaxes(-1, -2))
+    out = _half_sum(m)
     # a non-finite entry of M is non-finite in the result too, so this
     # one check covers the input as well as an overflowing sum
     if not np.isfinite(out).all():
@@ -113,7 +125,7 @@ def spd_sqrt(m):
 def _sqrt(m):
     # every expression acts on the last two axes alone; lam_max and the
     # floor keep a length-1 (length-0 for an empty matrix) last axis
-    w, v = np.linalg.eigh(_symmetrize(m))
+    w, v = _kernels.eigh(_symmetrize(m))
     lam_max = w[..., -1:]
     floor = SQRT_TOL * np.maximum(lam_max, 0.0)
     low = w < floor
@@ -133,11 +145,14 @@ def _sqrt(m):
 
 def _cholesky_solve(m, rhs):
     # m is already symmetrized and rhs finite, with matching leading size
-    try:
-        factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as err:
-        raise SingularMatrix(f"Cholesky factorization failed: {err}") from None
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    factor, info = _kernels.potrf(m)
+    if info > 0:
+        raise SingularMatrix(
+            f"Cholesky factorization failed: {info}-th leading minor of the "
+            f"array is not positive definite")
+    if not rhs.size:  # LAPACK takes no empty rhs; cho_solve returns this
+        return np.empty_like(rhs)
+    return _kernels.potrs(factor, rhs)[0]
 
 
 def spd_solve(m, rhs):
@@ -170,7 +185,7 @@ def lambda_min(m):
     m = _symmetrize(_as_square(m))
     if m.shape[0] == 0:
         raise DimensionMismatch("empty matrix has no eigenvalues")
-    return float(np.linalg.eigvalsh(m)[0])
+    return float(_kernels.eigvalsh(m)[0])
 
 
 def general_solve(a, rhs):
@@ -179,9 +194,8 @@ def general_solve(a, rhs):
     One factorization is shared across all right-hand-side columns, which
     is the whole point: the implicit half step of the particle dynamics
     solves the same (generally nonsymmetric) matrix against every particle
-    at once.  numpy's gesv factors and solves in one call, without
-    scipy's per-call wrapper cost.  A may also be a (C, n, n) stack, each
-    slice solved against the same rhs.
+    at once.  numpy's gesv gufunc factors and solves in one call.  A may
+    also be a (C, n, n) stack, each slice solved against the same rhs.
     """
     return _per_slice(_solve, _as_square(a, stack=True),
                       np.asarray(rhs, dtype=float))
@@ -195,7 +209,7 @@ def _solve(a, rhs):
             f"rhs leading dimension {rhs.shape[0]} != matrix size "
             f"{a.shape[-1]}")
     try:
-        x = np.linalg.solve(a, rhs)
+        x = _kernels.solve(a, rhs)
     except np.linalg.LinAlgError:
         raise SingularMatrix("LU factorization produced a zero pivot") \
             from None

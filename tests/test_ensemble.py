@@ -519,3 +519,25 @@ def test_csv_single_column(tmp_path):
     save_csv(ens, path)
     back = load_csv(path)
     assert np.array_equal(back.particles, ens.particles)
+
+
+@pytest.mark.parametrize("l", [1, 2, 32])
+@pytest.mark.parametrize("j", [1, 3, 4000])
+def test_csv_bytes_are_savetxts(tmp_path, j, l):
+    rng = np.random.default_rng(j * 100 + l)
+    particles = rng.standard_normal((j, l)) * 10.0 ** rng.integers(
+        -5, 6, size=(j, l))
+    special = [-0.0, 1.0 / 3.0, 1e-300, -2.5e300, 5e-324]
+    particles.flat[:len(special)] = special[:particles.size]
+    ens = Ensemble(particles=particles, time=0.1 + 0.2, step=7)
+    save_csv(ens, tmp_path / "ens.csv")
+    names = ",".join(f"u{i}" for i in range(l))
+    np.savetxt(tmp_path / "savetxt.csv", particles, delimiter=",",
+               fmt="%.17g", header=f"time={ens.time:.17g} step=7\n{names}",
+               comments="# ")
+    assert ((tmp_path / "ens.csv").read_bytes()
+            == (tmp_path / "savetxt.csv").read_bytes())
+    back = load_csv(tmp_path / "ens.csv")
+    assert np.array_equal(back.particles, particles)
+    assert np.signbit(back.particles.flat[0])
+    assert (back.time, back.step) == (ens.time, ens.step)

@@ -31,6 +31,7 @@ from eks_lab.model import (
     InverseProblem,
     NonlinearPerturbation,
     _log_density_batch,
+    _quadratic_form,
     apply_forward_batch,
     make_perpendicular_perturbation,
     posterior_moments,
@@ -502,3 +503,40 @@ def test_quadrature_peak_allocation_is_bounded_by_whole_grid_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= bound, f"peak {peak / 1e6:.2f} MB > {bound / 1e6:.2f} MB"
+
+
+def quadratic_form_m_outer(x, m):
+    # the same terms added with m outer and k inner: not einsum's order
+    cols = np.ascontiguousarray(x.T)
+    acc = np.zeros(x.shape[0])
+    for j, x_m in enumerate(cols):
+        for x_k, m_km in zip(cols, m[:, j]):
+            acc += (x_k * m_km) * x_m
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_quadratic_form_is_the_three_operand_einsum_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    r = rng.standard_normal((n, n))
+    m = spd_invert(r @ r.T + 0.1 * np.eye(n))
+    x = 4.0 * rng.standard_normal((5000, n))
+    want = np.einsum("nk,km,nm->n", x, m, x)
+    assert np.array_equal(_quadratic_form(x, m), want)
+    if n > 1:
+        # the test tells the two orders apart, so a swap cannot pass
+        assert not np.array_equal(quadratic_form_m_outer(x, m), want)
+
+
+def test_log_density_is_the_einsum_form_on_the_shipped_problem():
+    # -phi_r as the three-operand einsums wrote it, over one grid block
+    problem = shipped_nonlinear_problem()
+    rng = np.random.default_rng(3)
+    points = 3.0 * rng.standard_normal((model.QUADRATURE_BLOCK, 2))
+    misfit = problem.y[None, :] - apply_forward_batch(problem, points)
+    shift = points - problem.u0[None, :]
+    want = -(0.5 * np.einsum("nk,km,nm->n", misfit, problem.gamma_inv,
+                             misfit)
+             + 0.5 * np.einsum("nl,lm,nm->n", shift, problem.gamma0_inv,
+                               shift))
+    assert np.array_equal(_log_density_batch(problem, points), want)
