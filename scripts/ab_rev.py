@@ -20,7 +20,10 @@ one thread).  Per workload the script prints each side's median, the
 median and quartiles of the per-pair ratio tree / REV, the pairs the
 tree won, and whether every study's report body (report.json without
 its "generated" line), ensemble CSVs and diagnostics CSV equal REV's
-first study's byte for byte.
+first study's byte for byte.  When they do not, a second line gives the
+largest absolute and relative difference over the numeric leaves of
+REV's first report and the tree's, and their structural differences,
+as scripts/report_diff.py compares them.
 
 In one process both sides see the same host speed within a pair, so
 small effects resolve that separate launches, whose speed on a shared
@@ -44,6 +47,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+import report_diff  # noqa: E402  (the comparison report_diff.py prints)
 OUTPUTS = ("report.json", "ensemble*.csv", "diagnostics.csv")
 
 
@@ -96,6 +101,18 @@ def outputs(out_dir):
     return files
 
 
+def report_difference(rev_dir, tree_dir):
+    """(largest absolute difference, largest relative difference, number
+    of structural differences) between the report.json files of two
+    output directories, by report_diff.compare."""
+    docs = [json.loads((d / "report.json").read_text())
+            for d in (rev_dir, tree_dir)]
+    rows, structural = report_diff.compare(*docs)
+    return (max((row[0] for row in rows.values()), default=0.0),
+            max((row[1] for row in rows.values()), default=0.0),
+            len(structural))
+
+
 def timed_study(package, cfg, out_dir):
     t0 = time.process_time()
     package.run_study(cfg, out_dir, threads=1)
@@ -131,6 +148,12 @@ def compare(name, doc, sides, pairs, scratch):
           f"ratio {statistics.median(ratios):.3f} [{q1:.3f}, {q3:.3f}], "
           f"tree wins {wins}/{len(ratios)}, "
           f"outputs equal: {'yes' if equal else 'NO'}", flush=True)
+    if not equal:
+        absolute, relative, structural = report_difference(
+            scratch / f"{name}-0-0", scratch / f"{name}-0-1")
+        print(f"{name}: report leaves differ by at most {absolute:.3g} "
+              f"absolute, {relative:.3g} relative; structural differences: "
+              f"{structural}", flush=True)
     return equal
 
 

@@ -16,84 +16,85 @@ Three evolutions share one discretization skeleton:
 * eks_gradient_step — same implicit prior treatment and noise, but the
   misfit drift uses the forward derivative per particle,
   h cov_uu (A^T + grad m(u_j)) gamma^{-1} (G(u_j) - y).  For linear maps
-  the two steps coincide identically (cov_ug = cov_uu A^T).  Both run one
-  kernel, which reads I_L and gamma0^{-1} u0 from the problem, checks its
-  output for finiteness once, and returns it without re-validating the
-  Ensemble it builds.
+  the two steps coincide in exact arithmetic (cov_ug = cov_uu A^T).
 
-  The kernel steps a batch: one Ensemble whose rows are several cells'
-  particles, one block after another, with one SdeConfig per cell (h
-  shared) and the step's (sum J, L) noise block; one Ensemble with one
-  SdeConfig is a batch of one.  It runs in three stages.  Statistics
-  (forward evaluation included) run once per run of consecutive equal-J
-  cells: stacked_stats on the run's (R, L, J) stack, or empirical_stats
-  on a lone cell's (J, L) rows; either is bitwise per cell.  One L x L
-  stage serves every cell: the systems and prior pulls, the implicit
-  solve and the noise root run as stacked (C, L, L) calls of
-  general_solve and spd_sqrt.  The misfit, drift, rhs, apply and noise
-  einsums run once per run, over the same stack ("rml,rlj->rmj").
+  Both run one kernel, on a batch: one Ensemble whose rows are several
+  cells' particles, one block after another, with one SdeConfig per cell
+  (h shared) and the step's (sum J, L) noise block; one Ensemble with one
+  SdeConfig is a batch of one.  The step is affine in each particle's
+  (u_j, G(u_j), xi_j), with coefficients fixed per cell and step, so the
+  kernel runs in three stages.  Statistics (forward evaluation included)
+  run once per run of consecutive equal-J cells: stacked_stats on the
+  run's (R, L, J) stack, or empirical_stats on a lone cell's (J, L) rows;
+  either is bitwise per cell.  One stacked L x L stage (general_solve for
+  the implicit system, spd_sqrt for the noise root) makes every cell's
+  step matrix, with S = (I + h cov_uu gamma0^{-1})^{-1},
+
+      W_c = [S | -h S cov_ug gamma^{-1} | sqrt(2 h cov_uu)
+             | h S (cov_ug gamma^{-1} y + cov_uu gamma0^{-1} u0)].
+
+  Each run applies its cells' W_c in one einsum ("rmn,rnj->rmj") over a
+  contiguous (R, 2L+K+1, J) block with rows [u; G(u); xi; 1], written
+  straight into the step's output.  The gradient step puts cov_uu A^T in
+  place of cov_ug; on a perturbed problem each cell's block gains L rows
+  grad m(u_j) gamma^{-1} (G(u_j) - y), from the per-cell hook, and W_c
+  the column block -h S cov_uu.
 
 * mean_field_step — Euler-Maruyama for the decoupled reference particles
   v_{n+1} = v_n - h C(t) B (v_n - u_star) + sqrt(2 h C(t)) xi, with C(t)
-  supplied by the moment flow.  Drawing xi at the same (step, particle)
-  coordinates as eks_step couples the two systems through shared Brownian
-  increments.
+  supplied by the moment flow, applied as one step matrix
+  W = [I - h C B | sqrt(2 h C) | h C B u*] over the block [v; xi; 1].
+  Drawing xi at the same (step, particle) coordinates as eks_step couples
+  the two systems through shared Brownian increments.
 
-The steps work component-major: they take the contiguous (L, J)
-transpose of the particles (free for a step's own output) and of the
-noise block, and every per-particle operation is an einsum that applies a
-frozen L x L or L x K step-level matrix to contiguous length-J rows
-("ml,lj->mj"), summing over the short axis in a fixed order for each
-particle.  A batch copies each run's columns into a contiguous
-(R, L, J) stack, so every cell's slice has the layout of a cell stepped
-alone and each einsum sums in the same order (a strided view would not
-at J = 1); numpy's stacked eigh, solve and matmul run the 2-D kernel
-slice by slice.  A particle's update therefore depends only on its own
-column and on its cell's statistics, which are themselves
-particle-order-invariant; permuting particles (and their noise) permutes
-trajectories bit-for-bit, the input's memory layout does not matter, a
-cell's rows are bitwise the same in any batch, and reruns on any thread
-count reproduce the same bytes.  Each step returns Ensemble.particles as
-the (n, L) view of its (L, n) result, so the next step's transpose costs
-nothing.  The einsums and LAPACK calls of a step go to numpy's and
-LAPACK's compiled kernels directly (_kernels), without the Python
-wrappers around them: the same kernels, so the same bits.
+The steps work component-major, on the (L, J) transpose of the particles
+(free for a step's own output) and of the noise block.  Every
+per-particle operation is the one einsum that applies a frozen step
+matrix to contiguous length-J rows, summing over the block's rows in a
+fixed order for each particle; the products of the small matrices it
+folds moved into the per-step stage.  A run's block is a fresh C-ordered
+copy of its cells' columns, so every cell's slice has the layout of the
+cell stepped alone and each einsum sums in the same order (a strided
+view would not at J = 1).  A particle's update therefore depends
+only on its own column and on its cell's statistics, which are
+themselves particle-order-invariant; permuting particles (and their
+noise) permutes trajectories bit-for-bit, the input's memory layout does
+not matter, a cell's rows are bitwise the same in any batch, and reruns
+on any thread count reproduce the same bytes.  Each step returns
+Ensemble.particles as the (n, L) view of its (L, n) result, so the next
+step's transpose costs nothing.  The einsums and LAPACK calls of a step
+go to numpy's and LAPACK's compiled kernels directly (_kernels), without
+the Python wrappers around them: the same kernels, so the same bits.
 
 run() advances one ensemble, or the cells of a sweep in lockstep: every
 cell takes step k before any cell takes step k + 1.  The cells share one
 clock, so each step's shared work is done once for all of them:
 
-* rho(t_k) from the moment flow, and from it C(t_k) B, u* and
-  sqrt(2 h C(t_k)), built by the one reference update below.
+* rho(t_k) from the moment flow, whose C(t_k) makes the one reference
+  update's step matrix.
 * One normal conversion.  A draw table keyed by (seed, J) takes each
   distinct key's Philox words for the step (a block is a pure function
   of (seed, step, J, L), so a key is drawn once however many updates
   read it), converts all of them in one pass in (sum J, L) order, and
   transposes the result once to (L, sum J).  Each update reads its
   keys' columns.  With one key this is the work of one normal_block.
-* One Kalman update per mode.  run() keeps each Kalman mode's cells as
-  one batch ensemble between steps, stepped by one eks_step or
-  eks_gradient_step call per step: one L x L stage for all of them, one
-  stack per run of equal J.  Each batch's layout (its cells' rows and
-  runs of equal J) is worked out once per run() call and handed to
-  every step as the batch's config sequence.
+* One Kalman update per mode.  Each Kalman mode's cells stay one batch
+  ensemble between steps, stepped by one eks_step or eks_gradient_step
+  call per step on a layout (its cells' rows, its runs of equal J)
+  worked out once per run() call.
 * One reference update.  A coupled run keeps every cell's mean-field
   reference particles as one (sum J, L) ensemble, stepped by one
   mean_field_step call; with shared noise and distinct keys its noise is
   the step's whole normal array.  Per-cell row views serve the coupling
   errors and v_final.
 
-Within a step the Kalman updates run first, then the one reference
-update, so a Kalman error in any cell wins over a reference overflow in
-the same step.  When a Kalman batch raises, run() replays the step's
-Kalman updates one cell at a time, in cell order, and raises what the
-first failing cell raises: the error of a loop over the cells, with
-"(cell i: J = ..., seed ...)" added to the end of its message when the
-run steps several cells.  Cells may mix the two Kalman steps, so the
-gradient and the plain sampler can run side by side from one ensemble.
-Seeds stay per cell, statistics are bitwise per cell, and every other
-operation is per slice, elementwise or per particle, so a cell's numbers
-are bitwise those of running it alone.
+Within a step the Kalman updates run first, then the reference update,
+so a Kalman error in any cell wins over a reference overflow in the same
+step.  When a Kalman batch raises, run() replays the step's Kalman
+updates one cell at a time and raises what the first failing cell raises
+(see run).  Cells may mix the two Kalman steps.  Seeds stay per cell and
+every operation is per cell, per slice, elementwise or per particle, so
+a cell's numbers are bitwise those of running it alone.
 """
 
 from dataclasses import dataclass
@@ -115,7 +116,6 @@ from .errors import (
     SingularImplicitSystem,
     SingularMatrix,
 )
-from .model import posterior_moments, precision_matrix
 from .noise import NoiseSource, derive_seed, to_normals
 from .reference import rho_at
 from .spd import general_solve, lambda_min, spd_sqrt
@@ -187,8 +187,7 @@ def sample_gaussian(moments, j_particles, seed):
 
 def _draw(noise, step, n, l):
     # noise is a NoiseSource (anything with normal_block) or the (n, L)
-    # block already drawn for this step, which run()'s draw table hands
-    # to every update on the same seed
+    # block already drawn for this step by run()'s draw table
     if isinstance(noise, np.ndarray):
         if noise.shape != (n, l):
             raise DimensionMismatch(
@@ -216,9 +215,10 @@ class _Batch(tuple):
     """A batch's SdeConfigs, one per cell in row order, with the layout
     every step of the batch reads, worked out once: the shared h, the
     particle count n, each cell's rows, and each run of consecutive
-    equal-J cells as (cells, columns) slices.  run() builds one per batch
-    per call and hands it to every step as the batch's config sequence;
-    a step handed plain configs builds its own."""
+    equal-J cells as (cells, columns) slices with the run's (R, 1, J)
+    row of ones.  run() builds one per batch per call and hands it to
+    every step as the batch's config sequence; a step handed plain
+    configs builds its own."""
 
     def __new__(cls, cfgs, sizes=None):
         batch = super().__new__(cls, cfgs)
@@ -256,44 +256,38 @@ def _batch_layout(ens, problem, cfg, noise):
 
 
 def _equal_j_runs(sizes):
-    """(cells, columns) slices of each run of consecutive equal-J cells."""
+    """(cells, columns, ones) of each run of consecutive equal-J cells:
+    two slices and the run's (R, 1, J) row of ones."""
     runs, cell, column = [], 0, 0
     for j, group in groupby(sizes):
         r = len(list(group))
-        runs.append((slice(cell, cell + r), slice(column, column + r * j)))
+        runs.append((slice(cell, cell + r), slice(column, column + r * j),
+                     np.ones((r, 1, j))))
         cell, column = cell + r, column + r * j
     return runs
 
 
-def _stack(a, columns, r):
-    # the contiguous (R, rows, J) stack of R equal-J cells' columns of a
-    # component-major array: each slice is laid out as the contiguous
-    # (rows, J) array a cell alone would use, which keeps every einsum's
-    # summation order (a strided view does not at J = 1)
-    return np.ascontiguousarray(
-        a[:, columns].reshape(a.shape[0], r, -1).transpose(1, 0, 2))
+def _cells(a, columns, r):
+    # the (R, rows, J) view of R equal-J cells' columns of a (rows, n) array
+    return a[:, columns].reshape(a.shape[0], r, -1).transpose(1, 0, 2)
 
 
-def _unstack(stacks, n):
-    """The (L, n) component-major array whose columns are the runs'
-    (R, L, J) stacks, one after another; a lone stack of one cell is
-    returned as a view."""
-    if len(stacks) == 1:
-        return stacks[0].transpose(1, 0, 2).reshape(-1, n)
-    out = np.empty((stacks[0].shape[1], n))
-    end = 0
-    for stack in stacks:
-        r, l, j = stack.shape
-        out[:, end:end + r * j].reshape(l, r, j)[...] = \
-            stack.transpose(1, 0, 2)
-        end += r * j
-    return out
+def _block(parts, rows, spare=0):
+    """The C-ordered (R, rows + spare, J) block a run's step matrices
+    multiply, whatever the parts' layouts (concatenate alone follows
+    them): the parts' rows, the last part the run's row of ones, then
+    spare rows for the caller to fill.  Each cell's slice is laid out as
+    the cell's block alone, so every einsum over it sums in one order."""
+    r, _, j = parts[0].shape
+    block = np.empty((r, rows + spare, j))
+    np.concatenate(parts, axis=1, out=block[:, :rows])
+    return block
 
 
 def _kalman_step(ens, problem, cfg, noise, gradient):
     """The one Kalman step both public steps run, on a batch of cells;
-    gradient picks how the misfit covectors z_j = gamma^{-1} (G(u_j) - y)
-    are pulled back to the drift: through cov_ug, or through
+    gradient picks how the misfit covectors gamma^{-1} (G(u_j) - y) are
+    pulled back to the drift: through cov_ug, or through
     cov_uu (A^T + grad m(u_j))."""
     batch = _batch_layout(ens, problem, cfg, noise)
     h = batch.h
@@ -301,62 +295,69 @@ def _kalman_step(ens, problem, cfg, noise, gradient):
         return Ensemble._unchecked(ens.particles, ens.time, ens.step + 1)
     n, l = ens.particles.shape
     xi = _draw(noise, ens.step, n, l).T
-    u = np.ascontiguousarray(ens.particles.T)
+    u = ens.particles.T
     runs = []
-    for cells, columns in batch.runs:
-        u_run = _stack(u, columns, cells.stop - cells.start)
+    for cells, columns, _ in batch.runs:
+        u_run = _cells(u, columns, cells.stop - cells.start)
         if len(u_run) > 1:
             s = stacked_stats(u_run, problem)
-            runs.append((u_run, s.cov_uu, s.cov_ug, s.forward))
+            runs.append((u_run, s.forward, s.cov_uu, s.cov_ug))
         else:  # a lone cell's statistics stay empirical_stats on its rows
-            s = empirical_stats(
-                Ensemble._unchecked(u_run[0].T, ens.time, ens.step), problem)
-            runs.append((u_run, s.cov_uu[None], s.cov_ug[None],
-                         s.forward.T[None]))
-    cov_uu = np.concatenate([run[1] for run in runs])
+            s = empirical_stats(Ensemble._unchecked(
+                ens.particles[columns], ens.time, ens.step), problem)
+            runs.append((u_run, s.forward.T[None], s.cov_uu[None],
+                         s.cov_ug[None]))
+    cov_uu = np.concatenate([run[2] for run in runs])
+    # one L x L stage for the batch: h cov_uu and h cov_ug times the step
+    # rows give the system I + h cov_uu gamma0^-1 and q, W's other columns
+    if gradient:
+        pre = h * einsum("cab,bd->cad", cov_uu, problem._gradient_rows)
+        q = pre[:, :, l:]
+    else:
+        pre = h * einsum("cab,bd->cad", cov_uu, problem._prior_rows)
+        q = h * einsum("cak,kd->cad", np.concatenate([run[3] for run in runs]),
+                       problem._misfit_rows)
+        q[:, :, -1] += pre[:, :, l]
+    perturbed = gradient and problem.nonlinear is not None
+    k = problem.dim_k
+    rows = 2 * l + k + 1
+    blocks = []
+    for (u_run, g, _, _), (_, columns, ones) in zip(runs, batch.runs):
+        block = _block([u_run, g, _cells(xi, columns, len(u_run)), ones],
+                       rows, spare=l if perturbed else 0)
+        if perturbed:
+            # the perturbation's rows grad m(u_j) gamma^-1 (G(u_j) - y),
+            # per cell, like the forward map in the statistics
+            z = einsum("km,rkj->rmj", problem.gamma_inv,
+                       g - problem.y[:, None])
+            for cell, zc in zip(block, z):
+                cell[rows:] = problem.nonlinear.grad_apply_batch(cell[:l], zc)
+        blocks.append(block)
+    # I + h cov_uu gamma0^{-1} is never singular in exact arithmetic; once
+    # the second term reaches 1/eps, rounding drops the identity: the
+    # ensemble has diverged, whether or not the LU meets a zero pivot
+    growth = float(np.abs(pre[:, :, :l]).max())
+    if growth >= 1.0 / np.finfo(float).eps:
+        raise Diverged(
+            f"step {ens.step}: ensemble diverged, h max|cov_uu "
+            f"gamma0^-1| = {growth:.3e} (stepsize too large?)")
     eye = problem._eye_l
-    # one L x L stage for the whole batch.  Not bit-equal to fold the
-    # prior pull in as one more column of gamma0^{-1}: that column sums
-    # in another order from L = 3 on
-    system = eye + h * einsum("cab,bd->cad", cov_uu, problem.gamma0_inv)
-    prior_pull = h * einsum("cab,b->ca", cov_uu, problem._gamma0_inv_u0)
-    rhs = []
-    for (cells, _), (u_run, run_cov, cov_ug, g) in zip(batch.runs, runs):
-        z = einsum("km,rkj->rmj", problem.gamma_inv, g - problem.y[:, None])
-        if gradient:
-            pulled = einsum("kl,rkj->rlj", problem.a, z)
-            if problem.nonlinear is not None:
-                # per cell, like the forward map in the statistics
-                for pc, uc, zc in zip(pulled, u_run, z):
-                    pc += problem.nonlinear.grad_apply_batch(uc, zc)
-            drift = einsum("rml,rlj->rmj", run_cov, pulled)
-        else:
-            drift = einsum("rlk,rkj->rlj", cov_ug, z)
-        rhs.append(u_run - h * drift + prior_pull[cells, :, None])
     try:
         # one factorization per cell and step: the system matrix is
         # particle independent, so its inverse is applied to every particle
-        solve_matrix = general_solve(system, eye)
+        solve_matrix = general_solve(eye + pre[:, :, :l], eye)
     except SingularMatrix as err:
-        # I + h cov_uu gamma0^{-1} is never singular in exact arithmetic;
-        # it turns numerically singular only once the second term swamps
-        # the identity, i.e. once the ensemble has diverged
-        growth = float(np.max(np.abs(system - eye)))
-        if growth >= 1.0 / np.finfo(float).eps:
-            raise Diverged(
-                f"step {ens.step}: ensemble diverged, h max|cov_uu "
-                f"gamma0^-1| = {growth:.3e} (stepsize too large?)") from None
         raise SingularImplicitSystem(
             f"step {ens.step}: implicit system is singular ({err})") from None
-    root = spd_sqrt(2.0 * h * cov_uu)
-    moved = []
-    for (cells, columns), b in zip(batch.runs, rhs):
-        run_out = einsum("rml,rlj->rmj", solve_matrix[cells], b)
-        run_out += einsum("rml,rlj->rmj", root[cells],
-                          _stack(xi, columns, cells.stop - cells.start))
-        moved.append(run_out)
-    return _finish(ens, _unstack(moved, n), h,
-                   "particles overflowed (stepsize too large?)")
+    # each cell's step matrix, the columns in the block's row order
+    sq = einsum("cab,cbd->cad", solve_matrix, q)
+    w = np.concatenate([solve_matrix, sq[:, :, :k],
+                        spd_sqrt(2.0 * h * cov_uu), sq[:, :, k:]], axis=2)
+    out = np.empty((l, n))
+    for (cells, columns, _), block in zip(batch.runs, blocks):
+        einsum("rmn,rnj->rmj", w[cells], block,
+               out=_cells(out, columns, len(block)))
+    return _finish(ens, out, h, "particles overflowed (stepsize too large?)")
 
 
 def eks_step(ens, problem, cfg, noise):
@@ -364,9 +365,13 @@ def eks_step(ens, problem, cfg, noise):
 
     Works for linear and nonlinear forward maps alike: the misfit drift
     uses cov_ug, which only needs G evaluations.  G is evaluated once per
-    step, inside the statistics; the misfit reuses those rows.  noise is
-    a NoiseSource or the (J, L) standard-normal block already drawn for
-    this step.
+    step, inside the statistics, and its rows go into the block the
+    cell's step matrix W = [S | -h S cov_ug gamma^-1 | sqrt(2 h cov_uu) |
+    c] multiplies, rows [u; G(u); xi; 1].  Each particle's update is one
+    fixed-order sum over those 2L+K+1 rows; the products of the small
+    matrices moved into W, so the result agrees with the unfolded update
+    to rounding, not bitwise.  noise is a NoiseSource or the (J, L)
+    standard-normal block already drawn for this step.
 
     cfg may also be a sequence of SdeConfigs sharing h, one per cell of a
     batch: ens then holds the cells' particles one block of rows after
@@ -386,12 +391,14 @@ def eks_gradient_step(ens, problem, cfg, noise):
 
 def mean_field_step(v_ens, rho_moments, problem, cfg, noise):
     """Euler-Maruyama step of the decoupled mean-field particles under the
-    Gaussian flow moments at the ensemble's current time.  C(t) B, u* and
-    sqrt(2 h C(t)) are built once per call for all particles; noise is a
-    NoiseSource or the (J, L) block already drawn for this step.  cfg may
-    be a sequence of configs, one per cell, as in eks_step: the cells
-    then share the matrices, and each run of equal-J cells is one
-    (R, L, J) stack, so a cell's rows are bitwise those of stepping it
+    Gaussian flow moments at the ensemble's current time.  The step
+    matrix W = [I - h C(t) B | sqrt(2 h C(t)) | h C(t) B u*] is built once
+    per call, from the problem's [B | B u*], and applied to each run's
+    block [v; xi; 1], one fixed-order sum over 2L+1 rows per particle;
+    noise is a NoiseSource or the (J, L) block already drawn for this
+    step.  cfg may be a sequence of configs, one per cell, as in eks_step:
+    the cells then share W, and each run of equal-J cells is one
+    (R, 2L+1, J) block, so a cell's rows are bitwise those of stepping it
     alone."""
     if problem.nonlinear is not None:
         raise NonlinearUnsupported(
@@ -403,20 +410,17 @@ def mean_field_step(v_ens, rho_moments, problem, cfg, noise):
                                    v_ens.step + 1)
     n, l = v_ens.particles.shape
     xi = _draw(noise, v_ens.step, n, l).T
-    pull = einsum("ab,bc->ac", rho_moments.cov, precision_matrix(problem))
-    u_star = posterior_moments(problem).mean
-    root = spd_sqrt(2.0 * h * rho_moments.cov)
-    v = np.ascontiguousarray(v_ens.particles.T)
-    moved = []
-    for cells, columns in batch.runs:
+    cov = rho_moments.cov
+    pull = h * einsum("ab,bd->ad", cov, problem._drift_rows)
+    w = np.concatenate([problem._eye_l - pull[:, :l],
+                        spd_sqrt(2.0 * h * cov), pull[:, l:]], axis=1)
+    v, out = v_ens.particles.T, np.empty((l, n))
+    for cells, columns, ones in batch.runs:
         r = cells.stop - cells.start
-        v_run = _stack(v, columns, r)
-        drift = einsum("ml,rlj->rmj", pull, v_run - u_star[:, None])
-        run_out = v_run - h * drift
-        run_out += einsum("ml,rlj->rmj", root, _stack(xi, columns, r))
-        moved.append(run_out)
-    return _finish(v_ens, _unstack(moved, n), h,
-                   "reference particles overflowed")
+        block = _block([_cells(v, columns, r), _cells(xi, columns, r), ones],
+                       2 * l + 1)
+        einsum("mn,rnj->rmj", w, block, out=_cells(out, columns, r))
+    return _finish(v_ens, out, h, "reference particles overflowed")
 
 
 def condition_check(problem, rho_moments):
@@ -544,21 +548,17 @@ def run(initial, problem, cfg, mode, flow=None, share_noise=True,
 
     Every update of a step takes its noise from one draw table keyed by
     (seed, J): the Kalman update reads the cell's seed, the mean-field
-    update the same seed with share_noise and a derived one without, and
-    each distinct key is drawn once per step however many updates read
-    it.  Cells that share a seed and a size (a sampler pair started from
-    one ensemble) therefore share one draw.  The table converts all of a
-    step's words to normals in one pass.  Each Kalman mode's cells step
-    as one batch, in one eks_step or eks_gradient_step call per step (one
-    statistics pass per run of equal J, one L x L stage for the batch);
-    when a batch raises, the step's Kalman updates are replayed one cell
-    at a time in cell order, and the first failing cell's error is
-    raised; with several cells, an EksError is re-raised as the same
-    type with "(cell i: J = ..., seed ...)" at the end of its message,
-    which still starts "step N:".  The reference particles of every
-    coupled cell step as one ensemble, in one mean_field_step call per
-    step, after the Kalman updates: a Kalman error in any cell is raised
-    before a reference overflow in the same step.
+    update the same seed with share_noise and a derived one without, so
+    cells that share a seed and a size (a sampler pair started from one
+    ensemble) share one draw.  Each Kalman mode's cells step as one batch,
+    one eks_step or eks_gradient_step call per step; when a batch raises,
+    the step's Kalman updates are replayed one cell at a time in cell
+    order and the first failing cell's error is raised, with several
+    cells as the same EksError type with "(cell i: J = ..., seed ...)" at
+    the end of its message, which still starts "step N:".  The reference
+    particles of every coupled cell step as one ensemble after the Kalman
+    updates, so a Kalman error in any cell is raised before a reference
+    overflow in the same step.
     """
     single = isinstance(initial, Ensemble)
     initials = [initial] if single else list(initial)

@@ -164,9 +164,9 @@ def _block_stats(u, g):
         g_c.take(order, axis=1, out=block[l:], mode="clip")
     mean = _mean_rows(rows.reshape(-1, j)).reshape(r, -1)
     rows -= mean[:, :, None]
-    cov_uu = einsum("rlj,rmj->rlm", rows[:, :l], rows[:, :l]) / j
-    cov_ug = einsum("rlj,rmj->rlm", rows[:, :l], rows[:, l:]) / j
-    return mean, cov_uu, cov_ug
+    # one contraction of the u rows against all L+K rows: [cov_uu | cov_ug]
+    cov = einsum("rlj,rmj->rlm", rows[:, :l], rows) / j
+    return mean, cov[:, :, :l], cov[:, :, l:]
 
 
 def empirical_stats(ens, problem):

@@ -44,9 +44,10 @@ class SingularImplicitSystem(EksError):
 
 
 class Diverged(EksError):
-    """The ensemble spread grew until a step's arithmetic broke down,
-    typically because the stepsize is too large; the message records the
-    step index."""
+    """The ensemble spread grew until h cov_uu gamma0^{-1} reached 1/eps,
+    where the implicit system loses its identity to rounding, typically
+    because the stepsize is too large; the message records the step
+    index."""
 
 
 class DegenerateDirection(EksError):

@@ -174,7 +174,11 @@ class InverseProblem:
                                          compare=False)
     _posterior: GaussianMoments = field(init=False, repr=False,
                                         compare=False)
-    _gamma0_inv_u0: np.ndarray = field(init=False, repr=False, compare=False)
+    _prior_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _misfit_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _gradient_rows: np.ndarray = field(init=False, repr=False,
+                                       compare=False)
+    _drift_rows: np.ndarray = field(init=False, repr=False, compare=False)
     _eye_l: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -206,6 +210,10 @@ class InverseProblem:
         with np.errstate(over="ignore", invalid="ignore"):
             r = a.T @ spd_solve(gamma, y) + spd_solve(gamma0, u0)
             b = a.T @ spd_solve(gamma, a) + gamma0_inv
+            # what the Kalman steps apply row by row, from the inverses
+            gamma0_inv_u0 = einsum("ab,b->a", gamma0_inv, u0)
+            a_t_gamma_inv = einsum("kl,km->lm", a, gamma_inv)
+            data_pull = einsum("lk,k->l", a_t_gamma_inv, y) + gamma0_inv_u0
         if not np.isfinite(r).all():
             raise NonFinite(
                 "r = A^T gamma^-1 y + gamma0^-1 u0 overflowed: a, gamma and "
@@ -227,8 +235,24 @@ class InverseProblem:
             # B is constant, so the diagnostics' lambda_min(B) is taken once
             _precision_lambda_min=lambda_min(b),
             _posterior=posterior,
-            # the constants of the Kalman step's semi-implicit prior treatment
-            _gamma0_inv_u0=_frozen(einsum("ab,b->a", gamma0_inv, u0)),
+            # the rows each step multiplies by its covariances to build a
+            # cell's step matrix (see dynamics): h cov_uu [gamma0^-1 |
+            # gamma0^-1 u0] and h cov_ug [-gamma^-1 | gamma^-1 y] in the
+            # Kalman step; h cov_uu [gamma0^-1 | -A^T gamma^-1 |
+            # A^T gamma^-1 y + gamma0^-1 u0 (| -I for the perturbation's
+            # rows)] in the gradient step; h C(t) [B | B u*] in the
+            # reference step
+            _prior_rows=_frozen(np.concatenate(
+                [gamma0_inv, gamma0_inv_u0[:, None]], axis=1)),
+            _misfit_rows=_frozen(np.concatenate(
+                [-gamma_inv, einsum("km,m->k", gamma_inv, y)[:, None]],
+                axis=1)),
+            _gradient_rows=_frozen(np.concatenate(
+                [gamma0_inv, -a_t_gamma_inv, data_pull[:, None]]
+                + ([-np.eye(l)] if self.nonlinear is not None else []),
+                axis=1)),
+            _drift_rows=_frozen(np.concatenate(
+                [b, einsum("ab,b->a", b, posterior.mean)[:, None]], axis=1)),
             _eye_l=_frozen(np.eye(l)))
 
     @property

@@ -117,10 +117,12 @@ class NoiseSource:
                 gen = Philox(key=key, counter=np.zeros(4, dtype=np.uint64))
                 object.__setattr__(self, "_gen", gen)
                 object.__setattr__(self, "_start", gen.state)
-            start = self._start
-            start["state"]["counter"] = np.array([block, 0, 0, step],
-                                                 dtype=np.uint64)
-            self._gen.state = start
+            # the cached state's counter is (block, 0, 0, step): its middle
+            # words stay zero, the outer ones are written in place
+            counter = self._start["state"]["counter"]
+            counter[0] = block
+            counter[3] = step
+            self._gen.state = self._start
             return self._gen.random_raw(n_words)
 
     def word_block(self, step, n_particles, n_components):

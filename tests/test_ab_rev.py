@@ -1,7 +1,11 @@
 """Tests for scripts/ab_rev.py that stop before any study runs: a missing
 or unknown revision argument is a usage error, exit 2, and nothing is
-printed to stdout."""
+printed to stdout; differing outputs are summarized by report_diff.py's
+own comparison."""
 
+import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +24,45 @@ def test_bad_revision_argument_exits_two(args):
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
     assert "ab_rev.py" in result.stderr
+
+
+@pytest.fixture
+def ab_rev(monkeypatch):
+    """The script as a module, its environment and import path changes
+    undone after the test."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("ab_rev_under_test", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_report(directory, doc):
+    directory.mkdir()
+    (directory / "report.json").write_text(json.dumps(doc))
+    return directory
+
+
+def test_report_difference_reads_report_diff_comparison(ab_rev, tmp_path):
+    """Differing outputs are summarized by report_diff.compare over the
+    two report.json files: the largest absolute and relative leaf
+    difference, and the structural differences; "generated" is
+    ignored."""
+    base = {"generated": "then", "slope": -1.0,
+            "errors": [[0.5, 2.0], [0.25, 4.0]], "kind": "study-coupling"}
+    moved = json.loads(json.dumps(base))
+    moved.update(generated="now", slope=-1.0 - 1e-13)
+    moved["errors"][1][1] = 5.0
+    rev = write_report(tmp_path / "rev", base)
+    assert ab_rev.report_difference(rev, write_report(tmp_path / "same", {
+        **base, "generated": "later"})) == (0.0, 0.0, 0)
+    assert ab_rev.report_difference(
+        rev, write_report(tmp_path / "moved", moved)) == (1.0, 0.2, 0)
+    extra = dict(moved, kind="study-j", bands={})
+    assert ab_rev.report_difference(
+        rev, write_report(tmp_path / "extra", extra)) == (1.0, 0.2, 2)
+    # the comparison is report_diff.py's own, not a copy of it
+    assert Path(ab_rev.report_diff.__file__) == \
+        SCRIPT.parent / "report_diff.py"

@@ -192,7 +192,8 @@ def straight_line_step(ens, problem, cfg, seed, gradient):
     """The Kalman step written out in one piece, operation for operation,
     on the contiguous component-major (L, J) transpose: stable sort and
     gather along axis 1, row-wise pivot, a fresh Philox for the noise,
-    and I_L and gamma0^{-1} u0 rebuilt in place."""
+    the step matrix built from the problem's inverses in place, and one
+    contraction of it with the [u; G(u); xi; 1 (; grad rows)] block."""
     u = np.ascontiguousarray(ens.particles.T)
     l, j = u.shape
     h = cfg.h
@@ -212,23 +213,41 @@ def straight_line_step(ens, problem, cfg, seed, gradient):
     cu, cg = us - mean_u[:, None], gs - mean_g[:, None]
     cov_uu = np.einsum("lj,mj->lm", cu, cu) / j
     cov_ug = np.einsum("lj,mj->lm", cu, cg) / j
-    z = np.einsum("km,kj->mj", problem.gamma_inv, g - problem.y[:, None])
+    g0_inv, gamma_inv = problem.gamma0_inv, problem.gamma_inv
+    g0_inv_u0 = np.einsum("ab,b->a", g0_inv, problem.u0)
     if gradient:
-        pulled = np.einsum("kl,kj->lj", problem.a, z)
-        if problem.nonlinear is not None:
-            pulled = pulled + problem.nonlinear.grad_apply_batch(u, z)
-        drift = np.einsum("ml,lj->mj", cov_uu, pulled)
+        # h cov_uu [gamma0^-1 | -A^T gamma^-1 | A^T gamma^-1 y
+        # + gamma0^-1 u0 (| -I)]: the misfit pulled back through cov_uu A^T
+        at_gamma_inv = np.einsum("kl,km->lm", problem.a, gamma_inv)
+        data_pull = np.einsum("lk,k->l", at_gamma_inv, problem.y) + g0_inv_u0
+        perturbed = problem.nonlinear is not None
+        rows = np.concatenate([g0_inv, -at_gamma_inv, data_pull[:, None]]
+                              + [-np.eye(l)] * perturbed, axis=1)
+        pre = h * np.einsum("ab,bd->ad", cov_uu, rows)
+        q = pre[:, l:]
     else:
-        drift = np.einsum("lk,kj->lj", cov_ug, z)
-    g0_inv = problem.gamma0_inv
-    system = np.eye(l) + h * np.einsum("ab,bc->ac", cov_uu, g0_inv)
-    prior_pull = h * np.einsum(
-        "ab,b->a", cov_uu, np.einsum("ab,b->a", g0_inv, problem.u0))
-    rhs = u - h * drift + prior_pull[:, None]
-    u_star = np.einsum("ml,lj->mj", np.linalg.solve(system, np.eye(l)), rhs)
+        # h cov_uu [gamma0^-1 | gamma0^-1 u0] and
+        # h cov_ug [-gamma^-1 | gamma^-1 y], constants added
+        pre = h * np.einsum("ab,bd->ad", cov_uu,
+                            np.concatenate([g0_inv, g0_inv_u0[:, None]], 1))
+        misfit = np.concatenate(
+            [-gamma_inv, np.einsum("km,m->k", gamma_inv, problem.y)[:, None]],
+            axis=1)
+        q = h * np.einsum("ak,kd->ad", cov_ug, misfit)
+        q[:, -1] += pre[:, l]
     xi = np.ascontiguousarray(philox_normals(seed, ens.step, j, l).T)
-    root = spd_sqrt(2.0 * h * cov_uu)
-    return (u_star + np.einsum("ml,lj->mj", root, xi)).T
+    rows = [u, g, xi, np.ones((1, j))]
+    if gradient and problem.nonlinear is not None:
+        z = np.einsum("km,kj->mj", gamma_inv, g - problem.y[:, None])
+        rows.append(problem.nonlinear.grad_apply_batch(u, z))
+    block = np.concatenate(rows, axis=0)
+    solve_matrix = np.linalg.solve(np.eye(l) + pre[:, :l], np.eye(l))
+    sq = np.einsum("ab,bd->ad", solve_matrix, q)
+    k = g.shape[0]
+    # the step matrix [S | -h S T | sqrt(2 h cov_uu) | c (| -h S cov_uu)]
+    w = np.concatenate([solve_matrix, sq[:, :k], spd_sqrt(2.0 * h * cov_uu),
+                        sq[:, k:]], axis=1)
+    return np.einsum("mn,nj->mj", w, block).T
 
 
 def row_major_step(ens, problem, cfg, seed, gradient, tanh=None):
@@ -311,6 +330,65 @@ def test_kalman_steps_bitwise_equal_straight_line_copy(l, ties):
             assert np.array_equal(ens.particles, expected)
             np.testing.assert_allclose(ens.particles, row_major,
                                        rtol=0, atol=1e-14)
+
+
+def textbook_step(ens, problem, cfg, noise, gradient, rho=None):
+    """One step as the unfolded chain of the paper's update, particle-major
+    with matrix products: the misfit drift, the prior pull and the
+    implicit solve, then the noise; with rho, the mean-field reference
+    step v - h C B (v - u*) + sqrt(2 h C) xi.  The statistics are
+    empirical_stats'."""
+    u = ens.particles
+    j, l = u.shape
+    h = cfg.h
+    xi = noise.normal_block(ens.step, j, l)
+    if rho is not None:
+        pull = rho.cov @ precision_matrix(problem)
+        drift = (u - posterior_moments(problem).mean) @ pull.T
+        return u - h * drift + xi @ spd_sqrt(2.0 * h * rho.cov).T
+    stats = empirical_stats(ens, problem)
+    misfit = (stats.forward - problem.y) @ problem.gamma_inv
+    if gradient:
+        pulled = misfit @ problem.a
+        if problem.nonlinear is not None:
+            pulled += np.array([problem.nonlinear.gradient(point) @ z
+                                for point, z in zip(u, misfit)])
+        drift = pulled @ stats.cov_uu.T
+    else:
+        drift = misfit @ stats.cov_ug.T
+    prior_pull = stats.cov_uu @ problem.gamma0_inv @ problem.u0
+    system = np.eye(l) + h * stats.cov_uu @ problem.gamma0_inv
+    u_star = np.linalg.solve(system, (u - h * drift + h * prior_pull).T).T
+    return u_star + xi @ spd_sqrt(2.0 * h * stats.cov_uu).T
+
+
+@pytest.mark.parametrize("l, k, perturbed", [
+    (1, 1, False), (2, 3, False), (2, 3, True), (8, 10, False),
+    (8, 10, True)], ids=["1/1", "2/3", "2/3-perturbed", "8/10",
+                         "8/10-perturbed"])
+@pytest.mark.parametrize("j", [1, 2, 3, 64])
+def test_folded_steps_match_the_textbook_chain(l, k, perturbed, j):
+    """The step matrix applied to the [u; G(u); xi; 1] block agrees with
+    the unfolded update to rounding, over three steps of each stepper."""
+    problem = (nonlinear_problem if perturbed else random_problem)(
+        30 + l, l=l, k=k)
+    linear = dataclasses.replace(problem, nonlinear=None)
+    rho = GaussianMoments(mean=np.zeros(l), cov=0.5 * np.eye(l) + 0.1)
+    cfg = SdeConfig(h=0.05, n_steps=3, j_particles=j, seed=5)
+    steppers = [
+        (lambda e, n: eks_step(e, problem, cfg, n), problem, False, None),
+        (lambda e, n: eks_gradient_step(e, problem, cfg, n), problem, True,
+         None),
+        (lambda e, n: mean_field_step(e, rho, linear, cfg, n), linear, False,
+         rho)]
+    for step, prob, gradient, moments in steppers:
+        ens, noise = random_ensemble(j + l, j=j, l=l, step=1), NoiseSource(5)
+        for _ in range(cfg.n_steps):
+            expected = textbook_step(ens, prob, cfg, noise, gradient, moments)
+            ens = step(ens, noise)
+            scale = np.abs(expected).max()
+            np.testing.assert_allclose(ens.particles, expected, rtol=1e-12,
+                                       atol=1e-12 * scale)
 
 
 def scipy_sqrtm(m):
@@ -946,10 +1024,15 @@ def test_condition_check_takes_lambda_min_of_b_once(monkeypatch):
     (mean_field_step, 1e308, "reference particles overflowed"),
 ], ids=["eks_step", "eks_gradient_step", "mean_field_step"])
 def test_overflow_raises_nonfinite_with_step_index(step, spread, message):
-    problem = scalar_problem()
+    # a weak prior keeps h cov_uu gamma0^-1 = 0.1, far from divergence,
+    # while the step matrix's misfit column, -h S cov_ug gamma^-1 ~ 1e299,
+    # overflows against G(u) ~ 1e150; the reference's I - h C B = -9
+    # overflows against 1e308
+    problem = InverseProblem(a=[[1.0]], gamma=[[1.0]], gamma0=[[1e300]],
+                             y=[0.0], u0=[0.0])
     ens = Ensemble(particles=[[-spread], [spread]], time=0.3, step=3)
     cfg = SdeConfig(h=0.1, n_steps=1, j_particles=2, seed=0)
-    rho = (GaussianMoments(mean=[0.0], cov=[[1.0]]),) \
+    rho = (GaussianMoments(mean=[0.0], cov=[[100.0]]),) \
         if step is mean_field_step else ()
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFinite,
@@ -986,6 +1069,25 @@ def test_diverging_ensemble_is_reported_as_divergence():
         for _ in range(cfg.n_steps):
             ens = eks_step(ens, problem, cfg, noise)
     assert 1 <= ens.step < cfg.n_steps
+
+
+@pytest.mark.parametrize("step", [eks_step, eks_gradient_step])
+def test_divergence_is_read_from_growth_not_from_a_zero_pivot(step):
+    """A scalar system 1 + h cov_uu / gamma0 is never singular, so LU never
+    meets a zero pivot; the step still reports divergence once the growth
+    h max|cov_uu gamma0^-1| reaches 1/eps, and steps on just below it."""
+    problem = scalar_problem()
+    cfg = SdeConfig(h=0.1, n_steps=1, j_particles=2, seed=0)
+    eps = np.finfo(float).eps
+    # two particles at -s and s: cov_uu = s^2, growth = h s^2
+    below = np.sqrt(0.5 / eps / cfg.h)
+    ens = Ensemble(particles=[[-below], [below]], step=6)
+    assert np.isfinite(step(ens, problem, cfg, NoiseSource(0)).particles).all()
+    above = np.sqrt(2.0 / eps / cfg.h)
+    ens = Ensemble(particles=[[-above], [above]], step=6)
+    with pytest.raises(Diverged, match=r"^step 6: ensemble diverged, h max"
+                       r"\|cov_uu gamma0\^-1\| = 9\.007e\+15 "):
+        step(ens, problem, cfg, NoiseSource(0))
 
 
 def test_lockstep_error_names_the_failing_cell():

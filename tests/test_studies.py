@@ -929,10 +929,11 @@ class TestSweepDriver:
 
     def test_stepping_error_is_the_one_lockstep_run_over_all_cells_raises(
             self):
-        """Each J of this diverging problem fails at its own step: J = 9,
-        stepped first, at step 31 and J = 5 at step 7.  The study raises
-        what one run() over every cell raises, as if no cell were stepped
-        ahead of another."""
+        """Every cell of this diverging problem fails at step 3 or 4.
+        The study steps J = 9 first, and its group fails at step 3 in
+        its own cell 0; one run() over every cell fails at step 3 in
+        cell 0, a J = 3 cell.  The study raises what that lockstep run
+        raises, as if no cell were stepped ahead of another."""
         rng = np.random.default_rng(0)
         a = 3 * rng.normal(size=(10, 8))
         doc = sweep_doc("study-j", sweep={"j_values": [3, 5, 9]},
@@ -956,7 +957,8 @@ class TestSweepDriver:
         assert threading.active_count() == threads_before
         assert type(study.value) is type(lockstep.value) is Diverged
         assert str(study.value) == str(lockstep.value)
-        assert str(study.value).startswith("step 7:")
+        assert str(study.value).startswith("step 3:")
+        assert "(cell 0: J = 3, seed" in str(study.value)
 
 
 class TestCellSchedule:
