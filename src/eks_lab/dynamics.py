@@ -72,12 +72,12 @@ clock, so each step's shared work is done once for all of them:
 
 * rho(t_k) from the moment flow, whose C(t_k) makes the one reference
   update's step matrix.
-* One normal conversion.  A draw table keyed by (seed, J) takes each
-  distinct key's Philox words for the step (a block is a pure function
-  of (seed, step, J, L), so a key is drawn once however many updates
-  read it), converts all of them in one pass in (sum J, L) order, and
-  transposes the result once to (L, sum J).  Each update reads its
-  keys' columns.  With one key this is the work of one normal_block.
+* One noise draw.  A draw table keyed by (seed, J) fills each distinct
+  key's block for the step into one (sum J, L) buffer, one row slice
+  per key (a block is a pure function of (seed, step, J, L), so a key
+  is drawn once however many updates read it), and transposes the
+  buffer once to (L, sum J).  Each update reads its keys' columns.
+  With one key this is the work of one normal_block.
 * One Kalman update per mode.  Each Kalman mode's cells stay one batch
   ensemble between steps, stepped by one eks_step or eks_gradient_step
   call per step on a layout (its cells' rows, its runs of equal J)
@@ -116,7 +116,7 @@ from .errors import (
     SingularImplicitSystem,
     SingularMatrix,
 )
-from .noise import NoiseSource, derive_seed, to_normals
+from .noise import NoiseSource, derive_seed
 from .reference import rho_at
 from .spd import general_solve, lambda_min, spd_sqrt
 
@@ -176,10 +176,13 @@ class RunResult:
 def sample_gaussian(moments, j_particles, seed):
     """Draw an i.i.d. ensemble from a Gaussian at time 0, reproducibly.
 
-    Uses the addressable noise source at step 0, so the draw for particle
-    j does not depend on how many particles are requested.
+    Uses the addressable noise source of derive_seed(seed, "init") at
+    step 0, so the draw for particle j does not depend on how many
+    particles are requested, and a run keyed by the same seed does not
+    take the initial draw again as its first Brownian increment.
     """
-    xi = NoiseSource(seed=seed).normal_block(0, j_particles, moments.dim)
+    xi = NoiseSource(seed=derive_seed(seed, "init")).normal_block(
+        0, j_particles, moments.dim)
     root = spd_sqrt(moments.cov)
     particles = moments.mean[None, :] + einsum("jl,ml->jm", xi, root)
     return Ensemble(particles=particles, time=0.0, step=0)
@@ -478,12 +481,11 @@ def _check_cells(initials, cfgs, problem):
 class _DrawTable:
     """The noise of every step, for a fixed list of (seed, J) keys.
 
-    draw(step) takes each distinct key's Philox words for the step, in
-    first-use order, converts all of them to normals in one to_normals
-    pass over the stacked (sum J, L) words, and keeps the contiguous
-    (L, sum J) transpose.  A key owns one run of its columns, so each
-    distinct key is drawn once per step however many updates read it;
-    take(columns) hands out the (n, L) view of some columns."""
+    draw(step) fills each distinct key's block for the step into its row
+    slice of one (sum J, L) buffer, in first-use order, and keeps the
+    contiguous (L, sum J) transpose.  A key owns one run of its columns,
+    so each distinct key is drawn once per step however many updates
+    read it; take(columns) hands out the (n, L) view of some columns."""
 
     def __init__(self, keys, n_components):
         self._sources = {seed: NoiseSource(seed=seed) for seed, _ in keys}
@@ -494,6 +496,7 @@ class _DrawTable:
             if key not in self._spans:
                 self._spans[key] = slice(n, n + key[1])
                 n += key[1]
+        self._n = n
 
     def columns(self, keys):
         """The columns of several keys' blocks, one after another: a slice
@@ -504,9 +507,9 @@ class _DrawTable:
         return np.concatenate([np.arange(s.start, s.stop) for s in spans])
 
     def draw(self, step):
-        xi = to_normals([
-            self._sources[seed].word_block(step, j, self._l)
-            for seed, j in self._spans])
+        xi = np.empty((self._n, self._l))
+        for (seed, _), rows in self._spans.items():
+            self._sources[seed].fill(step, xi[rows])
         self._normals = np.ascontiguousarray(xi.T)
         # every update on a key must see the same numbers
         self._normals.flags.writeable = False

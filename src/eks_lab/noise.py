@@ -7,31 +7,29 @@ sequential generator cannot give that, so noise is addressed rather than
 streamed: each draw is a pure function of (seed, step, particle,
 component).
 
-Layout on top of Philox4x64-10: the key is (seed, 0) and the 256-bit
-counter is (block, 0, 0, step), where each particle owns ceil(L/4)
-consecutive 4-word blocks starting at block j*ceil(L/4).  Distinct
-(step, particle, component) triples therefore touch distinct counter
-values and are independent; identical triples reproduce the identical
-word.
+Each (seed, step) owns one stream: numpy's Philox4x64-10 with key
+(seed, 0), started at counter (0, 0, 0, step), read through numpy's
+ziggurat Generator.standard_normal.  A draw of J particles with L
+components fills a C-contiguous (J, L) block row-major from the start of
+that stream, so row j is the stream's values j*L .. j*L + L - 1 whatever
+J is: growing the ensemble never reshuffles the noise of existing
+particles (the prefix property).  Steps start 2^192 counter blocks apart,
+so no step's stream reaches another's.  The values are bit-stable
+wherever the same numpy binaries are used; numpy does not promise
+Generator streams across its feature releases (NEP 19).
 
-A draw has two parts.  word_block(step, J, L) returns the raw 64-bit
-words of particles 0..J-1 at one step as a (J, L) array.  to_normals
-converts words to normals one element at a time: uniforms via the top
-53 bits offset by half an ulp, u = ((word >> 11) + 0.5) * 2^-53, which
-lies strictly inside (0, 1), then scipy's ndtri (the Cephes rational
-approximation of the inverse normal CDF; bit-stable wherever the same
-scipy binaries are used).  normal_block is the two in sequence.  Since
-the conversion is elementwise, to_normals takes a list of word blocks,
-of several sources and sizes, and converts them stacked in one pass
-with no bit moved; the particle dynamics convert all of a step's words
-that way.
+fill(step, out) writes a step's block into a caller's buffer, such as a
+row slice of a larger one: the particle dynamics fill one (sum J, L)
+buffer per step, one slice per (seed, J) key.  normal_block allocates
+the block; normal_rows selects rows of one.
 
-A source builds one Philox on its first draw and reuses it: every later
-draw resets that generator's counter, which costs a fraction of building
-a new one and gives the same words.  A per-source lock spans the reset
-and the draw, so one source may be shared by any number of threads.  The
-generator is a cache, not part of the value: ==, hash and repr read only
-the seed, and a copy or an unpickled source starts without a generator.
+A source builds one generator on its first draw and reuses it: every
+later draw resets that generator's counter, which costs a fraction of
+building a new one and gives the same values.  A per-source lock spans
+the reset and the draw, so one source may be shared by any number of
+threads.  The generator is a cache, not part of the value: ==, hash and
+repr read only the seed, and a copy or an unpickled source starts
+without a generator.
 """
 
 import hashlib
@@ -39,12 +37,11 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Philox
-from scipy.special import ndtri
+from numpy.random import Generator, Philox
 
 from .errors import NonPositive
 
-__all__ = ["NoiseSource", "derive_seed", "to_normals"]
+__all__ = ["NoiseSource", "derive_seed"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -74,21 +71,6 @@ def derive_seed(base, *parts):
     return x
 
 
-def to_normals(blocks):
-    """Standard normals from raw uint64 Philox words, elementwise.
-
-    blocks is a sequence of word arrays with equal trailing shapes; the
-    result is one contiguous float array of them stacked along the first
-    axis, each word converted to the same bits as if alone.
-    """
-    words = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    # one contiguous float buffer, then converted in place
-    u = (words >> np.uint64(11)).astype(np.float64)
-    u += 0.5
-    u *= 2.0**-53
-    return ndtri(u, out=u)
-
-
 @dataclass(frozen=True)
 class NoiseSource:
     """Addressable standard-normal noise keyed by a 64-bit seed."""
@@ -102,40 +84,25 @@ class NoiseSource:
     def __reduce__(self):
         return type(self), (self.seed,)
 
-    def _blocks_per_particle(self, n_components):
-        if n_components < 1:
-            raise NonPositive("n_components must be >= 1")
-        return (n_components + 3) // 4
-
-    def _raw(self, block, step, n_words):
-        # n_words raw words from counter (block, 0, 0, step), bitwise
-        # those of a new Philox started there
-        with self._lock:
-            if self._gen is None:
-                key = np.array([int(self.seed) & _MASK64, 0],
-                               dtype=np.uint64)
-                gen = Philox(key=key, counter=np.zeros(4, dtype=np.uint64))
-                object.__setattr__(self, "_gen", gen)
-                object.__setattr__(self, "_start", gen.state)
-            # the cached state's counter is (block, 0, 0, step): its middle
-            # words stay zero, the outer ones are written in place
-            counter = self._start["state"]["counter"]
-            counter[0] = block
-            counter[3] = step
-            self._gen.state = self._start
-            return self._gen.random_raw(n_words)
-
-    def word_block(self, step, n_particles, n_components):
-        """The raw words behind normal_block(step, n_particles,
-        n_components), as a (J, L) uint64 view: row j holds particle j's
-        words."""
+    def fill(self, step, out):
+        """Write the draws of particles 0..J-1 at one step into out, a
+        C-contiguous (J, L) float64 array, and return it: row j holds
+        particle j's L draws."""
         if step < 0:
             raise NonPositive("step must be >= 0")
-        if n_particles < 1:
-            raise NonPositive("n_particles must be >= 1")
-        bpp = self._blocks_per_particle(n_components)
-        raw = self._raw(0, int(step), n_particles * bpp * 4)
-        return raw.reshape(n_particles, bpp * 4)[:, :n_components]
+        with self._lock:
+            if self._gen is None:
+                bits = Philox(key=np.array([int(self.seed) & _MASK64, 0],
+                                           dtype=np.uint64))
+                object.__setattr__(self, "_gen", Generator(bits))
+                object.__setattr__(self, "_start", bits.state)
+            # the cached state's counter is (0, 0, 0, step): only its last
+            # word is written, and assigning the state also empties the
+            # bit generator's buffer
+            self._start["state"]["counter"][3] = step
+            self._gen.bit_generator.state = self._start
+            self._gen.standard_normal(out=out)
+        return out
 
     def normal_block(self, step, n_particles, n_components):
         """Draws for particles 0..n_particles-1 at one step, shape (J, L).
@@ -144,18 +111,17 @@ class NoiseSource:
         n_particles, so growing the ensemble never reshuffles the noise
         of existing particles.
         """
-        return to_normals([self.word_block(step, n_particles, n_components)])
+        if n_particles < 1:
+            raise NonPositive("n_particles must be >= 1")
+        if n_components < 1:
+            raise NonPositive("n_components must be >= 1")
+        return self.fill(step, np.empty((n_particles, n_components)))
 
     def normal_rows(self, step, particle_indices, n_components):
-        """Draws for an arbitrary list of particle indices at one step."""
-        if step < 0:
-            raise NonPositive("step must be >= 0")
-        bpp = self._blocks_per_particle(n_components)
-        out = np.empty((len(particle_indices), n_components), dtype=float)
-        for row, j in enumerate(particle_indices):
-            j = int(j)
-            if j < 0:
-                raise NonPositive("particle indices must be >= 0")
-            out[row] = to_normals(
-                [self._raw(j * bpp, int(step), bpp * 4)[:n_components]])
-        return out
+        """Draws for an arbitrary list of particle indices at one step:
+        those rows of one block that reaches the largest index."""
+        rows = np.asarray(particle_indices, dtype=np.intp).reshape(-1)
+        if rows.size and rows.min() < 0:
+            raise NonPositive("particle indices must be >= 0")
+        return self.normal_block(step, int(rows.max(initial=0)) + 1,
+                                 n_components)[rows]

@@ -28,7 +28,6 @@ forms are checked against.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NonFinite, NonlinearUnsupported, NonPositive, NotPSD
 from .metrics import gaussian_w2
@@ -85,9 +84,13 @@ class MomentFlow:
         object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "c0", c0)
         object.__setattr__(self, "_c0_inv", spd_invert(c0))
+        # whitened by B = R R^T: with R^{-1} (C0^{-1} - B) R^{-T} = W
+        # diag(lam) W^T, V = R^{-T} W
         b = self.problem._precision
-        lam, v = scipy.linalg.eigh(self._c0_inv - b, b)
-        object.__setattr__(self, "_v", v)
+        r = np.linalg.cholesky(b)
+        half = np.linalg.solve(r, self._c0_inv - b)
+        lam, w = np.linalg.eigh(np.linalg.solve(r, half.T))
+        object.__setattr__(self, "_v", np.linalg.solve(r.T, w))
         # lam > -1 exactly, since C0^{-1} is positive definite; when B
         # dwarfs C0^{-1} the solver may return lam just below -1, which
         # would put a negative number under advance_mean's square root

@@ -13,12 +13,15 @@ slice (numpy's LAPACK and matmul loops run the same kernel slice by
 slice), and a stack that fails raises what the 2-D call raises on its
 first failing slice.
 
+spd_solve and spd_invert take a positive definite matrix: its Cholesky
+factorization is the check, and a matrix that fails it raises
+SingularMatrix.  The solve itself is numpy's LU solve (against the
+identity for the inverse, which is what np.linalg.inv computes).
+
 The kernels are called through _kernels, without the Python wrappers
-of numpy.linalg and scipy.linalg: numpy's LAPACK gufuncs behind
-np.linalg.eigh, eigvalsh and solve, and LAPACK's potrf and potrs as
-scipy.linalg.cho_factor and cho_solve call them.  They are the same
-kernels with the same arguments, so every result is bitwise the
-wrapper's and every failure raises the error it raised.
+of numpy.linalg: numpy's LAPACK gufuncs behind np.linalg.eigh,
+eigvalsh, solve and cholesky.  They are the same kernels with the same
+arguments, so every result is bitwise the wrapper's.
 """
 
 import numpy as np
@@ -145,20 +148,18 @@ def _sqrt(m):
 
 def _cholesky_solve(m, rhs):
     # m is already symmetrized and rhs finite, with matching leading size
-    factor, info = _kernels.potrf(m)
-    if info > 0:
-        raise SingularMatrix(
-            f"Cholesky factorization failed: {info}-th leading minor of the "
-            f"array is not positive definite")
-    if not rhs.size:  # LAPACK takes no empty rhs; cho_solve returns this
-        return np.empty_like(rhs)
-    return _kernels.potrs(factor, rhs)[0]
+    try:
+        _kernels.cholesky(m)
+        return _kernels.solve(m, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("Cholesky factorization failed: the matrix is "
+                             "not positive definite") from None
 
 
 def spd_solve(m, rhs):
-    """Solve M x = rhs for symmetric positive definite M via Cholesky.
+    """Solve M x = rhs for symmetric positive definite M.
 
-    Raises SingularMatrix if the factorization fails.
+    Raises SingularMatrix if M's Cholesky factorization fails.
     """
     m = _symmetrize(_as_square(m))
     rhs = np.asarray(rhs, dtype=float)

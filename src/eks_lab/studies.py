@@ -50,7 +50,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .dynamics import SdeConfig, run, sample_gaussian
@@ -864,8 +863,10 @@ def _validation_checks(seed):
     def check_noise_addressing():
         src = NoiseSource(seed=derive_seed(seed, "noise"))
         block = src.normal_block(3, 6, 2)
-        rows = src.normal_rows(3, np.arange(6), 2)
-        if not np.array_equal(block, rows):
+        if not np.array_equal(block, src.normal_block(3, 9, 2)[:6]):
+            return "growing the ensemble moved existing particles' noise"
+        if not np.array_equal(src.normal_rows(3, [5, 0, 2], 2),
+                              block[[5, 0, 2]]):
             return "bulk and per-particle noise addressing disagree"
 
     def check_stats_permutation():
@@ -1079,7 +1080,11 @@ def _environment():
     process.  Noise and sums are bit-stable only on the same binaries,
     and np.tanh's bits also depend on the CPU dispatch level, so the
     report names them; fixed per environment, reruns stay equal.  The
-    returned dict is shared: callers must not change it."""
+    returned dict is shared: callers must not change it.  scipy is
+    imported here, not with the package, which needs it only for exact
+    W2."""
+    import scipy
+
     env = {"python": platform.python_version(),
            "numpy": np.__version__,
            "scipy": scipy.__version__,

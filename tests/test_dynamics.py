@@ -8,8 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from numpy.random import Philox
-from scipy.special import ndtri
+from numpy.random import Generator, Philox
 
 from eks_lab import dynamics, ensemble
 from eks_lab.dynamics import (
@@ -180,12 +179,11 @@ def test_eks_step_matches_direct_transcription():
 
 
 def philox_normals(seed, step, j, l):
-    # the addressed noise block, built from a fresh Philox
-    bpp = (l + 3) // 4
-    gen = Philox(key=np.array([seed, 0], dtype=np.uint64),
-                 counter=np.array([0, 0, 0, step], dtype=np.uint64))
-    raw = gen.random_raw(j * bpp * 4).reshape(j, bpp * 4)[:, :l]
-    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+    # the addressed noise block, drawn from a fresh Philox
+    gen = Generator(Philox(key=np.array([seed, 0], dtype=np.uint64),
+                           counter=np.array([0, 0, 0, step],
+                                            dtype=np.uint64)))
+    return gen.standard_normal((j, l))
 
 
 def straight_line_step(ens, problem, cfg, seed, gradient):
@@ -823,6 +821,19 @@ def test_coupled_run_starts_at_zero_error():
     assert res.v_final.particles.shape == res.final.particles.shape
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+def test_initial_draw_is_not_a_step_increment_of_the_same_seed(seed):
+    # a run keyed by the sampling seed must not take the initial draw
+    # again as a Brownian increment: N(0, I) hands the draw out as it is
+    moments = GaussianMoments(mean=[0.0, 0.0, 0.0], cov=np.eye(3))
+    drawn = sample_gaussian(moments, 64, seed).particles
+    assert np.array_equal(drawn, NoiseSource(
+        seed=derive_seed(seed, "init")).normal_block(0, 64, 3))
+    for step in (0, 1, 2):
+        xi = NoiseSource(seed=seed).normal_block(step, 64, 3)
+        assert not (drawn[:, None, :] == xi[None, :, :]).all(-1).any()
+
+
 def test_coupling_error_shrinks_with_ensemble_size():
     # the squared coupling distance at fixed T behaves like C/J
     problem = default_problem()
@@ -1379,17 +1390,17 @@ def perturbed_problem():
 
 
 def count_draws(monkeypatch):
-    """Record (seed, step, J) of every word_block call from now on: every
-    draw, whether normal_block's or the one conversion per step of
-    run()'s draw table."""
+    """Record (seed, step, J) of every fill call from now on: every
+    draw, whether normal_block's or one key's slice of run()'s draw
+    table."""
     calls = []
-    draw = NoiseSource.word_block
+    draw = NoiseSource.fill
 
-    def counted(self, step, n_particles, n_components):
-        calls.append((self.seed, step, n_particles))
-        return draw(self, step, n_particles, n_components)
+    def counted(self, step, out):
+        calls.append((self.seed, step, out.shape[0]))
+        return draw(self, step, out)
 
-    monkeypatch.setattr(NoiseSource, "word_block", counted)
+    monkeypatch.setattr(NoiseSource, "fill", counted)
     return calls
 
 

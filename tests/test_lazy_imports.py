@@ -1,9 +1,11 @@
-"""The exact-W2 solver stack loads on first use, not with the package.
+"""scipy loads on first exact-W2 use, not with the package.
 
-Only study-j and validate measure exact W2, so scipy.optimize (the
-assignment solver) and scipy.spatial (the cost matrix) stay out of a
-process until empirical_w2_exact has a cloud pair to solve.  Each check
-runs in a fresh interpreter: this test process has long imported both.
+Only study-j and validate measure exact W2, and nothing else in the
+package uses scipy, so no scipy module enters a process with
+`import eks_lab` or a config parse; scipy.optimize (the assignment
+solver) and scipy.spatial (the cost matrix) stay out until
+empirical_w2_exact has a cloud pair to solve.  Each check runs in a
+fresh interpreter: this test process has long imported both.
 """
 
 import json
@@ -35,10 +37,15 @@ def loaded():
     return sorted(name for name in LAZY if name in sys.modules)
 
 
-seen = {{"import": loaded()}}
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+
+seen = {{"import": loaded(), "scipy_at_import": scipy_modules()}}
 for path in sorted(Path(sys.argv[1]).glob("*.json")):
     load_config(path)
 seen["configs"] = loaded()
+seen["scipy_after_configs"] = scipy_modules()
 try:
     empirical_w2_exact(np.zeros((3, 2)), np.zeros((4, 2)))
 except SizeMismatch:
@@ -72,6 +79,9 @@ def test_w2_stack_loads_on_first_use_only():
     assert seen["import"] == []
     assert seen["configs"] == []
     assert seen["rejected"] == []
+    # nor any other scipy module, before the first solvable pair
+    assert seen["scipy_at_import"] == []
+    assert seen["scipy_after_configs"] == []
     # the first solvable pair loads both and gets this process's bits
     assert seen["first_use"] == sorted(LAZY)
     x, y = np.random.default_rng(7).standard_normal((2, 40, 3))

@@ -10,11 +10,11 @@ import time
 
 import numpy as np
 import pytest
-from numpy.random import Philox
-from scipy.special import ndtri
+from numpy.random import Generator, Philox
 
+from eks_lab.dynamics import _DrawTable
 from eks_lab.errors import NonPositive
-from eks_lab.noise import NoiseSource, derive_seed, to_normals
+from eks_lab.noise import NoiseSource, derive_seed
 
 
 def test_bulk_matches_single_rows():
@@ -90,14 +90,13 @@ def test_derive_seed_stable_and_distinct():
 
 
 def fresh_block(seed, step, n_particles, n_components):
-    """The documented layout, drawn from a Philox built for this call."""
-    bpp = (n_components + 3) // 4
-    gen = Philox(key=np.array([seed, 0], dtype=np.uint64),
-                 counter=np.array([0, 0, 0, step], dtype=np.uint64))
-    raw = gen.random_raw(n_particles * bpp * 4)
-    raw = raw.reshape(n_particles, bpp * 4)[:, :n_components]
-    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5)
-                 * 2.0**-53)
+    """The documented layout, drawn from a generator built for this
+    call: numpy's Philox at key (seed, 0) and counter (0, 0, 0, step),
+    read row-major through Generator.standard_normal."""
+    gen = Generator(Philox(key=np.array([seed, 0], dtype=np.uint64),
+                           counter=np.array([0, 0, 0, step],
+                                            dtype=np.uint64)))
+    return gen.standard_normal((n_particles, n_components))
 
 
 def test_reused_source_in_shuffled_order_matches_fresh_draws():
@@ -118,16 +117,30 @@ def test_reused_source_in_shuffled_order_matches_fresh_draws():
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 5])
-def test_stacked_conversion_equals_each_block_alone(l):
-    # several sources and sizes, one repeated, converted in one pass
-    draws = [(NoiseSource(seed=seed), j) for seed, j in
-             ((11, 7), (12, 64), (11, 7), (2**64 - 1, 1), (13, 300))]
-    stacked = to_normals([src.word_block(9, j, l) for src, j in draws])
-    assert stacked.flags.c_contiguous and stacked.shape == (379, l)
-    alone = np.concatenate([src.normal_block(9, j, l) for src, j in draws])
-    assert np.array_equal(stacked, alone)
-    assert np.array_equal(to_normals([draws[1][0].word_block(9, 64, l)]),
-                          draws[1][0].normal_block(9, 64, l))
+def test_fill_into_a_slice_equals_each_block_alone(l):
+    # several sources and sizes, one repeated, filled into one buffer by
+    # the particle dynamics' draw table
+    keys = [(11, 7), (12, 64), (11, 7), (2**64 - 1, 1), (13, 300)]
+    table = _DrawTable(keys, l)
+    table.draw(9)
+    for seed, j in keys:
+        assert np.array_equal(table.take(table.columns([(seed, j)])),
+                              NoiseSource(seed=seed).normal_block(9, j, l))
+    src = NoiseSource(seed=12)
+    buffer = np.empty((70, l))
+    assert src.fill(9, buffer[6:]).base is buffer
+    assert np.array_equal(buffer[6:], src.normal_block(9, 64, l))
+
+
+def test_rows_are_a_selection_from_one_block():
+    src = NoiseSource(seed=3)
+    block = src.normal_block(3, 9, 2)
+    assert np.array_equal(src.normal_block(3, 6, 2), block[:6])
+    assert np.array_equal(src.normal_rows(3, [5, 0, 2], 2), block[[5, 0, 2]])
+    assert np.array_equal(src.normal_rows(3, [8, 8], 2), block[[8, 8]])
+    assert src.normal_rows(3, [], 2).shape == (0, 2)
+    with pytest.raises(NonPositive):
+        src.normal_rows(3, [1, -1], 2)
 
 
 def test_source_shared_by_more_threads_than_cores():
@@ -180,7 +193,7 @@ def test_source_value_semantics_with_cached_generator():
                   pickle.loads(pickle.dumps(src))):
         assert other == src and hash(other) == hash(src)
         # the copy draws on its own: a draw from it does not move the
-        # original, and both keep reproducing the same words
+        # original, and both keep reproducing the same values
         assert np.array_equal(other.normal_block(9, 4, 2),
                               src.normal_block(9, 4, 2))
         assert np.array_equal(src.normal_block(3, 4, 2), first)
