@@ -23,7 +23,10 @@ its "generated" line), ensemble CSVs and diagnostics CSV equal REV's
 first study's byte for byte.  When they do not, a second line gives the
 largest absolute and relative difference over the numeric leaves of
 REV's first report and the tree's, and their structural differences,
-as scripts/report_diff.py compares them.
+as scripts/report_diff.py compares them.  A study that fails a band
+on either side is named with the band; the script then exits 1, as it
+does when outputs differ, and exits 0 only when every study passes its
+bands and every output equals REV's.
 
 In one process both sides see the same host speed within a pair, so
 small effects resolve that separate launches, whose speed on a shared
@@ -115,8 +118,8 @@ def report_difference(rev_dir, tree_dir):
 
 def timed_study(package, cfg, out_dir):
     t0 = time.process_time()
-    package.run_study(cfg, out_dir, threads=1)
-    return time.process_time() - t0, outputs(out_dir)
+    report = package.run_study(cfg, out_dir, threads=1)
+    return time.process_time() - t0, report, outputs(out_dir)
 
 
 def quartiles(values):
@@ -130,16 +133,23 @@ def compare(name, doc, sides, pairs, scratch):
     cfgs = [package.parse_config(doc) for package in sides]
     times = ([], [])
     first = None
-    equal = True
+    equal = passed = True
     for n in range(pairs + 1):
         order = (0, 1) if n % 2 == 0 else (1, 0)
         for side in order:
             out = scratch / f"{name}-{n}-{side}"
-            seconds, files = timed_study(sides[side], cfgs[side], out)
+            seconds, report, files = timed_study(sides[side], cfgs[side],
+                                                 out)
             first = first or files
             equal = equal and files == first
             if n:  # the first pair warms both sides up
                 times[side].append(seconds)
+                continue
+            failed = [flag for flag, ok in report.flags.items() if not ok]
+            if failed:
+                passed = False
+                print(f"{name}: {('rev', 'tree')[side]} fails band "
+                      f"{', '.join(failed)}", flush=True)
     ratios = [b / a for a, b in zip(*times)]
     q1, q3 = quartiles(ratios)
     wins = sum(r < 1.0 for r in ratios)
@@ -154,7 +164,7 @@ def compare(name, doc, sides, pairs, scratch):
         print(f"{name}: report leaves differ by at most {absolute:.3g} "
               f"absolute, {relative:.3g} relative; structural differences: "
               f"{structural}", flush=True)
-    return equal
+    return equal and passed
 
 
 def main(argv=None):
@@ -186,9 +196,9 @@ def main(argv=None):
         sides = (import_tree(tmp / "rev" / "src", "eks_lab_rev"), eks_lab)
         print(f"rev {args.rev} ({rev[:12]}) against the working tree, "
               f"{args.pairs} pairs, seed {args.seed}", flush=True)
-        equal = [compare(name, doc, sides, args.pairs, tmp)
-                 for name, doc in docs]
-    return 0 if all(equal) else 1
+        ok = [compare(name, doc, sides, args.pairs, tmp)
+              for name, doc in docs]
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":

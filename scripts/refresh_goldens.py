@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Rewrite the golden reports of the cheap shipped configs.
+"""Rewrite the golden reports of the shipped configs.
 
     PYTHONPATH=src python3 scripts/refresh_goldens.py
 
-Runs configs/{sample,study_time,validate}.json and writes each report's
-body, without its "generated" and "environment" entries, to
-tests/golden/<name>.json, and the environment the runs were stamped
-with to tests/golden/environment.json.  tests/test_goldens.py compares
-fresh runs with these files.  Refresh them only with a change that
-moves sampled numbers on purpose, and give that change's magnitudes
-(scripts/report_diff.py between the old and the new report).
+Runs every configs/*.json and writes each report's body, without its
+"generated" and "environment" entries, to tests/golden/<name>.json, and
+the environment the runs were stamped with to
+tests/golden/environment.json.  tests/test_acceptance.py runs each
+config once and compares its report with these files.  When any report
+fails a band, the script names the config and the band, writes nothing
+and exits 1: a golden pins a passing report.  Refresh the goldens only
+with a change that moves sampled numbers on purpose, and give that
+change's magnitudes (scripts/report_diff.py between the old and the new
+report).
 """
 
 import json
@@ -19,7 +22,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
-CONFIGS = ("sample", "study_time", "validate")
+CONFIGS = tuple(sorted(path.stem
+                       for path in (ROOT / "configs").glob("*.json")))
 
 
 def fresh_report(name, out_dir):
@@ -38,12 +42,19 @@ def _write(path, doc):
 
 
 def main():
-    GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CONFIGS:
-            body, environment = fresh_report(name, Path(tmp) / name)
-            _write(GOLDEN / f"{name}.json", body)
-            print(f"wrote {GOLDEN / name}.json")
+        reports = {name: fresh_report(name, Path(tmp) / name)
+                   for name in CONFIGS}
+    failed = [f"{name}: {flag}" for name, (body, _) in reports.items()
+              for flag, ok in body["flags"].items() if not ok]
+    if failed:
+        print(f"refresh_goldens.py: failing bands, nothing written: "
+              f"{', '.join(failed)}", file=sys.stderr)
+        return 1
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (body, environment) in reports.items():
+        _write(GOLDEN / f"{name}.json", body)
+        print(f"wrote {GOLDEN / name}.json")
     _write(GOLDEN / "environment.json", environment)
     return 0
 

@@ -223,13 +223,12 @@ class _Batch(tuple):
     every step as the batch's config sequence; a step handed plain
     configs builds its own."""
 
-    def __new__(cls, cfgs, sizes=None):
+    def __new__(cls, cfgs):
         batch = super().__new__(cls, cfgs)
         if any(c.h != batch[0].h for c in batch):
             raise DimensionMismatch(
                 f"batch cells must share h, got {[c.h for c in batch]}")
-        if sizes is None:
-            sizes = [c.j_particles for c in batch]
+        sizes = [c.j_particles for c in batch]
         batch.h = batch[0].h if batch else 0.0
         batch.n = sum(sizes)
         batch.rows = [slice(end - j, end)
@@ -240,18 +239,17 @@ class _Batch(tuple):
 
 def _batch_layout(ens, problem, cfg, noise):
     """The _Batch a step runs on, checked before any compute.  One
-    SdeConfig is a batch of one, whatever its j_particles; a sequence
-    gives one cell per config, the ensemble's rows one cell after
-    another."""
+    SdeConfig is a batch of one; a sequence gives one cell per config,
+    the ensemble's rows one cell after another."""
     _check_dim(ens, problem)
-    if isinstance(cfg, SdeConfig):
-        return _Batch([cfg], [ens.j_particles])
-    batch = cfg if isinstance(cfg, _Batch) else _Batch(cfg)
+    single = isinstance(cfg, SdeConfig)
+    batch = cfg if isinstance(cfg, _Batch) else _Batch(
+        [cfg] if single else cfg)
     if batch.n != ens.j_particles:
         raise DimensionMismatch(
             f"batch configs hold {batch.n} particles, ensemble has "
             f"{ens.j_particles}")
-    if not isinstance(noise, np.ndarray):
+    if not single and not isinstance(noise, np.ndarray):
         raise DimensionMismatch(
             "a batch takes its step's (sum J, L) noise block, not a "
             "NoiseSource")

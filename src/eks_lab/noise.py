@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import NonPositive
+from .errors import DimensionMismatch, NonPositive
 
 __all__ = ["NoiseSource", "derive_seed"]
 
@@ -90,6 +90,13 @@ class NoiseSource:
         particle j's L draws."""
         if step < 0:
             raise NonPositive("step must be >= 0")
+        # numpy fills any layout in memory order, so only a C-ordered
+        # float64 matrix holds particle j's draws in row j
+        if not (isinstance(out, np.ndarray) and out.ndim == 2
+                and out.dtype == np.float64 and out.flags.c_contiguous
+                and out.flags.writeable):
+            raise DimensionMismatch(
+                "out must be a writable C-contiguous float64 (J, L) array")
         with self._lock:
             if self._gen is None:
                 bits = Philox(key=np.array([int(self.seed) & _MASK64, 0],

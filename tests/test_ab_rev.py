@@ -1,7 +1,7 @@
-"""Tests for scripts/ab_rev.py that stop before any study runs: a missing
-or unknown revision argument is a usage error, exit 2, and nothing is
-printed to stdout; differing outputs are summarized by report_diff.py's
-own comparison."""
+"""Tests for scripts/ab_rev.py: a missing or unknown revision argument is
+a usage error, exit 2, before any study runs, and nothing is printed to
+stdout; a study that fails a band exits 1 and is named with the band;
+differing outputs are summarized by report_diff.py's own comparison."""
 
 import importlib.util
 import json
@@ -24,6 +24,22 @@ def test_bad_revision_argument_exits_two(args):
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
     assert "ab_rev.py" in result.stderr
+
+
+def test_failing_band_exits_one_naming_it(tmp_path):
+    config = tmp_path / "toy_j.json"
+    config.write_text(json.dumps({
+        "kind": "study-j", "seed": 5, "problem": "default",
+        "sde": {"h": 0.01, "n_steps": 5},
+        "sweep": {"j_values": [8, 16, 32]}, "repeats": 2,
+        "bands": {"slope_j": [5.0, 6.0]}}))
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "HEAD", str(config), "--pairs", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 1, result.stderr
+    for side in ("rev", "tree"):
+        assert f"toy_j: {side} fails band slope_j" in result.stdout
+    assert "outputs equal: yes" in result.stdout
 
 
 @pytest.fixture

@@ -1163,6 +1163,19 @@ def test_step_dim_mismatch():
         mean_field_step(ens, rho, problem, cfg, NoiseSource(seed=0))
 
 
+@pytest.mark.parametrize("step", [eks_step, eks_gradient_step,
+                                  mean_field_step])
+def test_step_steps_only_the_particles_its_config_holds(step):
+    cfg = SdeConfig(h=0.1, n_steps=1, j_particles=3, seed=0)
+    rho = GaussianMoments(mean=np.zeros(2), cov=np.eye(2))
+    args = (rho,) if step is mean_field_step else ()
+    with pytest.raises(DimensionMismatch,
+                       match="^batch configs hold 3 particles, ensemble "
+                             "has 8$"):
+        step(random_ensemble(0, j=8, l=2), *args, default_problem(), cfg,
+             NoiseSource(seed=0))
+
+
 # ---------------------------------------------------------------- batches
 
 

@@ -13,7 +13,7 @@ import pytest
 from numpy.random import Generator, Philox
 
 from eks_lab.dynamics import _DrawTable
-from eks_lab.errors import NonPositive
+from eks_lab.errors import DimensionMismatch, NonPositive
 from eks_lab.noise import NoiseSource, derive_seed
 
 
@@ -130,6 +130,18 @@ def test_fill_into_a_slice_equals_each_block_alone(l):
     buffer = np.empty((70, l))
     assert src.fill(9, buffer[6:]).base is buffer
     assert np.array_equal(buffer[6:], src.normal_block(9, 64, l))
+
+
+@pytest.mark.parametrize("out", [
+    np.empty((2, 4)).T, np.empty((4, 4))[:, ::2],
+    np.empty((4, 2), dtype=np.float32), np.empty(8),
+    np.frombuffer(bytes(64)).reshape(4, 2), [[0.0, 0.0]]],
+    ids=["f_ordered", "strided", "float32", "one_d", "read_only", "list"])
+def test_fill_rejects_an_out_whose_rows_are_not_particles(out):
+    # numpy would fill any of these in memory order, or fail in its own
+    # terms, so none can hold particle j's draws in row j
+    with pytest.raises(DimensionMismatch):
+        NoiseSource(seed=0).fill(0, out)
 
 
 def test_rows_are_a_selection_from_one_block():
