@@ -30,8 +30,9 @@ bands and every output equals REV's.
 
 In one process both sides see the same host speed within a pair, so
 small effects resolve that separate launches, whose speed on a shared
-host swings by tens of percent, do not.  A missing or unknown revision
-exits 2 before any study runs.
+host swings by tens of percent, do not.  A missing or unknown revision,
+and a target that cannot be read or that either side's parse_config
+rejects, exits 2 with one line before any study runs.
 """
 
 import argparse
@@ -82,7 +83,10 @@ def import_tree(src, name):
 
 def config_doc(arg, seed):
     if arg.endswith(".json") or os.sep in arg:
-        return json.loads(Path(arg).read_text())
+        try:
+            return json.loads(Path(arg).read_text())
+        except (OSError, ValueError) as err:
+            fail(f"{arg}: cannot read config: {err}")
     import workloads  # read-only: the benchmark's own generator
     try:
         return workloads.make_config(arg, seed)
@@ -129,8 +133,18 @@ def quartiles(values):
     return q1, q3
 
 
-def compare(name, doc, sides, pairs, scratch):
-    cfgs = [package.parse_config(doc) for package in sides]
+def parse(target, doc, sides):
+    """The config of one target as each side parses it."""
+    cfgs = []
+    for side, package in zip(("rev", "tree"), sides):
+        try:
+            cfgs.append(package.parse_config(doc))
+        except package.ConfigError as err:
+            fail(f"{target}: {side} side: config error: {err}")
+    return cfgs
+
+
+def compare(name, cfgs, sides, pairs, scratch):
     times = ([], [])
     first = None
     equal = passed = True
@@ -182,8 +196,9 @@ def main(argv=None):
         fail(f"--pairs must be >= 1, got {args.pairs}")
     rev = resolve(args.rev)
     sys.path.insert(0, str(ROOT / "benchmarks"))
-    docs = [(Path(t).stem if t.endswith(".json") else t,
-             config_doc(t, args.seed)) for t in args.targets]
+    names = [Path(t).stem if t.endswith(".json") else t
+             for t in args.targets]
+    docs = [config_doc(t, args.seed) for t in args.targets]
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "rev").mkdir()
@@ -194,10 +209,11 @@ def main(argv=None):
         sys.path.insert(0, str(ROOT / "src"))
         import eks_lab
         sides = (import_tree(tmp / "rev" / "src", "eks_lab_rev"), eks_lab)
+        cfgs = [parse(t, doc, sides) for t, doc in zip(args.targets, docs)]
         print(f"rev {args.rev} ({rev[:12]}) against the working tree, "
               f"{args.pairs} pairs, seed {args.seed}", flush=True)
-        ok = [compare(name, doc, sides, args.pairs, tmp)
-              for name, doc in docs]
+        ok = [compare(name, pair, sides, args.pairs, tmp)
+              for name, pair in zip(names, cfgs)]
     return 0 if all(ok) else 1
 
 

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
-"""Compare two report.json files number by number, or two result trees.
+"""Compare two report.json files number by number.
 
-    python3 scripts/report_diff.py [--exact] A/report.json B/report.json
-    python3 scripts/report_diff.py [--exact] A_DIR B_DIR
+    python3 scripts/report_diff.py A/report.json B/report.json
 
 The "generated" entry (timestamp and wall time) is ignored.  Every
 structural difference is listed: a key on one side only, lists of
@@ -13,31 +12,17 @@ largest relative difference, |a - b| / max(|a|, |b|), and the concrete
 path where the absolute one occurs.  A last line gives the maxima over
 all numeric leaves.
 
-Given two directories (the OUT_ROOT of two scripts/run_all.sh runs), it
-compares every */report.json pair as above and every */ensemble*.csv
-and */diagnostics.csv pair byte for byte.  A file present on one side
-only is a structural difference; a CSV pair whose bytes differ is a
-numeric one.
-
 Exit status: 0 when the structure matches (numbers may differ), 1 when
-it does not, 2 on a usage error or an unreadable file.  With --exact,
-any numeric leaf or CSV that differs also exits 1, so the script checks
-two reports, or two result trees, for bitwise equality of their bodies.
+it does not, 2 on a usage error or an unreadable file.
 """
 
 import json
 import math
 import re
 import sys
-from pathlib import Path
 
 IGNORED = ("generated",)
-# what a result tree holds per study: the report, and the particle and
-# diagnostics CSVs whose bytes are deterministic (the per-cell CSV
-# carries wall times)
-TREE_FILES = ("*/report.json", "*/ensemble*.csv", "*/diagnostics.csv")
-USAGE = ("usage: report_diff.py [--exact] A/report.json B/report.json\n"
-         "       report_diff.py [--exact] A_DIR B_DIR")
+USAGE = "usage: report_diff.py A/report.json B/report.json"
 
 
 def is_number(x):
@@ -99,7 +84,7 @@ def compare(a, b):
     return rows, structural
 
 
-def diff_reports(names, exact):
+def diff_reports(names):
     """Print the comparison of two report files; return the exit status."""
     docs = []
     for name in names:
@@ -124,48 +109,14 @@ def diff_reports(names, exact):
     n = sum(r[3] for r in rows.values())
     print(f"{'all':<{width}}  {total_abs:10.3g}  {total_rel:10.3g}  "
           f"{n:5d}  structural differences: {len(structural)}")
-    return 1 if structural or (exact and total_abs != 0.0) else 0
-
-
-def diff_trees(roots, exact):
-    """Compare two result trees file by file; return the exit status."""
-    found = [{str(path.relative_to(root)) for pattern in TREE_FILES
-              for path in root.glob(pattern)} for root in roots]
-    if not found[0] | found[1]:
-        print(f"report_diff: no results under {roots[0]} or {roots[1]}",
-              file=sys.stderr)
-        return 2
-    status = 0
-    for rel in sorted(found[0] ^ found[1]):
-        print(f"STRUCTURE {rel}: only in {'A' if rel in found[0] else 'B'}")
-        status = 1
-    for rel in sorted(found[0] & found[1]):
-        pair = [root / rel for root in roots]
-        if rel.endswith(".json"):
-            print(f"== {rel}")
-            status = max(status, diff_reports(pair, exact))
-            continue
-        try:
-            same = pair[0].read_bytes() == pair[1].read_bytes()
-        except OSError as err:
-            print(f"report_diff: cannot read {rel}: {err}", file=sys.stderr)
-            return 2
-        print(f"{'same' if same else 'DIFFERS':<9} {rel}")
-        if exact and not same:
-            status = max(status, 1)
-    return status
+    return 1 if structural else 0
 
 
 def main(argv):
-    exact = "--exact" in argv
-    argv = [arg for arg in argv if arg != "--exact"]
-    if len(argv) != 2:
+    if len(argv) != 2 or any(arg.startswith("-") for arg in argv):
         print(USAGE, file=sys.stderr)
         return 2
-    paths = [Path(arg) for arg in argv]
-    if all(path.is_dir() for path in paths):
-        return diff_trees(paths, exact)
-    return diff_reports(argv, exact)
+    return diff_reports(argv)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ usage error.
 
 Exit codes: 0 success, 1 a pre-registered acceptance band failed (or a
 validate check did), 2 usage or configuration error, 3 a runtime error
-(the dynamics overflowed, a solve failed).
+(the dynamics overflowed, a solve failed, memory ran out).
 """
 
 import argparse
@@ -83,6 +83,10 @@ def main(argv=None):
         report = run_study(cfg, out_dir=args.out)
     except EksError as err:
         print(f"eks-lab: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as err:
+        # numpy raises a private subclass; name the public class
+        print(f"eks-lab: MemoryError: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 
     for name, ok in sorted(report.flags.items()):

@@ -209,12 +209,10 @@ def stacked_stats(u_stack, problem):
 
 def particle_moments(ens):
     """(mean_u, cov_uu) of empirical_stats, bit for bit, without
-    evaluating the forward map: same canonical order, pivot and einsum."""
+    evaluating the forward map: its reduction over no forward rows."""
     u = ens.particles
-    us = np.take(u.T, _canonical_order(u), axis=1)
-    mean_u = _mean_rows(us)
-    cu = us - mean_u[:, None]
-    return mean_u, einsum("lj,mj->lm", cu, cu) / us.shape[1]
+    mean, cov_uu, _ = _block_stats(u.T[None], np.empty((1, 0, len(u))))
+    return mean[0], cov_uu[0]
 
 
 def centered_moments(ens):

@@ -451,6 +451,14 @@ def parse_config(doc, base_dir="."):
                           f"problem dimension {cfg.problem.dim_l}")
     if kind in SWEEP_KINDS and cfg.n_steps < 1:
         raise ConfigError(f"{kind} study requires sde.n_steps >= 1")
+    # a (J, L) float64 particle array of 2^63 bytes or more cannot exist
+    # on any host; numpy would refuse it only once the study allocates it
+    for name, j in (("sde.j_particles", cfg.j_particles),
+                    ("sweep.j_values", max(cfg.j_values, default=None))):
+        if j is not None and j * cfg.problem.dim_l * 8 >= 2 ** 63:
+            raise ConfigError(f"config field '{name}': J = {j} particles of "
+                              f"dimension {cfg.problem.dim_l} need 2^63 "
+                              "bytes or more, more than any array can hold")
     # these would fail only after every cell has run: an exact W2 above
     # the assignment guard, a slope fit of coupling errors that are all 0
     # at h = 0, and a demo whose samplers do not move at h = 0, so that

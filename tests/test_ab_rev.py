@@ -1,7 +1,8 @@
-"""Tests for scripts/ab_rev.py: a missing or unknown revision argument is
-a usage error, exit 2, before any study runs, and nothing is printed to
-stdout; a study that fails a band exits 1 and is named with the band;
-differing outputs are summarized by report_diff.py's own comparison."""
+"""Tests for scripts/ab_rev.py: a missing or unknown revision argument,
+or a config that cannot be read or parsed, is a usage error, exit 2,
+before any study runs, and nothing is printed to stdout; a study that
+fails a band exits 1 and is named with the band; differing outputs are
+summarized by report_diff.py's own comparison."""
 
 import importlib.util
 import json
@@ -26,13 +27,38 @@ def test_bad_revision_argument_exits_two(args):
     assert "ab_rev.py" in result.stderr
 
 
+# a study-j of a few milliseconds whose slope_j band fails
+TOY_J = {"kind": "study-j", "seed": 5, "problem": "default",
+         "sde": {"h": 0.01, "n_steps": 5},
+         "sweep": {"j_values": [8, 16, 32]}, "repeats": 2,
+         "bands": {"slope_j": [5.0, 6.0]}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (None, "cannot read config: [Errno 2] No such file or directory"),
+    ({"kind": "sample", "sde": {"h": "x"}},
+     "rev side: config error: config field 'sde.h' must be a number"),
+], ids=["missing", "rejected"])
+def test_unusable_config_exits_two_before_any_study(tmp_path, doc, message):
+    """Every target is read and parsed on both sides before the first
+    study runs, so the usable toy_j target ahead of it never runs."""
+    usable = tmp_path / "toy_j.json"
+    usable.write_text(json.dumps(TOY_J))
+    target = tmp_path / "target.json"
+    if doc is not None:
+        target.write_text(json.dumps(doc))
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "HEAD", str(usable), str(target),
+         "--pairs", "1"], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [result.stderr.rstrip("\n")]
+    assert result.stderr.startswith(f"ab_rev.py: {target}: {message}")
+
+
 def test_failing_band_exits_one_naming_it(tmp_path):
     config = tmp_path / "toy_j.json"
-    config.write_text(json.dumps({
-        "kind": "study-j", "seed": 5, "problem": "default",
-        "sde": {"h": 0.01, "n_steps": 5},
-        "sweep": {"j_values": [8, 16, 32]}, "repeats": 2,
-        "bands": {"slope_j": [5.0, 6.0]}}))
+    config.write_text(json.dumps(TOY_J))
     result = subprocess.run(
         [sys.executable, str(SCRIPT), "HEAD", str(config), "--pairs", "1"],
         capture_output=True, text=True, timeout=300)
@@ -82,3 +108,4 @@ def test_report_difference_reads_report_diff_comparison(ab_rev, tmp_path):
     # the comparison is report_diff.py's own, not a copy of it
     assert Path(ab_rev.report_diff.__file__) == \
         SCRIPT.parent / "report_diff.py"
+

@@ -280,6 +280,23 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert "[PASS]" not in captured.out
 
+    def test_memory_error_exits_three_on_one_line(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # raised, not allocated: a host that overcommits memory might
+        # grant a real oversized array
+        from eks_lab import cli
+
+        def run_study(*args, **kw):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_study", run_study)
+        code = main(["sample", "--config", write_cfg(tmp_path, sample_doc()),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == (
+            "eks-lab: MemoryError: Unable to allocate 14.6 TiB for an "
+            "array\n")
+
     def test_diverging_ensemble_exits_three_naming_divergence(self, tmp_path,
                                                                capsys):
         # five particles in L = 8 under a strong misfit: the spread grows
@@ -327,8 +344,20 @@ class TestExitCodes:
             json.loads((CONFIGS / "demo_nonlinear.json").read_text()),
             sde={"h": 0, "n_steps": 2, "j_particles": 50}, repeats=2),
          "demo-nonlinear requires config field 'sde.h' > 0"),
+        # particle arrays of 2^63 bytes or more, which no host can hold
+        ("sample", sample_doc(sde={"j_particles": 10 ** 20}),
+         "config field 'sde.j_particles': J = 100000000000000000000 "
+         "particles of dimension 2 need 2^63 bytes or more"),
+        ("sample", sample_doc(sde={"j_particles": 2 ** 62}),
+         "config field 'sde.j_particles': J = 4611686018427387904 "
+         "particles of dimension 2 need 2^63 bytes or more"),
+        ("study-coupling", {"kind": "study-coupling",
+                            "sde": {"h": 0.01, "n_steps": 2},
+                            "sweep": {"j_values": [8, 16, 2 ** 62]}},
+         "config field 'sweep.j_values': J = 4611686018427387904 "
+         "particles of dimension 2 need 2^63 bytes or more"),
     ], ids=["j_above_assignment_guard", "coupling_at_zero_h",
-            "demo_at_zero_h"])
+            "demo_at_zero_h", "j_1e20", "j_2_62", "j_values_2_62"])
     def test_sweep_that_fails_only_after_running_exits_two_before_running(
             self, tmp_path, capsys, monkeypatch, command, doc, message):
         from eks_lab import cli

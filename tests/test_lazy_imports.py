@@ -1,8 +1,10 @@
-"""scipy loads on first exact-W2 use, not with the package.
+"""scipy loads on first use, not with the package.
 
-Only study-j and validate measure exact W2, and nothing else in the
-package uses scipy, so no scipy module enters a process with
-`import eks_lab` or a config parse; scipy.optimize (the assignment
+Only study-j and validate measure exact W2, and every report's
+environment stamp (studies._environment, called by each write_report)
+imports top-level scipy for its version and BLAS build; nothing else in
+the package uses scipy.  So no scipy module enters a process with
+`import eks_lab` or a config parse, and scipy.optimize (the assignment
 solver) and scipy.spatial (the cost matrix) stay out until
 empirical_w2_exact has a cloud pair to solve.  Each check runs in a
 fresh interpreter: this test process has long imported both.
