@@ -11,7 +11,8 @@ working tree's eks_lab; the package's imports are relative, so both load
 in one process.  Each argument is a benchmark workload
 (benchmarks/workloads.make_config at --seed, default 43) or a config
 file such as configs/study_coupling.json; the default is coupling-sweep.
-Each side parses the config with its own parse_config.
+Each side parses the config with its own parse_config, reading a
+problem path relative to the config file.
 
 After one untimed warm-up study per side, the studies alternate in
 pairs, REV then the working tree and the working tree then REV, each
@@ -134,11 +135,14 @@ def quartiles(values):
 
 
 def parse(target, doc, sides):
-    """The config of one target as each side parses it."""
+    """The config of one target as each side parses it; a problem path
+    in a config file is read relative to that file, as eks-lab reads
+    it (a workload name's parent is ".")."""
     cfgs = []
     for side, package in zip(("rev", "tree"), sides):
         try:
-            cfgs.append(package.parse_config(doc))
+            cfgs.append(package.parse_config(
+                doc, base_dir=Path(target).parent))
         except package.ConfigError as err:
             fail(f"{target}: {side} side: config error: {err}")
     return cfgs

@@ -13,7 +13,18 @@ wrappers pass them, so the arithmetic and every bit are unchanged:
   positive definite raises LinAlgError as there.
 
 Callers hand in float64 arrays that passed the wrappers' checks.
+
+One kernel is not numpy's: exact W2's assignment solver, scipy's
+compiled linear_sum_assignment.  It is loaded from its extension file on
+first use, without the scipy.optimize package that re-exports it, whose
+import would pull in hundreds of modules for this one function.
 """
+
+import sys
+import threading
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
+from pathlib import Path
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -52,3 +63,47 @@ def eigvalsh(a):
 @_lapack_errstate("Matrix is not positive definite")
 def cholesky(a):
     return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+
+_LSAP = "scipy.optimize._lsap"
+_assignment = None
+_assignment_lock = threading.Lock()
+
+
+def _lsap_file():
+    """The compiled extension that defines linear_sum_assignment, or None
+    where scipy lays it out otherwise."""
+    import scipy
+
+    directory = Path(scipy.__file__).parent / "optimize"
+    for suffix in EXTENSION_SUFFIXES:
+        path = directory / ("_lsap" + suffix)
+        if path.is_file():
+            return path
+    return None
+
+
+def _bind_assignment():
+    module = sys.modules.get(_LSAP)
+    if module is None:
+        path = _lsap_file()
+        if path is None:
+            from scipy.optimize import linear_sum_assignment
+            return linear_sum_assignment
+        loader = ExtensionFileLoader(_LSAP, str(path))
+        module = module_from_spec(spec_from_loader(_LSAP, loader))
+        loader.exec_module(module)
+        # scipy.optimize, imported later, re-exports this same module
+        sys.modules[_LSAP] = module
+    return module.linear_sum_assignment
+
+
+def linear_sum_assignment(cost):
+    """scipy.optimize.linear_sum_assignment on a float64 cost matrix:
+    the (rows, cols) of a minimum-cost assignment.  The first call binds
+    the kernel, once, whichever thread makes it."""
+    global _assignment
+    with _assignment_lock:
+        if _assignment is None:
+            _assignment = _bind_assignment()
+    return _assignment(cost)

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .ensemble import Ensemble
-from .errors import DimensionMismatch, NonPositive, SizeMismatch, TooLarge
+from .errors import (DimensionMismatch, NonFinite, NonPositive, SizeMismatch,
+                     TooLarge)
 from .model import GaussianMoments
 from .noise import NoiseSource
 from .spd import spd_sqrt
@@ -58,23 +60,61 @@ def empirical_w2_exact(x, y):
     Euclidean cost matrix; guarded at J <= 4096 because the cost matrix
     is dense.
 
-    The assignment solver and the distance kernel are imported here, on
-    first use, not with the package: only study-j and validate measure
-    exact W2, and loading them is about a quarter of the package's
-    start-up.  A call the checks reject loads neither.
+    Each cloud must be a 2-D (J, L) array with J >= 1 finite points, and
+    every squared distance must be finite; anything else raises before
+    the solve.  The solver is scipy's compiled linear_sum_assignment,
+    bound from its extension file, without the scipy.optimize package,
+    on the first call that passes these checks (_kernels).
     """
     px, py = _particles(x), _particles(y)
+    for name, cloud in (("x", px), ("y", py)):
+        if cloud.ndim != 2:
+            raise DimensionMismatch(
+                f"cloud {name} must be a 2-D (J, L) array, "
+                f"got shape {cloud.shape}")
+        if not np.all(np.isfinite(cloud)):
+            raise NonFinite(f"cloud {name} holds a non-finite point")
     if px.shape != py.shape:
         raise SizeMismatch(f"cloud shapes differ: {px.shape} vs {py.shape}")
     j = px.shape[0]
+    if j == 0:
+        raise NonPositive("clouds are empty: J = 0")
     if j > ASSIGNMENT_LIMIT:
         raise TooLarge(
             f"J = {j} exceeds the exact-assignment guard {ASSIGNMENT_LIMIT}")
-    import scipy.optimize
-    import scipy.spatial.distance
-    cost = scipy.spatial.distance.cdist(px, py, "sqeuclidean")
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    # finite points give costs >= 0 that can only overflow, to +inf
+    with np.errstate(over="ignore"):
+        cost = _squared_distances(px, py)
+    if not np.isfinite(cost.max()):
+        raise NonFinite("a squared distance between the clouds overflows")
+    rows, cols = _kernels.linear_sum_assignment(cost)
     return float(np.sqrt(cost[rows, cols].mean()))
+
+
+# elements per block of cost rows: the scratch is 256 KiB
+_COST_BLOCK = 32768
+
+
+def _squared_distances(px, py):
+    """The (J, J) squared Euclidean distances between the rows of px and
+    py, bitwise scipy's cdist(px, py, "sqeuclidean"): for each block of
+    rows, (x_0 - y_0)^2 is written and (x_l - y_l)^2 added for l = 1, 2,
+    ... in order, cdist's own summation.  One block-sized scratch is the
+    only temporary."""
+    j, dim = px.shape
+    xt, yt = px.T.copy(), py.T.copy()
+    cost = np.zeros((j, j)) if dim == 0 else np.empty((j, j))
+    rows = max(1, _COST_BLOCK // j)
+    scratch = np.empty((rows, j))
+    for start in range(0, j, rows):
+        block = cost[start:start + rows]
+        for l in range(dim):
+            out = block if l == 0 else scratch[:len(block)]
+            np.subtract(xt[l, start:start + rows, None], yt[l], out=out)
+            np.multiply(out, out, out=out)
+            if l:
+                block += out
+    return cost
 
 
 def w2_ensemble_vs_gaussian(x, g, seed):

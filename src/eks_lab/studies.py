@@ -1088,9 +1088,10 @@ def _environment():
     process.  Noise and sums are bit-stable only on the same binaries,
     and np.tanh's bits also depend on the CPU dispatch level, so the
     report names them; fixed per environment, reruns stay equal.  The
-    returned dict is shared: callers must not change it.  scipy is
-    imported here, not with the package, which needs it only for exact
-    W2."""
+    returned dict is shared: callers must not change it.  Top-level
+    scipy is imported here, not with the package, which otherwise needs
+    only exact W2's compiled assignment kernel (_kernels) and no scipy
+    subpackage."""
     import scipy
 
     env = {"python": platform.python_version(),

@@ -68,6 +68,24 @@ def test_failing_band_exits_one_naming_it(tmp_path):
     assert "outputs equal: yes" in result.stdout
 
 
+def test_problem_path_is_read_beside_the_config(tmp_path):
+    """A config's {"path": ...} problem names a file beside the config,
+    not in the working directory, on both sides."""
+    problem = {"a": [[1.0, 0.0], [0.0, 2.0]], "gamma": [[1.0, 0.0], [0.0, 1.0]],
+               "gamma0": [[1.0, 0.0], [0.0, 1.0]], "y": [1.0, 1.0],
+               "u0": [0.0, 0.0]}
+    (tmp_path / "problem.json").write_text(json.dumps(problem))
+    doc = {k: v for k, v in TOY_J.items() if k != "bands"}
+    config = tmp_path / "toy_j.json"
+    config.write_text(json.dumps(dict(doc, problem={"path": "problem.json"})))
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "HEAD", str(config), "--pairs", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert "toy_j: rev" in result.stdout
+    assert "outputs equal: yes" in result.stdout
+
+
 @pytest.fixture
 def ab_rev(monkeypatch):
     """The script as a module, its environment and import path changes

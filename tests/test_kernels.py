@@ -2,9 +2,13 @@
 
 Each binding must be bitwise the public numpy call it stands in for, on
 every subscript and shape the package hands it, and the public spd
-functions must raise what they raised through the wrappers.
+functions must raise what they raised through the wrappers.  The
+assignment solver must be scipy.optimize's own function, bound once.
 """
 
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -12,6 +16,7 @@ import pytest
 
 from eks_lab import _kernels
 from eks_lab.errors import SingularMatrix
+from eks_lab.metrics import empirical_w2_exact
 from eks_lab.spd import general_solve, lambda_min, spd_invert, spd_solve
 
 L, K, R, C = 3, 2, 4, 5
@@ -166,3 +171,68 @@ def test_no_runtime_warning_escapes():
         lambda_min(huge)
         with pytest.raises(SingularMatrix):
             spd_invert(np.diag([1.0, 0.0]))
+
+
+def w2_clouds():
+    return np.random.default_rng(11).standard_normal((2, 50, 2))
+
+
+def test_the_assignment_kernel_is_scipy_optimizes():
+    import scipy.optimize
+    _kernels.linear_sum_assignment(np.zeros((1, 1)))
+    assert _kernels._assignment is scipy.optimize.linear_sum_assignment
+
+
+def test_without_the_extension_file_the_package_function_is_bound(
+        monkeypatch):
+    expected = empirical_w2_exact(*w2_clouds()).hex()
+    looked = []
+
+    def miss():
+        looked.append(True)
+        return None
+
+    import scipy.optimize
+    monkeypatch.setattr(_kernels, "_assignment", None)
+    monkeypatch.setattr(_kernels, "_lsap_file", miss)
+    # without a loaded extension module the binding looks for its file
+    monkeypatch.delitem(sys.modules, _kernels._LSAP)
+    assert empirical_w2_exact(*w2_clouds()).hex() == expected
+    assert looked == [True]
+    assert _kernels._assignment is scipy.optimize.linear_sum_assignment
+
+
+def test_first_calls_at_once_bind_the_kernel_once(monkeypatch):
+    """study-j's worker and its calling thread can both make the first
+    W2 call; here more threads than cores make it at once."""
+    expected = empirical_w2_exact(*w2_clouds())
+    binds = []
+
+    def slow_bind(bind=_kernels._bind_assignment):
+        binds.append(threading.get_ident())
+        time.sleep(0.05)  # long enough for the other threads to arrive
+        return bind()
+
+    monkeypatch.setattr(_kernels, "_assignment", None)
+    monkeypatch.setattr(_kernels, "_bind_assignment", slow_bind)
+    n = 4
+    start = threading.Barrier(n)
+    values = []
+
+    def first_call():
+        start.wait(timeout=10)
+        values.append(empirical_w2_exact(*w2_clouds()))
+
+    threads = [threading.Thread(target=first_call) for _ in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert values == [expected] * n
+    assert len(binds) == 1

@@ -10,9 +10,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
-from eks_lab.errors import DimensionMismatch, NonPositive, SizeMismatch, TooLarge
+from eks_lab import _kernels
+from eks_lab.errors import (
+    DimensionMismatch,
+    NonFinite,
+    NonPositive,
+    SizeMismatch,
+    TooLarge,
+)
 from eks_lab.metrics import (
+    _squared_distances,
     empirical_w2_exact,
     fit_slope,
     gaussian_w2,
@@ -133,6 +142,42 @@ def test_empirical_w2_guards():
         empirical_w2_exact(np.zeros((3, 2)), np.zeros((3, 3)))
     with pytest.raises(TooLarge):
         empirical_w2_exact(np.zeros((4097, 1)), np.zeros((4097, 1)))
+
+
+@pytest.mark.parametrize("x, y, error", [
+    (np.zeros(3), np.zeros(3), DimensionMismatch),
+    (np.zeros((3, 2, 1)), np.zeros((3, 2, 1)), DimensionMismatch),
+    (np.zeros((0, 2)), np.zeros((0, 2)), NonPositive),
+    (np.array([[0.0], [np.nan]]), np.zeros((2, 1)), NonFinite),
+    (np.zeros((2, 1)), np.array([[np.inf], [0.0]]), NonFinite),
+    (np.array([[0.0], [1e200]]), np.zeros((2, 1)), NonFinite),
+], ids=["1-D", "3-D", "empty", "nan-point", "inf-point", "cost-overflow"])
+def test_empirical_w2_names_a_bad_input(x, y, error, monkeypatch):
+    """Rejected before the solve, not left to scipy or to a NaN."""
+    def solve(cost):
+        raise AssertionError("solved a rejected input")
+
+    monkeypatch.setattr(_kernels, "linear_sum_assignment", solve)
+    with pytest.raises(error):
+        empirical_w2_exact(x, y)
+
+
+@pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (1e-3, 0.0),
+                                           (1e3, 0.0), (1.0, 7.5)])
+@pytest.mark.parametrize("j", [1, 2, 3, 64, 65, 1024])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
+def test_cost_matrix_is_cdist_bit_for_bit(dim, j, scale, offset):
+    rng = np.random.default_rng(dim * 7919 + j)
+    x, y = offset + scale * rng.standard_normal((2, j, dim))
+    cost = _squared_distances(x, y)
+    assert np.array_equal(cost, cdist(x, y, "sqeuclidean"))
+
+
+def test_cost_matrix_without_coordinates_is_cdist():
+    assert np.array_equal(_squared_distances(np.zeros((3, 0)),
+                                             np.zeros((3, 0))),
+                          cdist(np.zeros((3, 0)), np.zeros((3, 0)),
+                                "sqeuclidean"))
 
 
 @settings(max_examples=25, deadline=None)
