@@ -37,7 +37,7 @@ Three evolutions share one discretization skeleton:
   contiguous (R, 2L+K+1, J) block with rows [u; G(u); xi; 1], written
   straight into the step's output.  The gradient step puts cov_uu A^T in
   place of cov_ug; on a perturbed problem each cell's block gains L rows
-  grad m(u_j) gamma^{-1} (G(u_j) - y), from the per-cell hook, and W_c
+  grad m(u_j) gamma^{-1} (G(u_j) - y), from one hook call per run, and W_c
   the column block -h S cov_uu.
 
 * mean_field_step — Euler-Maruyama for the decoupled reference particles
@@ -328,11 +328,11 @@ def _kalman_step(ens, problem, cfg, noise, gradient):
                        rows, spare=l if perturbed else 0)
         if perturbed:
             # the perturbation's rows grad m(u_j) gamma^-1 (G(u_j) - y),
-            # per cell, like the forward map in the statistics
+            # on the run's whole stack like the forward map
             z = einsum("km,rkj->rmj", problem.gamma_inv,
                        g - problem.y[:, None])
-            for cell, zc in zip(block, z):
-                cell[rows:] = problem.nonlinear.grad_apply_batch(cell[:l], zc)
+            block[:, rows:] = problem.nonlinear.grad_apply_batch(
+                block[:, :l], z)
         blocks.append(block)
     # I + h cov_uu gamma0^{-1} is never singular in exact arithmetic; once
     # the second term reaches 1/eps, rounding drops the identity: the

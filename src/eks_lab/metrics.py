@@ -30,10 +30,13 @@ __all__ = [
 ASSIGNMENT_LIMIT = 4096
 
 
-def _particles(x):
-    if isinstance(x, Ensemble):
-        return x.particles
-    return np.asarray(x, dtype=float)
+def _cloud(x, name):
+    cloud = x.particles if isinstance(x, Ensemble) \
+        else np.asarray(x, dtype=float)
+    if cloud.ndim != 2:
+        raise DimensionMismatch(
+            f"cloud {name} must be a 2-D (J, L) array, got shape {cloud.shape}")
+    return cloud
 
 
 def gaussian_w2(a, b):
@@ -66,12 +69,8 @@ def empirical_w2_exact(x, y):
     bound from its extension file, without the scipy.optimize package,
     on the first call that passes these checks (_kernels).
     """
-    px, py = _particles(x), _particles(y)
+    px, py = _cloud(x, "x"), _cloud(y, "y")
     for name, cloud in (("x", px), ("y", py)):
-        if cloud.ndim != 2:
-            raise DimensionMismatch(
-                f"cloud {name} must be a 2-D (J, L) array, "
-                f"got shape {cloud.shape}")
         if not np.all(np.isfinite(cloud)):
             raise NonFinite(f"cloud {name} holds a non-finite point")
     if px.shape != py.shape:
@@ -126,7 +125,7 @@ def w2_ensemble_vs_gaussian(x, g, seed):
     quantity being measured, so log-log slopes are unaffected; acceptance
     bands absorb the bias.
     """
-    px = _particles(x)
+    px = _cloud(x, "x")
     if px.shape[1] != g.dim:
         raise DimensionMismatch(
             f"cloud dimension {px.shape[1]} vs Gaussian dimension {g.dim}")

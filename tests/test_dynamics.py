@@ -38,6 +38,7 @@ from eks_lab.errors import (
 from eks_lab.model import (
     GaussianMoments,
     InverseProblem,
+    NonlinearPerturbation,
     make_perpendicular_perturbation,
     posterior_moments,
     precision_matrix,
@@ -197,7 +198,7 @@ def straight_line_step(ens, problem, cfg, seed, gradient):
     h = cfg.h
     g = np.einsum("kl,lj->kj", problem.a, u)
     if problem.nonlinear is not None:
-        g = g + problem.nonlinear.evaluate_batch(u)
+        g = g + problem.nonlinear.eval_batch(u)
     order = np.argsort(u[0], kind="stable")
     first = u[0, order]
     if not np.all(first[1:] != first[:-1]):
@@ -260,7 +261,7 @@ def row_major_step(ens, problem, cfg, seed, gradient, tanh=None):
     g = np.einsum("jl,kl->jk", u, problem.a)
     if problem.nonlinear is not None:
         frequency, amplitude = tanh
-        b = problem.nonlinear.direction_basis[:, 0]
+        b = problem.nonlinear.direction
         t = np.tanh(np.einsum("jl,l->j", u, frequency))
         g = g + amplitude * t[:, None] * b[None, :]
     order = np.argsort(u[:, 0], kind="stable")
@@ -901,7 +902,8 @@ def test_run_diagnostics_recorded():
 
 
 def counted_nonlinear_problem():
-    """A perturbed problem whose evaluate_batch hook counts its calls."""
+    """A perturbed problem whose eval_batch counts the particles of each
+    call."""
     a = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
     gamma = np.diag([1.0, 2.0, 0.5])
     pert = make_perpendicular_perturbation(
@@ -909,11 +911,12 @@ def counted_nonlinear_problem():
         amplitude=2.0)
     calls = []
 
-    def evaluate_batch(u_all):
-        calls.append(u_all.shape[1])
-        return pert.evaluate_batch(u_all)
+    class Counted(NonlinearPerturbation):
+        def eval_batch(self, u):
+            calls.append(u.shape[-1])
+            return super().eval_batch(u)
 
-    counted = dataclasses.replace(pert, evaluate_batch=evaluate_batch)
+    counted = Counted(pert.direction, pert.frequency, pert.amplitude)
     problem = InverseProblem(a=a, gamma=gamma, gamma0=np.eye(2),
                              y=[1.0, 1.0, 1.5], u0=[0.0, 0.0],
                              nonlinear=counted)

@@ -405,12 +405,18 @@ def test_stacked_stats_rejects_malformed_stacks(shape):
 
 
 def test_apply_forward_stack_slices_equal_batch():
+    # the perturbation's tanh runs over the whole (R, J) block at once;
+    # each cell's slice gets the bits of the cell evaluated alone
     problem = shipped_nonlinear_problem()
-    u = np.random.default_rng(67).standard_normal((3, 2, 5))
-    out = apply_forward_stack(problem, u)
-    assert out.shape == (3, 3, 5) and out.flags.c_contiguous
-    for c, cell in enumerate(u):
-        assert bitwise_equal(out[c], apply_forward_batch(problem, cell.T).T)
+    rng = np.random.default_rng(67)
+    for r in (1, 3, 5):
+        for j in (1, 5, 63, 4000):
+            u = 3.0 * rng.standard_normal((r, 2, j))
+            out = apply_forward_stack(problem, u)
+            assert out.shape == (r, 3, j) and out.flags.c_contiguous
+            for c, cell in enumerate(u):
+                assert bitwise_equal(out[c],
+                                     apply_forward_batch(problem, cell.T).T)
     with pytest.raises(DimensionMismatch, match=r"\(R, 2, J\)"):
         apply_forward_stack(problem, u[0])
 

@@ -204,6 +204,10 @@ def test_w2_vs_gaussian_rejects_dimension_mismatch():
     g = GaussianMoments(mean=np.zeros(2), cov=np.eye(2))
     with pytest.raises(DimensionMismatch):
         w2_ensemble_vs_gaussian(np.zeros((8, 3)), g, seed=0)
+    # the cloud's shape is checked before its width is read
+    with pytest.raises(DimensionMismatch, match=r"^cloud x must be a 2-D "
+                       r"\(J, L\) array, got shape \(4,\)$"):
+        w2_ensemble_vs_gaussian(np.zeros(4), g, seed=0)
 
 
 def test_w2_vs_gaussian_self_distance_rate():

@@ -19,7 +19,6 @@ from eks_lab import model
 from eks_lab.errors import (
     DegenerateDirection,
     DimensionMismatch,
-    EksError,
     NonFinite,
     NonlinearUnsupported,
     NonPositive,
@@ -29,7 +28,6 @@ from eks_lab.errors import (
 from eks_lab.model import (
     GaussianMoments,
     InverseProblem,
-    NonlinearPerturbation,
     _log_density_batch,
     _quadratic_form,
     apply_forward_batch,
@@ -120,6 +118,17 @@ def test_construction_validates():
     with pytest.raises(NonFinite):
         InverseProblem(a=np.eye(2), gamma=np.eye(2), gamma0=np.eye(2),
                        y=np.array([np.nan, 0.0]), u0=np.zeros(2))
+    # a perturbation built for a 3 x 2 problem, handed to a 2 x 2 and a
+    # 3 x 3 one
+    pert = tanh_problem().nonlinear
+    with pytest.raises(DimensionMismatch, match=r"^nonlinear\.direction "
+                       r"must have shape \(2,\) to match a, got \(3,\)$"):
+        InverseProblem(a=np.eye(2), gamma=np.eye(2), gamma0=np.eye(2),
+                       y=np.zeros(2), u0=np.zeros(2), nonlinear=pert)
+    with pytest.raises(DimensionMismatch, match=r"^nonlinear\.frequency "
+                       r"must have shape \(3,\) to match a, got \(2,\)$"):
+        InverseProblem(a=np.eye(3), gamma=np.eye(3), gamma0=np.eye(3),
+                       y=np.zeros(3), u0=np.zeros(3), nonlinear=pert)
 
 
 @pytest.mark.filterwarnings("error")
@@ -148,7 +157,7 @@ def test_apply_forward_linear():
 def test_apply_forward_with_tanh_matches_direct_formula():
     problem = tanh_problem()
     pert = problem.nonlinear
-    b = pert.direction_basis[:, 0]
+    b = pert.direction
     u = np.array([0.4, -1.2])
     expect = problem.a @ u + 2.0 * np.tanh(0.7 * 0.4 - 0.4 * (-1.2)) * b
     assert np.allclose(forward_loop(problem, [u]), [expect], atol=1e-14)
@@ -294,7 +303,7 @@ def test_perturbation_is_perpendicular():
     pert = problem.nonlinear
     gi = np.linalg.inv(problem.gamma)
     at_gi = problem.a.T @ gi
-    assert np.max(np.abs(at_gi @ pert.direction_basis)) <= 1e-12
+    assert np.max(np.abs(at_gi @ pert.direction)) <= 1e-12
     rng = np.random.default_rng(43)
     for _ in range(1000):
         u = 3.0 * rng.standard_normal(2)
@@ -314,8 +323,6 @@ def test_perturbation_bound_and_gradient():
         assert grad.shape == (2, 3)
         norm_bound = 2.0 * np.linalg.norm(freq)
         assert np.linalg.norm(grad, ord=2) <= norm_bound + 1e-12
-    assert pert.amplitude_bound == pytest.approx(
-        2.0 * (1.0 + np.linalg.norm(freq)))
 
 
 def test_perturbation_batch_hooks_match_loops():
@@ -337,11 +344,11 @@ def test_perturbation_batch_hooks_match_loops():
 
 @pytest.mark.parametrize("j", [7, 63, 1023, 4000])
 def test_component_major_hooks_equal_row_major_formula(j):
-    # the closures on (L, J) rows give bitwise the numbers of the
+    # the batch forms on (L, J) rows give bitwise the numbers of the
     # particle-major formulas they replaced, written out here on (J, L)
     frequency, amplitude = np.array([0.7, -0.4]), 2.0
     pert = tanh_problem(amplitude).nonlinear
-    b = pert.direction_basis[:, 0]
+    b = pert.direction
     rng = np.random.default_rng(j)
     u_rows = 2.0 * rng.standard_normal((j, 2))
     z_rows = rng.standard_normal((j, 3))
@@ -355,41 +362,18 @@ def test_component_major_hooks_equal_row_major_formula(j):
     assert np.array_equal(pert.grad_apply_batch(u, z), pulled.T)
 
 
-@pytest.mark.parametrize("excess, inside", [(0.5e-9, True),
-                                             (2e-9, False)])
-def test_perturbation_bound_check_edges(excess, inside):
-    # the check allows a relative slack of 1e-9 over amplitude_bound; the
-    # largest row sits just inside or just outside it, among smaller rows
-    direction = np.array([0.6, 0.0, 0.8])
-    scales = np.array([0.5, 1.9, 2.0 * (1.0 + excess), 1.0])
-
-    def evaluate_batch(u_all):
-        return direction[:, None] * scales[None, :]
-
-    pert = NonlinearPerturbation(
-        evaluate=None, gradient=None, amplitude_bound=2.0,
-        direction_basis=direction[:, None], evaluate_batch=evaluate_batch,
-        gradient_apply_batch=None)
-    u_all = np.zeros((2, 4))
-    if inside:
-        assert np.array_equal(pert.eval_batch(u_all),
-                              evaluate_batch(u_all))
-    else:
-        with pytest.raises(EksError, match=r"perturbation exceeded its "
-                           r"stated bound: \|m\(u\)\| = 2\.000e\+00 > "
-                           r"2\.000e\+00$"):
-            pert.eval_batch(u_all)
-
-
 def test_perturbation_degenerate_seed_raises():
     a = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
     inside = a @ np.array([1.0, -0.5])
     with pytest.raises(DegenerateDirection):
         make_perpendicular_perturbation(a, np.eye(3), inside,
                                         np.array([1.0, 1.0]), 1.0)
-    with pytest.raises(NonPositive):
-        make_perpendicular_perturbation(a, np.eye(3), np.array([0.0, 0.0, 1.0]),
-                                        np.array([1.0, 1.0]), -0.5)
+    for amplitude in (np.nan, np.inf, -0.5):
+        with pytest.raises(NonPositive, match="^amplitude must be finite "
+                           "and nonnegative"):
+            make_perpendicular_perturbation(
+                a, np.eye(3), np.array([0.0, 0.0, 1.0]),
+                np.array([1.0, 1.0]), amplitude)
     # zero amplitude is legal and degenerates to the plain linear map
     off = make_perpendicular_perturbation(a, np.eye(3),
                                           np.array([0.0, 0.0, 1.0]),
