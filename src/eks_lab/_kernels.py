@@ -6,6 +6,8 @@ kernels.  These are the same kernels, called with the arguments the
 wrappers pass them, so the arithmetic and every bit are unchanged:
 
 * einsum is numpy's C einsum, which np.einsum runs unless it optimizes;
+* matmul is np.matmul, to OpenBLAS's gemm, for the products over the
+  particle axis (forward map, covariances, step applies);
 * solve, eigh, eigvalsh and cholesky are the LAPACK gufuncs behind
   np.linalg's solve (solve1 for a 1-D rhs), eigh, eigvalsh and
   cholesky, with numpy's signatures and error state, so a singular
@@ -14,12 +16,21 @@ wrappers pass them, so the arithmetic and every bit are unchanged:
 
 Callers hand in float64 arrays that passed the wrappers' checks.
 
+gemm sums a particle in a tile's edge remainder with other code than
+one in a full tile, so products that map particles to particles run on
+a particle axis zero-padded to whole tiles of 32 (padded_block).  The
+split over threads moves bits too, so importing this module pins numpy's
+OpenBLAS to one thread (blas_runtime: whether, and its kernel core).
+Functions that call matmul are decorated with quiet: overflow stays
+silent in them, as in the C einsum, for their own checks to name.
+
 One kernel is not numpy's: exact W2's assignment solver, scipy's
 compiled linear_sum_assignment.  It is loaded from its extension file on
 first use, without the scipy.optimize package that re-exports it, whose
 import would pull in hundreds of modules for this one function.
 """
 
+import ctypes
 import sys
 import threading
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
@@ -33,6 +44,46 @@ try:
     from numpy._core.multiarray import c_einsum as einsum
 except ImportError:  # numpy < 2, where numpy.core is not deprecated
     from numpy.core.multiarray import c_einsum as einsum
+
+
+def padded_block(parts, rows, spare=0):
+    """A fresh C-ordered (R, rows + spare, J') block, whatever the parts'
+    layouts: the (R, ., J) parts' rows one after another, spare rows for
+    the caller to fill, and zero columns from J to J' (whole tiles)."""
+    r, _, j = parts[0].shape
+    width = -(-j // 32) * 32
+    block = np.empty((r, rows + spare, width))
+    if width > j:
+        block[:, :, j:] = 0.0
+    np.concatenate(parts, axis=1, out=block[:, :rows, :j])
+    return block
+
+
+def _pin_blas():
+    """Pin numpy's OpenBLAS to one thread; its core and whether pinned."""
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        pin = lib.scipy_openblas_set_num_threads64_
+        core = lib.scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return {"core": "unknown", "one_thread": False}
+    pin.argtypes, pin.restype = [ctypes.c_int], None
+    core.argtypes, core.restype = [], ctypes.c_char_p
+    pin(1)
+    return {"core": core().decode(), "one_thread": True}
+
+
+blas_runtime = _pin_blas()
+quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+def matmul(a, b, out=None):
+    """np.matmul; an out narrower than b takes the product's first
+    columns (a padded particle axis read back)."""
+    if out is None or out.shape[-1] == b.shape[-1]:
+        return np.matmul(a, b, out=out)
+    out[...] = np.matmul(a, b)[..., :out.shape[-1]]
+    return out
 
 
 def _lapack_errstate(message):

@@ -33,10 +33,10 @@ Three evolutions share one discretization skeleton:
       W_c = [S | -h S cov_ug gamma^{-1} | sqrt(2 h cov_uu)
              | h S (cov_ug gamma^{-1} y + cov_uu gamma0^{-1} u0)].
 
-  Each run applies its cells' W_c in one einsum ("rmn,rnj->rmj") over a
-  contiguous (R, 2L+K+1, J) block with rows [u; G(u); xi; 1], written
-  straight into the step's output.  The gradient step puts cov_uu A^T in
-  place of cov_ug; on a perturbed problem each cell's block gains L rows
+  Each run applies its cells' W_c in one BLAS product over a contiguous
+  (R, 2L+K+1, J) block with rows [u; G(u); xi; 1], written into the
+  step's output.  The gradient step puts cov_uu A^T in place of cov_ug;
+  on a perturbed problem each cell's block gains L rows
   grad m(u_j) gamma^{-1} (G(u_j) - y), from one hook call per run, and W_c
   the column block -h S cov_uu.
 
@@ -49,18 +49,18 @@ Three evolutions share one discretization skeleton:
 
 The steps work component-major, on the (L, J) transpose of the particles
 (free for a step's own output) and of the noise block.  Every
-per-particle operation is the one einsum that applies a frozen step
-matrix to contiguous length-J rows, summing over the block's rows in a
-fixed order for each particle; the products of the small matrices it
-folds moved into the per-step stage.  A run's block is a fresh C-ordered
-copy of its cells' columns, so every cell's slice has the layout of the
-cell stepped alone and each einsum sums in the same order (a strided
-view would not at J = 1).  A particle's update therefore depends
+per-particle operation is the one product that applies a frozen step
+matrix to contiguous rows, summing over the block's rows in a fixed
+order for each particle; the products of the small matrices it folds
+moved into the per-step stage.  A run's block is a fresh C-ordered copy
+of its cells' columns, padded to whole gemm tiles (_kernels), so every
+cell's slice has the layout of the cell stepped alone and every
+particle sits in a full tile.  A particle's update therefore depends
 only on its own column and on its cell's statistics, which are
 themselves particle-order-invariant; permuting particles (and their
 noise) permutes trajectories bit-for-bit, the input's memory layout does
 not matter, a cell's rows are bitwise the same in any batch, and reruns
-on any thread count reproduce the same bytes.  Each step returns
+with any BLAS thread setting reproduce the same bytes.  Each step returns
 Ensemble.particles as the (n, L) view of its (L, n) result, so the next
 step's transpose costs nothing.  The einsums and LAPACK calls of a step
 go to numpy's and LAPACK's compiled kernels directly (_kernels), without
@@ -103,7 +103,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import einsum
+from ._kernels import einsum, matmul, padded_block, quiet
 from .ensemble import (Ensemble, centered_moments, empirical_stats,
                        stacked_stats)
 from .errors import (
@@ -273,18 +273,7 @@ def _cells(a, columns, r):
     return a[:, columns].reshape(a.shape[0], r, -1).transpose(1, 0, 2)
 
 
-def _block(parts, rows, spare=0):
-    """The C-ordered (R, rows + spare, J) block a run's step matrices
-    multiply, whatever the parts' layouts (concatenate alone follows
-    them): the parts' rows, the last part the run's row of ones, then
-    spare rows for the caller to fill.  Each cell's slice is laid out as
-    the cell's block alone, so every einsum over it sums in one order."""
-    r, _, j = parts[0].shape
-    block = np.empty((r, rows + spare, j))
-    np.concatenate(parts, axis=1, out=block[:, :rows])
-    return block
-
-
+@quiet
 def _kalman_step(ens, problem, cfg, noise, gradient):
     """The one Kalman step both public steps run, on a batch of cells;
     gradient picks how the misfit covectors gamma^{-1} (G(u_j) - y) are
@@ -324,15 +313,17 @@ def _kalman_step(ens, problem, cfg, noise, gradient):
     rows = 2 * l + k + 1
     blocks = []
     for (u_run, g, _, _), (_, columns, ones) in zip(runs, batch.runs):
-        block = _block([u_run, g, _cells(xi, columns, len(u_run)), ones],
-                       rows, spare=l if perturbed else 0)
+        block = padded_block(
+            [u_run, g, _cells(xi, columns, len(u_run)), ones], rows,
+            spare=l if perturbed else 0)
         if perturbed:
             # the perturbation's rows grad m(u_j) gamma^-1 (G(u_j) - y),
             # on the run's whole stack like the forward map
             z = einsum("km,rkj->rmj", problem.gamma_inv,
                        g - problem.y[:, None])
-            block[:, rows:] = problem.nonlinear.grad_apply_batch(
-                block[:, :l], z)
+            j = z.shape[2]
+            block[:, rows:, :j] = problem.nonlinear.grad_apply_batch(
+                block[:, :l, :j], z)
         blocks.append(block)
     # I + h cov_uu gamma0^{-1} is never singular in exact arithmetic; once
     # the second term reaches 1/eps, rounding drops the identity: the
@@ -356,8 +347,7 @@ def _kalman_step(ens, problem, cfg, noise, gradient):
                         spd_sqrt(2.0 * h * cov_uu), sq[:, :, k:]], axis=2)
     out = np.empty((l, n))
     for (cells, columns, _), block in zip(batch.runs, blocks):
-        einsum("rmn,rnj->rmj", w[cells], block,
-               out=_cells(out, columns, len(block)))
+        matmul(w[cells], block, out=_cells(out, columns, len(block)))
     return _finish(ens, out, h, "particles overflowed (stepsize too large?)")
 
 
@@ -390,6 +380,7 @@ def eks_gradient_step(ens, problem, cfg, noise):
     return _kalman_step(ens, problem, cfg, noise, gradient=True)
 
 
+@quiet
 def mean_field_step(v_ens, rho_moments, problem, cfg, noise):
     """Euler-Maruyama step of the decoupled mean-field particles under the
     Gaussian flow moments at the ensemble's current time.  The step
@@ -418,9 +409,9 @@ def mean_field_step(v_ens, rho_moments, problem, cfg, noise):
     v, out = v_ens.particles.T, np.empty((l, n))
     for cells, columns, ones in batch.runs:
         r = cells.stop - cells.start
-        block = _block([_cells(v, columns, r), _cells(xi, columns, r), ones],
-                       2 * l + 1)
-        einsum("mn,rnj->rmj", w, block, out=_cells(out, columns, r))
+        block = padded_block(
+            [_cells(v, columns, r), _cells(xi, columns, r), ones], 2 * l + 1)
+        matmul(w, block, out=_cells(out, columns, r))
     return _finish(v_ens, out, h, "reference particles overflowed")
 
 

@@ -12,45 +12,46 @@ argsort of it (stable or not, whatever its algorithm) returns exactly that
 order; only a tie sends the order to np.lexsort.  One gather writes u and
 G in that order as the rows of one C-contiguous (L+K, J) block, whatever
 the input's layout; one pivot, mean and centring pass runs along its
-length-J rows, and the covariances are fixed-order einsum contractions
-of its row slices, O(J L^2), through numpy's C einsum without the
-np.einsum wrapper (see _kernels).  einsum's loops are built for the
-baseline instruction set (their grouping depends on J and the binaries,
-not on run-time CPU features) and use no threads, so the result is bit-stable
-across runs and thread counts.  Two particles tie in the key only if they
-are the same point, so they carry the same G row and the order among them
-cannot change a sum: statistics are bitwise independent of particle order,
-and permuting an ensemble permutes its trajectories exactly.  The key must
-be the raw rows, not the centered ones — subtracting the mean can round
-two distinct points to the same centered row while their G rows still
-differ, and then the tie order would leak into cov_ug.  Centering
-subtracts the componentwise minimum, an exact pivot, before any
-arithmetic, so an ensemble whose particles all coincide produces exactly
-zero covariance, not merely a small one — the degenerate-freeze invariant
-of the dynamics depends on that exactness.
+length-J rows, and the covariances are the BLAS products u u^T and u G^T
+of its row slices, O(J L^2), through _kernels.matmul; as two products,
+cov_uu keeps its bits without G rows beside it (particle_moments).  Their
+grouping depends on J, the binaries and OpenBLAS's run-time core, and
+OpenBLAS runs on one pinned thread, so the result is bit-stable across
+runs and thread counts.  Two particles tie in the key only if they are the
+same point, so they carry the same G row and the order among them cannot
+change a sum: statistics are bitwise independent of particle order, and
+permuting an ensemble permutes its trajectories exactly.  The key must be
+the raw rows, not the centered ones — subtracting the mean can round two
+distinct points to the same centered row while their G rows still differ,
+and then the tie order would leak into cov_ug.  Centering subtracts the
+componentwise minimum, an exact pivot, before any arithmetic, so an
+ensemble whose particles all coincide produces exactly zero covariance,
+not merely a small one — the degenerate-freeze invariant of the dynamics
+depends on that exactness.
 
 stacked_stats takes R cells of equal J at once, as the (R, L, J) stack of
 their particles' columns.  Each cell is still sorted and gathered on its
 own, through the same canonical order and take, into one (R, L+K, J)
-block; the forward map is one stacked einsum (apply_forward_stack, the
-perturbation per cell), and the pivot, mean, centring and both
+block; the forward map is one stacked product (apply_forward_stack, the
+perturbation on the whole stack), and the pivot, mean, centring and both
 covariances run once over the block.  Their loops run along the same
-contiguous length-J rows as a cell's own block, so every slice is bitwise
-empirical_stats on its cell; empirical_stats is the same pass on a stack
-of one.  A block that leaves the cache costs more than the cells one at
-a time, so a long run goes through in chunks of whole cells of at most
-STATS_STACK_BUDGET entries each (a cell larger than that goes alone).
-The budget, 2^15 float64 entries (256 KiB), was measured on a 2-core Xeon
-(48 KiB L1d and 2 MiB L2 per core) at L = K = 2 and R = 20: the chunked
-pass took 0.2-0.3x the per-cell time at J = 64 and 256, 0.5-0.7x at
-J = 1024 and 0.8-0.9x at J = 4000, where one unchunked pass took 1.2-1.6x.
+contiguous length-J rows as a cell's own block, and each product is one
+gemm per cell slice, so every slice is bitwise empirical_stats on its
+cell; empirical_stats is the same pass on a stack of one.  A block that
+leaves the cache costs more than the cells one at a time, so a long run
+goes through in chunks of whole cells of at most STATS_STACK_BUDGET
+entries each (a cell larger than that goes alone).  The budget, 2^15
+float64 entries (256 KiB), was measured on a 2-core Xeon (48 KiB L1d and
+2 MiB L2 per core) at L = K = 2 and R = 20: the chunked pass took
+0.2-0.3x the per-cell time at J = 64 and 256, 0.5-0.7x at J = 1024 and
+0.8-0.9x at J = 4000, where one unchunked pass took 1.2-1.6x.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import einsum
+from ._kernels import einsum, matmul, quiet
 from .errors import DimensionMismatch, NonFinite, NonPositive
 from .model import apply_forward_batch, apply_forward_stack
 
@@ -147,6 +148,7 @@ def _mean_rows(rows):
 STATS_STACK_BUDGET = 1 << 15
 
 
+@quiet
 def _block_stats(u, g):
     """(mean, cov_uu, cov_ug) of R equal-J cells, one pass over their
     (R, L+K, J) block, from the (R, L, J) stack of their particles'
@@ -164,9 +166,10 @@ def _block_stats(u, g):
         g_c.take(order, axis=1, out=block[l:], mode="clip")
     mean = _mean_rows(rows.reshape(-1, j)).reshape(r, -1)
     rows -= mean[:, :, None]
-    # one contraction of the u rows against all L+K rows: [cov_uu | cov_ug]
-    cov = einsum("rlj,rmj->rlm", rows[:, :l], rows) / j
-    return mean, cov[:, :, :l], cov[:, :, l:]
+    # two products: particle_moments runs the same one for cov_uu
+    cu = rows[:, :l]
+    return (mean, matmul(cu, cu.transpose(0, 2, 1)) / j,
+            matmul(cu, rows[:, l:].transpose(0, 2, 1)) / j)
 
 
 def empirical_stats(ens, problem):

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import einsum
+from ._kernels import einsum, matmul, padded_block, quiet
 from .errors import (
     DegenerateDirection,
     DimensionMismatch,
@@ -283,7 +283,7 @@ def apply_forward_batch(problem, u_all):
     if u_all.ndim != 2 or u_all.shape[1] != problem.dim_l:
         raise DimensionMismatch(
             f"batch must have shape (J, {problem.dim_l}), got {u_all.shape}")
-    return _forward(problem, np.ascontiguousarray(u_all.T)[None])[0].T
+    return _forward(problem, u_all.T[None])[0].T
 
 
 def apply_forward_stack(problem, u_stack):
@@ -296,17 +296,19 @@ def apply_forward_stack(problem, u_stack):
         raise DimensionMismatch(
             f"stack must have shape (R, {problem.dim_l}, J), got "
             f"{u_stack.shape}")
-    return _forward(problem, np.ascontiguousarray(u_stack))
+    return _forward(problem, u_stack)
 
 
+@quiet
 def _forward(problem, u):
-    # A and the perturbation, applied to the contiguous (R, L, J) stack,
-    # sum over l in one fixed order for every particle, whatever its
-    # position, cell, the input's layout or the thread count
-    out = einsum("kl,rlj->rkj", problem.a, u)
+    # A and the perturbation, on a copy of the stack padded to whole gemm
+    # tiles, sum over l in one fixed order for every particle (_kernels)
+    j = u.shape[2]
+    stack = padded_block([u], u.shape[1])
+    out = matmul(problem.a, stack)[:, :, :j]
     if problem.nonlinear is not None:
-        out += problem.nonlinear.eval_batch(u)
-    return out
+        out += problem.nonlinear.eval_batch(stack[:, :, :j])
+    return np.ascontiguousarray(out)
 
 
 def precision_matrix(problem):

@@ -51,7 +51,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kernels
 from .dynamics import SdeConfig, run, sample_gaussian
 from .ensemble import particle_moments, save_csv
 from .errors import EksError
@@ -1085,8 +1085,8 @@ def _cpu_dispatch():
 @functools.cache
 def _environment():
     """What report.json records under "environment", computed once per
-    process.  Noise and sums are bit-stable only on the same binaries,
-    and np.tanh's bits also depend on the CPU dispatch level, so the
+    process.  Noise and sums are bit-stable only on the same binaries and
+    OpenBLAS core, and np.tanh's also on the CPU dispatch level, so the
     report names them; fixed per environment, reruns stay equal.  The
     returned dict is shared: callers must not change it.  Top-level
     scipy is imported here, not with the package, which otherwise needs
@@ -1103,6 +1103,7 @@ def _environment():
         env[dep] = {lib.__name__: _build_dependency(lib.show_config, dep)
                     for lib in (np, scipy)}
     env["cpu_dispatch"] = _cpu_dispatch()
+    env["blas_runtime"] = dict(_kernels.blas_runtime)
     return env
 
 

@@ -56,11 +56,23 @@ def test_unusable_config_exits_two_before_any_study(tmp_path, doc, message):
     assert result.stderr.startswith(f"ab_rev.py: {target}: {message}")
 
 
+def tree_revision():
+    """A commit of the working tree's tracked files as they stand (git
+    stash create), or HEAD when they hold no change: a revision whose
+    outputs the tree's equal whether or not a change is committed."""
+    proc = subprocess.run(
+        ["git", "-c", "user.name=ab-rev test",
+         "-c", "user.email=ab-rev-test@example.invalid", "stash", "create"],
+        cwd=SCRIPT.parent.parent, capture_output=True, text=True, check=True)
+    return proc.stdout.strip() or "HEAD"
+
+
 def test_failing_band_exits_one_naming_it(tmp_path):
     config = tmp_path / "toy_j.json"
     config.write_text(json.dumps(TOY_J))
     result = subprocess.run(
-        [sys.executable, str(SCRIPT), "HEAD", str(config), "--pairs", "1"],
+        [sys.executable, str(SCRIPT), tree_revision(), str(config),
+         "--pairs", "1"],
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 1, result.stderr
     for side in ("rev", "tree"):
@@ -79,7 +91,8 @@ def test_problem_path_is_read_beside_the_config(tmp_path):
     config = tmp_path / "toy_j.json"
     config.write_text(json.dumps(dict(doc, problem={"path": "problem.json"})))
     result = subprocess.run(
-        [sys.executable, str(SCRIPT), "HEAD", str(config), "--pairs", "1"],
+        [sys.executable, str(SCRIPT), tree_revision(), str(config),
+         "--pairs", "1"],
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert "toy_j: rev" in result.stdout

@@ -187,16 +187,27 @@ def philox_normals(seed, step, j, l):
     return gen.standard_normal((j, l))
 
 
+def padded_product(w, block):
+    """w @ block through BLAS with block's particle axis padded by zero
+    columns to a multiple of 32, the padding dropped from the result."""
+    j = block.shape[1]
+    wide = np.zeros((block.shape[0], -(-j // 32) * 32))
+    wide[:, :j] = block
+    return np.matmul(w, wide)[:, :j]
+
+
 def straight_line_step(ens, problem, cfg, seed, gradient):
     """The Kalman step written out in one piece, operation for operation,
     on the contiguous component-major (L, J) transpose: stable sort and
     gather along axis 1, row-wise pivot, a fresh Philox for the noise,
     the step matrix built from the problem's inverses in place, and one
-    contraction of it with the [u; G(u); xi; 1 (; grad rows)] block."""
+    product of it with the [u; G(u); xi; 1 (; grad rows)] block.  The
+    products over particles are np.matmul's, those that map particles to
+    particles on a padded particle axis."""
     u = np.ascontiguousarray(ens.particles.T)
     l, j = u.shape
     h = cfg.h
-    g = np.einsum("kl,lj->kj", problem.a, u)
+    g = padded_product(problem.a, u)
     if problem.nonlinear is not None:
         g = g + problem.nonlinear.eval_batch(u)
     order = np.argsort(u[0], kind="stable")
@@ -210,8 +221,8 @@ def straight_line_step(ens, problem, cfg, seed, gradient):
     mean_u = pivot_u + np.einsum("lj->l", us - pivot_u[:, None]) / j
     mean_g = pivot_g + np.einsum("lj->l", gs - pivot_g[:, None]) / j
     cu, cg = us - mean_u[:, None], gs - mean_g[:, None]
-    cov_uu = np.einsum("lj,mj->lm", cu, cu) / j
-    cov_ug = np.einsum("lj,mj->lm", cu, cg) / j
+    cov_uu = np.matmul(cu, cu.T) / j
+    cov_ug = np.matmul(cu, cg.T) / j
     g0_inv, gamma_inv = problem.gamma0_inv, problem.gamma_inv
     g0_inv_u0 = np.einsum("ab,b->a", g0_inv, problem.u0)
     if gradient:
@@ -246,7 +257,7 @@ def straight_line_step(ens, problem, cfg, seed, gradient):
     # the step matrix [S | -h S T | sqrt(2 h cov_uu) | c (| -h S cov_uu)]
     w = np.concatenate([solve_matrix, sq[:, :k], spd_sqrt(2.0 * h * cov_uu),
                         sq[:, k:]], axis=1)
-    return np.einsum("mn,nj->mj", w, block).T
+    return padded_product(w, block).T
 
 
 def row_major_step(ens, problem, cfg, seed, gradient, tanh=None):
@@ -664,6 +675,27 @@ def test_permutation_equivariance_at_odd_j(j, ties):
         noise = NoiseSource(seed=cfg.seed)
         wrapped = PermutedNoise(NoiseSource(seed=cfg.seed), perm)
         # the second step starts from a step's own component-major output
+        for _ in range(cfg.n_steps):
+            base = stepper(base, cfg, noise)
+            permuted = stepper(permuted, cfg, wrapped)
+            assert np.array_equal(permuted.particles, base.particles[perm])
+
+
+@pytest.mark.parametrize("l", [1, 8, 32])
+@pytest.mark.parametrize("j", [7, 100, 517])
+def test_permutation_equivariance_at_large_l(l, j):
+    # BLAS tiles the particle axis; a particle in a tile's edge remainder
+    # and one in a full tile must get the same arithmetic at any L
+    problem = nonlinear_problem(6, l=l, k=l + 1)
+    rng = np.random.default_rng(100 * l + j)
+    particles = rng.normal(size=(j, l))
+    perm = rng.permutation(j)
+    cfg = SdeConfig(h=0.05, n_steps=3, j_particles=j, seed=j)
+    for stepper in all_steppers(problem):
+        base = Ensemble(particles=particles)
+        permuted = Ensemble(particles=particles[perm])
+        noise = NoiseSource(seed=cfg.seed)
+        wrapped = PermutedNoise(NoiseSource(seed=cfg.seed), perm)
         for _ in range(cfg.n_steps):
             base = stepper(base, cfg, noise)
             permuted = stepper(permuted, cfg, wrapped)

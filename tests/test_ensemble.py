@@ -258,8 +258,9 @@ def test_particle_moments_equal_stats_bitwise(problem, j):
 
 def separate_rows_stats(particles, problem):
     """The statistics pass written out with u and G(u) kept apart, as two
-    gathers, two pivot and mean passes and two centrings, operation for
-    operation; the order is the lexicographic one by its definition."""
+    gathers, two pivot and mean passes, two centrings and two matrix
+    products, operation for operation; the order is the lexicographic one
+    by its definition."""
     j = particles.shape[0]
     g = apply_forward_batch(problem, particles)
     order = np.lexsort(particles.T[::-1])
@@ -270,8 +271,8 @@ def separate_rows_stats(particles, problem):
     mean_g = pivot_g + np.einsum("lj->l", gs - pivot_g[:, None]) / j
     cu, cg = us - mean_u[:, None], gs - mean_g[:, None]
     return {"mean_u": mean_u, "mean_g": mean_g,
-            "cov_uu": np.einsum("lj,mj->lm", cu, cu) / j,
-            "cov_ug": np.einsum("lj,mj->lm", cu, cg) / j, "forward": g}
+            "cov_uu": np.matmul(cu, cu.T) / j,
+            "cov_ug": np.matmul(cu, cg.T) / j, "forward": g}
 
 
 def layouts(particles):

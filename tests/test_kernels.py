@@ -4,12 +4,18 @@ Each binding must be bitwise the public numpy call it stands in for, on
 every subscript and shape the package hands it, and the public spd
 functions must raise what they raised through the wrappers.  The
 assignment solver must be scipy.optimize's own function, bound once.
+The BLAS products must not warn, and must give the same bits whatever
+thread count the environment asks OpenBLAS for.
 """
 
+import json
+import os
+import subprocess
 import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,3 +242,97 @@ def test_first_calls_at_once_bind_the_kernel_once(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert values == [expected] * n
     assert len(binds) == 1
+
+
+@pytest.mark.parametrize("width", [64, 40])
+def test_matmul_is_np_matmul_into_any_out(width):
+    # an out narrower than b takes the product's first columns
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((2, 4, 5)), rng.standard_normal((2, 5, 64))
+    assert np.array_equal(_kernels.matmul(a, b), np.matmul(a, b))
+    out = np.empty((2, 4, width))
+    assert _kernels.matmul(a, b, out=out) is out
+    assert np.array_equal(out, np.matmul(a, b)[:, :, :width])
+
+
+def test_quiet_products_leave_overflow_to_the_caller():
+    @_kernels.quiet
+    def product(a, b):
+        return _kernels.matmul(a, b)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = np.full((2, 2), 1e300)
+        assert np.isinf(product(huge, huge)).all()
+        mixed = np.array([[np.inf, 1.0]])
+        assert np.isnan(product(mixed, np.array([[0.0], [1.0]]))).all()
+
+
+@pytest.mark.parametrize("j, width", [(1, 32), (32, 32), (33, 64),
+                                      (517, 544)])
+def test_padded_block_fills_whole_tiles_with_zeros(j, width):
+    rng = np.random.default_rng(j)
+    u, g = rng.standard_normal((2, 3, j)), rng.standard_normal((2, 2, j))
+    block = _kernels.padded_block([u, np.asfortranarray(g)], 5, spare=1)
+    assert block.shape == (2, 6, width) and block.flags.c_contiguous
+    assert np.array_equal(block[:, :5, :j], np.concatenate([u, g], axis=1))
+    assert not block[:, :, j:].any()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+THREADS_PROBE = """
+import hashlib, json, sys, tempfile
+from pathlib import Path
+
+import numpy as np
+
+from eks_lab import parse_config, run_study
+from eks_lab._kernels import blas_runtime
+from eks_lab.ensemble import stacked_stats
+from eks_lab.model import InverseProblem
+
+rng = np.random.default_rng(32)
+a = np.eye(32) + 0.1 * rng.standard_normal((32, 32))
+problem = {"a": a.tolist(), "gamma": np.eye(32).tolist(),
+           "gamma0": np.eye(32).tolist(),
+           "y": rng.standard_normal(32).tolist(), "u0": [0.0] * 32}
+doc = {"kind": "sample", "seed": 7, "problem": problem,
+       "sde": {"h": 0.05, "n_steps": 4, "j_particles": 1000}}
+with tempfile.TemporaryDirectory() as out:
+    run_study(parse_config(doc), out)
+    body = json.loads((Path(out) / "report.json").read_text())
+body.pop("generated")
+
+rng = np.random.default_rng(50)
+wide = InverseProblem(a=rng.standard_normal((50, 50)), gamma=np.eye(50),
+                      gamma0=np.eye(50), y=np.zeros(50), u0=np.zeros(50))
+stats = stacked_stats(rng.standard_normal((2, 50, 1000)), wide)
+digest = hashlib.sha256()
+for field in ("mean_u", "mean_g", "cov_uu", "cov_ug", "forward"):
+    digest.update(getattr(stats, field).tobytes())
+print(json.dumps({"report": body, "stats": digest.hexdigest(),
+                  "runtime": blas_runtime}))
+"""
+
+
+def run_at_threads(n):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", THREADS_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return json.loads(proc.stdout)
+
+
+def test_results_independent_of_the_blas_thread_count():
+    """An L = 32 sample study and L = 50, J = 1000 statistics give the
+    same bytes whether the environment asks OpenBLAS for one thread or
+    two: the package pins it to one."""
+    one, two = run_at_threads(1), run_at_threads(2)
+    for run in (one, two):
+        run["report"]["environment"].pop("blas_runtime")
+    assert one["report"] == two["report"]
+    assert one["stats"] == two["stats"]
+    assert one["runtime"] == two["runtime"] == _kernels.blas_runtime

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy
 
-from eks_lab import dynamics, studies
+from eks_lab import _kernels, dynamics, studies
 from eks_lab.cli import EXIT_RUNTIME, main
 from eks_lab.dynamics import SdeConfig, sample_gaussian
 from eks_lab.ensemble import Ensemble, load_csv, particle_moments
@@ -1190,7 +1190,7 @@ class TestWriteReport:
         write_report(run_study(parse_config(sample_doc())), tmp_path)
         env = json.loads((tmp_path / "report.json").read_text())["environment"]
         assert set(env) == {"python", "numpy", "scipy", "machine", "blas",
-                            "lapack", "cpu_dispatch"}
+                            "lapack", "cpu_dispatch", "blas_runtime"}
         assert {key: env[key] for key in ("python", "numpy", "scipy",
                                           "machine")} == {
             "python": platform.python_version(), "numpy": np.__version__,
@@ -1207,6 +1207,9 @@ class TestWriteReport:
             "baseline": list(UMATH.__cpu_baseline__),
             "enabled": [t for t in UMATH.__cpu_dispatch__
                         if UMATH.__cpu_features__[t]]}
+        # the gemm kernel core OpenBLAS runs and its one-thread pin
+        assert env["blas_runtime"] == _kernels.blas_runtime
+        assert set(env["blas_runtime"]) == {"core", "one_thread"}
 
     def test_cpu_dispatch_level_changes_the_body(self, tmp_path, monkeypatch,
                                                  fresh_environment):
